@@ -142,7 +142,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy = LearnedPolicy(load_json(args.model), oversample=args.oversample)
     else:
         policy = FifoPolicy()
-    report = run_simulation(events, policy, args.capacity, seed=_resolve_seed(args.seed))
+    report = run_simulation(events, policy, args.capacity)
 
     samples_path = None
     if args.latency_csv:

@@ -162,16 +162,27 @@ def pack_from_dict(obj: dict) -> ModelPack:
             raise PackValidationError(f"{where}weights_float", f"expected {n_bins} weights, got {len(wf)}")
         if len(wi) != n_bins:
             raise PackValidationError(f"{where}weights_int", f"expected {n_bins} weights, got {len(wi)}")
+        scaled = []
         for k, w in enumerate(wf):
-            if not isinstance(w, (int, float)) or isinstance(w, bool) or not math.isfinite(w):
+            if not isinstance(w, (int, float)) or isinstance(w, bool):
                 raise PackValidationError(f"{where}weights_float[{k}]", "must be a finite number")
+            try:
+                s = float(w) * scale
+            except OverflowError:  # an int operand too large for a float
+                s = math.inf
+            if not math.isfinite(s):
+                raise PackValidationError(
+                    f"{where}weights_float[{k}]",
+                    f"must be a finite number that stays finite times weight_scale {scale}",
+                )
+            scaled.append(int(s))
         for k, q in enumerate(wi):
             if not isinstance(q, int) or isinstance(q, bool):
                 raise PackValidationError(f"{where}weights_int[{k}]", "must be an integer")
-            if q != int(float(wf[k]) * scale):
+            if q != scaled[k]:
                 raise PackValidationError(
                     f"{where}weights_int[{k}]",
-                    f"is {q} but trunc(weights_float[{k}] * {scale}) = {int(float(wf[k]) * scale)}",
+                    f"is {q} but trunc(weights_float[{k}] * {scale}) = {scaled[k]}",
                 )
         feats.append(
             PackFeature(index, name, tuple(edges), tuple(float(w) for w in wf), tuple(wi))
@@ -223,10 +234,10 @@ _INODE_SOURCED = {2: I_D1, 3: I_D2, 5: I_SIZE, 7: I_EMA_T}
 
 
 class PreparedScorer:
-    """Precomputed arrays for scoring many candidates at once.
+    """Precomputed arrays for scoring an eviction window in one pass.
 
-    The batch entry points are verified by tests to agree element-for-element
-    with int_score(); they exist so wide rerank windows stay cheap. Features
+    score_window is the only scorer the simulator uses; tests verify it
+    agrees element-for-element with the int_score() reference. Features
     whose pack entry has a single bin contribute a constant folded into a
     precomputed base score.
 
@@ -241,7 +252,7 @@ class PreparedScorer:
     """
 
     __slots__ = (
-        "indices", "edge_tuples", "weight_tuples", "base", "active",
+        "pack", "indices", "edge_tuples", "weight_tuples", "base", "active",
         "_u_edges", "_wflat", "_row_off", "_wide", "_order",
         "_kp", "_ki", "_sp", "_si", "_pfields", "_ifields", "_pi_row",
         "_gap_row", "_pair", "_singles", "_offd", "_mulcache", "_bufcache",
@@ -249,6 +260,7 @@ class PreparedScorer:
     )
 
     def __init__(self, pack: ModelPack):
+        self.pack = pack
         self.indices = tuple(fe.index for fe in pack.features)
         self.edge_tuples = tuple(fe.bin_edges for fe in pack.features)
         self.weight_tuples = tuple(fe.weights_int for fe in pack.features)
@@ -257,8 +269,11 @@ class PreparedScorer:
         bound = abs(self.base) + sum(
             max(abs(w) for w in self.weight_tuples[j]) for j in self.active
         )
+        # past int64 the window plan's weight tables cannot hold the weights;
+        # score_window then falls back to exact int_score
         self._wide = bound > _I64_MAX
-        self._build_window_plan(bound)
+        if not self._wide:
+            self._build_window_plan(bound)
 
     def _build_window_plan(self, bound: int) -> None:
         # one scratch buffer holds everything: active feature rows first
@@ -337,18 +352,6 @@ class PreparedScorer:
         self._bufcache: dict[int, tuple] = {}
         self._offcache: dict[int, np.ndarray] = {}
 
-    def score_one(self, raw_features: Sequence[int]) -> int:
-        total = self.base
-        for j in self.active:
-            v = raw_features[self.indices[j]]
-            b = 0
-            for edge in self.edge_tuples[j]:
-                if v < edge:
-                    break
-                b += 1
-            total += self.weight_tuples[j][b]
-        return total
-
     def _rank_scores(self, buf_flat: np.ndarray, n: int) -> np.ndarray:
         """Merged-rank lookup: buf_flat holds the active feature rows."""
         g = self._u_edges.searchsorted(buf_flat, side="right")
@@ -359,18 +362,6 @@ class PreparedScorer:
         g += off
         w = self._wflat.take(g.reshape(len(self._order), n), mode="clip")
         return w.sum(axis=0, dtype=w.dtype)
-
-    def score_many(self, raw_matrix: np.ndarray) -> np.ndarray:
-        """raw_matrix: uint64 array of shape (n_candidates, n_raw_features)."""
-        if self._wide:
-            return np.array([self.score_one(row) for row in raw_matrix.tolist()], dtype=object)
-        n = raw_matrix.shape[0]
-        if not self.active:
-            return np.full(n, self.base, dtype=np.int64)
-        cols = np.ascontiguousarray(
-            raw_matrix[:, [self.indices[j] for j in self._order]].T
-        ).astype(np.uint64, copy=False)
-        return self._rank_scores(cols.reshape(-1), n)
 
     def _window_bufs(self, n: int) -> tuple:
         bufs = self._bufcache.get(n)
@@ -395,7 +386,8 @@ class PreparedScorer:
         if self._wide:
             keys = tracker.page_keys
             return np.array(
-                [self.score_one(tracker.extract_features(keys[int(s)], t_now_ns)) for s in slots],
+                [int_score(self.pack, tracker.extract_features(keys[s], t_now_ns))
+                 for s in slots.tolist()],
                 dtype=object,
             )
         if not self.active:

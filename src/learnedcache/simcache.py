@@ -4,9 +4,11 @@ The cache keeps residency as a membership index plus a FIFO order buffer
 (oldest at the tail, newest at the head). On overflow an eviction request of
 min(32, overflow) pages is issued. FIFO pops the oldest pages; the learned
 policy rescopes the request to the oldest oversample * n resident pages,
-scores them with the integer model, and evicts the lowest-scoring n
-(predicted to be reused last), ties broken toward older pages, survivors
-keeping their relative order.
+scores the whole window at once with PreparedScorer.score_window, and
+evicts the lowest-scoring n (predicted to be reused last), ties broken
+toward older pages, survivors keeping their relative order. Simulation and
+the latency benchmark issue every eviction request through one dispatch,
+so the benchmark times exactly the path simulations take.
 """
 
 from __future__ import annotations
@@ -14,25 +16,24 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .features import N_FEATURES, AccessTracker
+from .features import FEATURE_NAMES, N_FEATURES, AccessTracker
 from .modelpack import ModelPack, PreparedScorer
 from .trace import EventKind, PageKey, TraceEvent
 
 BATCH_MAX = 32
 DEFAULT_OVERSAMPLE = 5
 
-# below this window size the scalar scoring path beats array overhead
-_VECTOR_CUTOFF = 16
-
 
 @dataclass(frozen=True)
 class FifoPolicy:
     name: str = "fifo"
+    # FIFO considers exactly the pages it evicts
+    oversample: ClassVar[int] = 1
 
 
 @dataclass
@@ -44,10 +45,15 @@ class LearnedPolicy:
     def __post_init__(self) -> None:
         if self.oversample < 1:
             raise ConfigurationError("oversample must be >= 1")
-        if self.pack.n_features > N_FEATURES:
+        n = self.pack.n_features
+        if n > N_FEATURES:
             raise ConfigurationError(
-                f"model pack has {self.pack.n_features} features; "
-                f"the simulator computes {N_FEATURES}"
+                f"model pack has {n} features; the simulator computes {N_FEATURES}"
+            )
+        if self.pack.feature_names != FEATURE_NAMES[:n]:
+            raise ConfigurationError(
+                f"model pack features {list(self.pack.feature_names)} are not the "
+                f"simulator's first {n} features {list(FEATURE_NAMES[:n])}"
             )
         self._scorer = PreparedScorer(self.pack)
 
@@ -137,39 +143,30 @@ def _evict_scored(
     n_evict = min(n, live)
     window = min(oversample * n, live)
     wslots = cache.order[cache.tail:cache.tail + window]
+    scores = scorer.score_window(cache.tracker, wslots, t_now_ns)
+    # lowest score first, FIFO position (oldest) breaking ties
+    ranked = scores.argsort(kind="stable")
+    victim_slots = wslots[ranked[:n_evict]].tolist()
+    if n_evict < window:
+        # survivors keep FIFO order: sort the kept positions
+        kept = ranked[n_evict:]
+        kept.sort()
+        cache.order[cache.tail + n_evict:cache.tail + window] = wslots[kept]
+
     keys = cache.tracker.page_keys
-
-    if window <= 1:
-        victim_slots = wslots[:n_evict].tolist()
-    elif window < _VECTOR_CUTOFF:
-        tracker = cache.tracker
-        slot_list = wslots.tolist()
-        scores = [
-            scorer.score_one(tracker.extract_features(keys[s], t_now_ns)) for s in slot_list
-        ]
-        # lowest score first, FIFO position (oldest) breaking ties
-        chosen = sorted(range(window), key=lambda i: (scores[i], i))[:n_evict]
-        victim_slots = [slot_list[i] for i in chosen]
-        if n_evict < window:
-            keep = np.ones(window, dtype=bool)
-            keep[chosen] = False
-            cache.order[cache.tail + n_evict:cache.tail + window] = wslots[keep]
-    else:
-        scores = scorer.score_window(cache.tracker, wslots, t_now_ns)
-        ranked = scores.argsort(kind="stable")
-        victim_slots = wslots[ranked[:n_evict]].tolist()
-        if n_evict < window:
-            # survivors keep FIFO order: sort the kept positions
-            kept = ranked[n_evict:]
-            kept.sort()
-            cache.order[cache.tail + n_evict:cache.tail + window] = wslots[kept]
-
     victims = [keys[s] for s in victim_slots]
     cache.tail += n_evict
     residency = cache.residency
     for key in victims:
         del residency[key]
     return victims
+
+
+def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[PageKey]:
+    """One eviction request of n pages, as both simulation and benchmark issue it."""
+    if isinstance(policy, LearnedPolicy):
+        return _evict_scored(cache, n, policy._scorer, policy.oversample, t_now_ns)
+    return evict_fifo(cache, n)
 
 
 def evict_learned(
@@ -182,10 +179,8 @@ def evict_learned(
     """Evict n pages chosen by model score from the oversample * n oldest."""
     if not 1 <= n <= BATCH_MAX:
         raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
-    if oversample < 1:
-        raise ConfigurationError("oversample must be >= 1")
     t = t_now_ns if t_now_ns is not None else cache.tracker.last_t
-    return _evict_scored(cache, n, PreparedScorer(pack), oversample, t)
+    return _evict(cache, n, LearnedPolicy(pack, oversample), t)
 
 
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:
@@ -206,14 +201,9 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
     overflow = len(cache.residency) - cache.capacity
     if overflow > 0:
         n = overflow if overflow < BATCH_MAX else BATCH_MAX
-        if isinstance(policy, LearnedPolicy):
-            considered = min(policy.oversample * n, len(cache.residency))
-            t0 = time.perf_counter_ns()
-            victims = _evict_scored(cache, n, policy._scorer, policy.oversample, t_ns)
-        else:
-            considered = min(n, len(cache.residency))
-            t0 = time.perf_counter_ns()
-            victims = evict_fifo(cache, n)
+        considered = min(policy.oversample * n, len(cache.residency))
+        t0 = time.perf_counter_ns()
+        victims = _evict(cache, n, policy, t_ns)
         dt = time.perf_counter_ns() - t0
         c.evictions += len(victims)
         cache.eviction_latency_ns.append(dt)
@@ -241,16 +231,13 @@ def run_simulation(
     events: Iterable[TraceEvent],
     policy: Policy,
     capacity: int,
-    seed: int = 0,
     event_sink: list[TraceEvent] | None = None,
 ) -> SimReport:
     """Replay the Access events of a sorted trace through the cache.
 
     Insert/Evict events in the input are ignored (the simulator emits its
-    own into event_sink when provided). seed is accepted for signature
-    stability; both built-in policies are deterministic.
+    own into event_sink when provided). Both policies are deterministic.
     """
-    del seed
     cache = CacheState(capacity)
     cache.event_sink = event_sink
     prev_t = 0
@@ -310,7 +297,6 @@ def benchmark_eviction_latency(
     batch: int = BATCH_MAX,
     oversample: int = DEFAULT_OVERSAMPLE,
     rounds: int = 500,
-    seed: int = 0,
 ) -> dict:
     """Time full eviction requests for FIFO and the learned policy.
 
@@ -318,7 +304,6 @@ def benchmark_eviction_latency(
     rounds: one timed eviction request of `batch` pages followed by untimed
     refills back to capacity. Returns both latency distributions in ns.
     """
-    del seed  # the drive sequence is fixed; accepted for signature stability
     if capacity < batch:
         raise ConfigurationError("capacity must be >= batch")
     results: dict[str, list[int]] = {}
@@ -336,10 +321,7 @@ def benchmark_eviction_latency(
         for _ in range(rounds):
             t += 1_000
             t0 = time.perf_counter_ns()
-            if isinstance(policy, LearnedPolicy):
-                _evict_scored(cache, batch, policy._scorer, policy.oversample, t)
-            else:
-                evict_fifo(cache, batch)
+            _evict(cache, batch, policy, t)
             samples.append(time.perf_counter_ns() - t0)
             while len(cache) < capacity:
                 i = next_key % pool

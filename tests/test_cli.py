@@ -238,6 +238,31 @@ def test_corrupt_model_exits_3(pipeline, tmp_path):
     assert rc == 3
 
 
+def test_pack_whose_scaled_weight_overflows_exits_3(pipeline, tmp_path):
+    # 1e308 is finite, but 1e308 * weight_scale is not
+    obj = json.loads(open(pipeline["model"]).read())
+    obj["features"][0]["weights_float"][0] = 1e308
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(obj))
+    rc = main(["simulate", "--trace", pipeline["test"], "--policy", "learned",
+               "--model", str(path), "--capacity", "8"])
+    assert rc == 3
+
+
+def test_pack_with_reordered_feature_names_exits_2(pipeline, tmp_path):
+    # a well-formed pack whose features are not the simulator's, in order
+    obj = json.loads(open(pipeline["model"]).read())
+    obj["feature_names"].reverse()
+    for fe, name in zip(obj["features"], obj["feature_names"]):
+        fe["name"] = name
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(obj))
+    assert load_json(str(path)).feature_names == tuple(obj["feature_names"])
+    rc = main(["simulate", "--trace", pipeline["test"], "--policy", "learned",
+               "--model", str(path), "--capacity", "8"])
+    assert rc == 2
+
+
 def test_train_with_oversized_capacity_exits_2(pipeline, tmp_path):
     # nothing is ever evicted, so there are no labeled rows to learn from
     rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 GOLDEN = Path(__file__).parent / "data" / "golden_model.json"
 
@@ -25,6 +27,7 @@ from learnedcache.modelpack import (
     quantize,
 )
 from learnedcache.ranker import LinearRanker
+from learnedcache.trace import PageKey
 
 from packbuild import build_pack, make_accesses, random_pack, zero_pack
 from reference_impls import ref_pack_score
@@ -139,6 +142,15 @@ def _valid_dict():
             lambda d: d["features"][0]["weights_float"].__setitem__(1, float("inf")),
             "features[0].weights_float[1]",
         ),
+        # finite, but the product with weight_scale is not
+        (
+            lambda d: d["features"][0]["weights_float"].__setitem__(2, 1e308),
+            "features[0].weights_float[2]",
+        ),
+        (
+            lambda d: d["features"][0]["weights_float"].__setitem__(0, 10**400),
+            "features[0].weights_float[0]",
+        ),
         (lambda d: d["features"][0]["weights_int"].pop(), "features[0].weights_int"),
         (
             lambda d: d["features"][0]["weights_int"].__setitem__(0, 0.5),
@@ -215,6 +227,11 @@ def test_integer_score_matches_serialized_form_reference(seed):
         assert int_score(pack, raw) == ref_pack_score(obj, raw)
 
 
+def _reference_scores(pack, tracker, slots, t_now):
+    keys = tracker.page_keys
+    return [int_score(pack, tracker.extract_features(keys[s], t_now)) for s in slots.tolist()]
+
+
 def _tracker_with_traffic(seed, n=400):
     rng = random.Random(seed)
     tracker = AccessTracker()
@@ -234,14 +251,8 @@ def test_batch_scoring_agrees_with_scalar_scoring(seed):
     n_slots = len(tracker.page_keys)
     slots = np.array([rng.randrange(n_slots) for _ in range(64)], dtype=np.int64)
 
-    feats = [tracker.extract_features(tracker.page_keys[s], t_now) for s in slots.tolist()]
-    expected = [int_score(pack, list(f)) for f in feats]
-
-    assert [scorer.score_one(f) for f in feats] == expected
-    many = scorer.score_many(np.array(feats, dtype=np.uint64))
-    assert many.tolist() == expected
     window = scorer.score_window(tracker, slots, t_now)
-    assert window.tolist() == expected
+    assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
 
 def test_batch_scoring_handles_small_and_single_windows():
@@ -252,9 +263,7 @@ def test_batch_scoring_handles_small_and_single_windows():
     for size in (1, 2, 3, 17):
         slots = np.arange(size, dtype=np.int64)
         got = scorer.score_window(tracker, slots, t_now)
-        keys = tracker.page_keys
-        want = [int_score(pack, list(tracker.extract_features(keys[s], t_now))) for s in range(size)]
-        assert got.tolist() == want
+        assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
 
 def test_batch_scorer_reuses_buffers_across_window_sizes():
@@ -267,68 +276,99 @@ def test_batch_scorer_reuses_buffers_across_window_sizes():
         for size in (40, 8, 40, 25):
             slots = np.array([rng.randrange(len(keys)) for _ in range(size)], dtype=np.int64)
             got = scorer.score_window(tracker, slots, t_now)
-            want = [
-                int_score(pack, list(tracker.extract_features(keys[s], t_now)))
-                for s in slots.tolist()
-            ]
-            assert got.tolist() == want
+            assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
 
 def test_constant_pack_scores_every_candidate_with_the_base():
     pack = build_pack([([], [0.25]) for _ in range(9)])
     scorer = PreparedScorer(pack)
     assert scorer.base == 9 * 2500
-    assert scorer.score_one([0] * 9) == 22500
-    many = scorer.score_many(np.zeros((5, 9), dtype=np.uint64))
-    assert many.tolist() == [22500] * 5
+    assert int_score(pack, [0] * 9) == 22500
     tracker, _ = _tracker_with_traffic(1, n=30)
-    window = scorer.score_window(tracker, np.arange(10, dtype=np.int64), tracker.last_t)
-    assert window.tolist() == [22500] * 10
+    for size in (1, 10):
+        window = scorer.score_window(tracker, np.arange(size, dtype=np.int64), tracker.last_t)
+        assert window.tolist() == [22500] * size
 
 
 def test_zero_pack_scores_are_all_zero():
-    scorer = PreparedScorer(zero_pack())
-    assert scorer.score_one([MISSING] * 9) == 0
-    assert scorer.score_many(np.ones((4, 9), dtype=np.uint64)).tolist() == [0] * 4
+    pack = zero_pack()
+    scorer = PreparedScorer(pack)
+    assert int_score(pack, [MISSING] * 9) == 0
+    tracker, _ = _tracker_with_traffic(5, n=30)
+    # far in the future every delta and decay saturates
+    for t_now in (tracker.last_t, tracker.last_t + 2**62):
+        window = scorer.score_window(tracker, np.arange(4, dtype=np.int64), t_now)
+        assert window.tolist() == [0] * 4
 
 
 def test_huge_weights_fall_back_to_exact_big_integers():
     # each weight fits in 64 bits but the 9-feature sum cannot
     pack = build_pack([([1000], [9.0e14, -9.0e14]) for _ in range(9)])
     scorer = PreparedScorer(pack)
-    low = scorer.score_one([0] * 9)
-    high = scorer.score_one([2000] * 9)
+    low = int_score(pack, [0] * 9)
     assert low == 9 * 9_000_000_000_000_000_000
-    assert high == -low
+    assert int_score(pack, [2000] * 9) == -low
     assert low > 2**63 - 1  # would overflow a fixed-width accumulator
-    assert int_score(pack, [0] * 9) == low
 
-    many = scorer.score_many(np.array([[0] * 9, [2000] * 9], dtype=np.uint64))
-    assert many.tolist() == [low, high]
+    # every feature of page 5000 is >= 1000: MISSING page deltas and inode
+    # delta2, a 10 us inode gap, offset distance 5000, file size 5001,
+    # emas 1024 and 2048, and 10 us since its access
+    tracker = AccessTracker()
+    tracker.on_access(PageKey(1, 1, 5000), 0)
+    tracker.on_access(PageKey(1, 1, 0), 10_000)
+    window = scorer.score_window(tracker, np.array([0], dtype=np.int64), 10_000)
+    assert window.tolist() == [-low]
 
     tracker, _ = _tracker_with_traffic(2, n=40)
-    window = scorer.score_window(tracker, np.arange(6, dtype=np.int64), tracker.last_t)
-    keys = tracker.page_keys
-    want = [
-        int_score(pack, list(tracker.extract_features(keys[s], tracker.last_t)))
-        for s in range(6)
-    ]
-    assert window.tolist() == want
+    for size in (1, 6):
+        slots = np.arange(size, dtype=np.int64)
+        window = scorer.score_window(tracker, slots, tracker.last_t)
+        assert window.tolist() == _reference_scores(pack, tracker, slots, tracker.last_t)
 
 
 def test_edges_near_the_u64_limit_bin_correctly():
+    # the binned feature is file_size (index 5): one past the largest
+    # offset seen in the file, so each file's size is set by one page
     pack = build_pack(
-        [([U64_MAX - 1, U64_MAX], [1.0, 2.0, 3.0])] + [([], [0.0])] * 8
+        [([], [0.0])] * 5 + [([U64_MAX - 1, U64_MAX], [1.0, 2.0, 3.0])] + [([], [0.0])] * 3
     )
-    s = PreparedScorer(pack)
-    assert s.score_one([U64_MAX - 2] + [0] * 8) == 10000
-    assert s.score_one([U64_MAX - 1] + [0] * 8) == 20000
-    assert s.score_one([U64_MAX] + [0] * 8) == 30000
-    raw = np.array(
-        [[U64_MAX - 2] + [0] * 8, [U64_MAX - 1] + [0] * 8, [U64_MAX] + [0] * 8],
-        dtype=np.uint64,
-    )
-    assert s.score_many(raw).tolist() == [10000, 20000, 30000]
+    tracker = AccessTracker()
+    for inode, size in enumerate((U64_MAX - 2, U64_MAX - 1, U64_MAX)):
+        tracker.on_access(PageKey(1, inode, size - 1), inode)
+    slots = np.arange(3, dtype=np.int64)
+    assert [tracker.extract_features(k, 2).file_size for k in tracker.page_keys] == [
+        U64_MAX - 2, U64_MAX - 1, U64_MAX
+    ]
+    window = PreparedScorer(pack).score_window(tracker, slots, 2)
+    assert window.tolist() == [10000, 20000, 30000]
+    assert window.tolist() == _reference_scores(pack, tracker, slots, 2)
+
+
+@settings(deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    window=st.integers(1, 48),
+    wide=st.booleans(),
+)
+@example(rng=random.Random(0), window=1, wide=True)
+@example(rng=random.Random(1), window=1, wide=False)
+def test_window_scores_equal_the_integer_reference(rng, window, wide):
+    pack = random_pack(rng)
+    if wide:
+        # same edges and weights at a scale whose score bound exceeds int64
+        pack = build_pack(
+            [(fe.bin_edges, fe.weights_float) for fe in pack.features], scale=10**19
+        )
+    tracker = AccessTracker()
+    accs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 6),
+                         pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
+    for key, t in accs:
+        tracker.on_access(key, t)
+    t_now = tracker.last_t + rng.choice([0, 1, rng.randrange(5_000_000_000)])
+    n_slots = len(tracker.page_keys)
+    slots = np.array([rng.randrange(n_slots) for _ in range(window)], dtype=np.int64)
+    got = PreparedScorer(pack).score_window(tracker, slots, t_now)
+    assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
 
 def test_float_score_uses_float_weights():
@@ -350,7 +390,13 @@ def test_golden_pack_round_trips_byte_for_byte(tmp_path):
 def test_golden_pack_scores_known_vectors():
     pack = load_json(str(GOLDEN))
     scorer = PreparedScorer(pack)
-    raw = [5, 5, 5, 5, 5, 5, 5, 5, 5]
-    assert scorer.score_one(raw) == int_score(pack, raw)
-    raw = [MISSING] * 9
-    assert scorer.score_one(raw) == int_score(pack, raw)
+    # two fresh pages (MISSING deltas) and pages with small, repeated gaps
+    tracker = AccessTracker()
+    tracker.on_access(PageKey(1, 1, 0), 0)
+    tracker.on_access(PageKey(1, 2, 4), 0)
+    for t in range(5, 30, 5):
+        tracker.on_access(PageKey(1, 3, t % 3), t)
+    slots = np.arange(len(tracker.page_keys), dtype=np.int64)
+    for t_now in (tracker.last_t, tracker.last_t + 5):
+        window = scorer.score_window(tracker, slots, t_now)
+        assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
