@@ -58,7 +58,7 @@ from .modelpack import (
 from .ranker import (
     EvalMetrics,
     LinearRanker,
-    RankPair,
+    PairSet,
     TrainConfig,
     TrainResult,
     bt_probability,

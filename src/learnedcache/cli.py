@@ -1,9 +1,9 @@
 """Command-line pipeline: gen-trace, train, simulate, paired-eval.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 unreadable or malformed
-input file, 4 internal invariant violation. The seed defaults to the
-LEARNEDCACHE_SEED environment variable, then 0; all outputs are deterministic
-for a fixed seed (wall-clock latency fields aside).
+input file, 4 internal invariant violation or any other unexpected error. The
+seed defaults to the LEARNEDCACHE_SEED environment variable, then 0; all
+outputs are deterministic for a fixed seed (wall-clock latency fields aside).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import sys
 from . import evalstats, ranker, simcache, trace
 from .errors import (
     ConfigurationError,
-    LearnedCacheError,
     PackValidationError,
     TraceFormatError,
 )
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--ops", type=int, default=50_000, help="operations per trial trace")
     p.add_argument("--files", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="run trials in parallel processes")
+    p.add_argument("--jobs", type=int, default=1, help="trial processes, >= 1 (capped at trials and CPUs)")
     p.add_argument("--out", required=True, help="trial-set JSON path")
     p.add_argument("--summary", default=None, help="summary CSV path (default <out>.summary.csv)")
     add_seed(p)
@@ -275,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except LearnedCacheError as exc:
+    except Exception as exc:  # InternalError and anything unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -228,16 +229,20 @@ def run_paired_trials(
     """Run n paired (FIFO, learned) simulations on per-trial regenerated traces.
 
     Trial i uses a derived seed, and a derived coin decides which policy runs
-    first. Results are deterministic and independent of jobs.
+    first. Results are deterministic and independent of jobs, which is capped
+    at n_trials and the CPU count.
     """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
+    if jobs < 1:
+        raise ConfigurationError("jobs must be >= 1")
+    workers = min(jobs, n_trials, os.cpu_count() or 1)
     work = [
         (base_spec, pack, capacity, derive_seed(master_seed, 2 * i), derive_seed(master_seed, 2 * i + 1))
         for i in range(n_trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             trials = list(pool.map(_run_one_trial, work))
     else:
         trials = [_run_one_trial(w) for w in work]

@@ -3,8 +3,9 @@
 A page's score is beta(x) = w . onehot(x); the probability that page A beats
 page B (A is reused sooner) is sigmoid(beta_A - beta_B), the Bradley-Terry
 model. High score means reused soon (worth keeping), so the eviction policy
-drops the lowest-scoring candidates. Training minimizes binary cross-entropy
-over sampled pairs with Adam, early-stopping on validation loss.
+drops the lowest-scoring candidates. Pairs are sampled straight into arrays
+(PairSet); training minimizes their binary cross-entropy with Adam,
+early-stopping on validation loss.
 """
 
 from __future__ import annotations
@@ -23,6 +24,11 @@ from .features import N_FEATURES, DatasetRow
 PAIR_BUDGET_CAP = 500_000
 PAIRS_PER_ROW = 50
 
+# Adam moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def sigmoid(z: float) -> float:
     if z >= 0:
@@ -40,10 +46,16 @@ def bt_probability(beta_a: float, beta_b: float) -> float:
     return e / (1.0 + e)
 
 
-class RankPair(NamedTuple):
-    xa: tuple[int, ...]  # one active flattened bin index per feature
-    xb: tuple[int, ...]
-    label: int  # 1 if row a is reused strictly sooner than row b
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Encoded row pairs; row i of xa and xb is one pair."""
+
+    xa: np.ndarray  # (n, k) int64, one active flattened bin index per feature
+    xb: np.ndarray
+    y: np.ndarray  # float64, 1.0 where row a is reused strictly sooner than row b
+
+    def __len__(self) -> int:
+        return len(self.y)
 
 
 def bin_offsets(bins: Sequence[FeatureBins]) -> tuple[int, ...]:
@@ -120,7 +132,7 @@ def sample_pairs(
     bins: Sequence[FeatureBins],
     n_pairs: int,
     seed: int,
-) -> list[RankPair]:
+) -> PairSet:
     """Uniformly sample encoded row pairs with distinct reuse times.
 
     The sooner-reused row of a pair is the winner (label 1 when row a wins).
@@ -152,13 +164,7 @@ def sample_pairs(
         got += a.size
     ia = np.concatenate(picked_a)[:n_pairs]
     ib = np.concatenate(picked_b)[:n_pairs]
-    labels = (reuse[ia] < reuse[ib]).astype(np.int64)
-
-    ea, eb = enc[ia], enc[ib]
-    return [
-        RankPair(tuple(int(v) for v in ea[i]), tuple(int(v) for v in eb[i]), int(labels[i]))
-        for i in range(n_pairs)
-    ]
+    return PairSet(enc[ia], enc[ib], (reuse[ia] < reuse[ib]).astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -167,13 +173,7 @@ class TrainConfig:
     batch_size: int = 512
     patience: int = 5
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    l2: float = 0.0
     seed: int = 0
-    # train:test protocol is 4:1 split by trace file; recorded for provenance
-    split_ratio: tuple[int, int] = (4, 1)
 
     def __post_init__(self) -> None:
         if self.max_epochs < 1:
@@ -201,13 +201,6 @@ class TrainResult:
     best_epoch: int
 
 
-def _pairs_to_arrays(pairs: Sequence[RankPair]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xa = np.array([p.xa for p in pairs], dtype=np.int64)
-    xb = np.array([p.xb for p in pairs], dtype=np.int64)
-    y = np.array([p.label for p in pairs], dtype=np.float64)
-    return xa, xb, y
-
-
 def _logits(w: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return w[xa].sum(axis=1) - w[xb].sum(axis=1)
 
@@ -222,19 +215,28 @@ def bce_loss(w: np.ndarray, xa: np.ndarray, xb: np.ndarray, y: np.ndarray) -> fl
     return _bce(_logits(w, xa, xb), y)
 
 
+def _bce_grad_at(
+    logits: np.ndarray, xa: np.ndarray, xb: np.ndarray, y: np.ndarray, dim: int
+) -> np.ndarray:
+    # d loss / d logit goes +coef onto row a's bins and -coef onto row b's; one
+    # bincount over xa then xb keeps the summation order of adding xa, then xb
+    coef = (1.0 / (1.0 + np.exp(-logits)) - y) / len(y)
+    k = xa.shape[1]
+    return np.bincount(
+        np.concatenate((xa.ravel(), xb.ravel())),
+        weights=np.concatenate((np.repeat(coef, k), np.repeat(-coef, k))),
+        minlength=dim,
+    )
+
+
 def bce_grad(w: np.ndarray, xa: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Analytic gradient of bce_loss with respect to w."""
-    s = _logits(w, xa, xb)
-    coef = (1.0 / (1.0 + np.exp(-s)) - y) / len(y)
-    g = np.zeros_like(w)
-    np.add.at(g, xa.ravel(), np.repeat(coef, xa.shape[1]))
-    np.add.at(g, xb.ravel(), np.repeat(-coef, xb.shape[1]))
-    return g
+    """Analytic gradient of bce_loss with respect to w; training uses the same code."""
+    return _bce_grad_at(_logits(w, xa, xb), xa, xb, y, len(w))
 
 
 def train(
-    train_pairs: Sequence[RankPair],
-    val_pairs: Sequence[RankPair],
+    train_pairs: PairSet,
+    val_pairs: PairSet,
     bins: Sequence[FeatureBins],
     config: TrainConfig = TrainConfig(),
 ) -> TrainResult:
@@ -243,8 +245,8 @@ def train(
         raise ConfigurationError("need non-empty train and validation pair sets")
     bins = tuple(bins)
     dim = sum(b.n_bins for b in bins)
-    xa, xb, y = _pairs_to_arrays(train_pairs)
-    xa_v, xb_v, y_v = _pairs_to_arrays(val_pairs)
+    xa, xb, y = train_pairs.xa, train_pairs.xb, train_pairs.y
+    xa_v, xb_v, y_v = val_pairs.xa, val_pairs.xb, val_pairs.y
     for arr in (xa, xb, xa_v, xb_v):
         if arr.size and (arr.min() < 0 or arr.max() >= dim):
             raise InternalError("pair encoding outside the bin index space")
@@ -270,20 +272,14 @@ def train(
             ba, bb, by = xa[idx], xb[idx], y[idx]
             s = _logits(w, ba, bb)
             loss_sum += float(np.sum(np.logaddexp(0.0, s) - by * s))
-
-            coef = (1.0 / (1.0 + np.exp(-s)) - by) / len(idx)
-            g = np.zeros(dim)
-            np.add.at(g, ba.ravel(), np.repeat(coef, ba.shape[1]))
-            np.add.at(g, bb.ravel(), np.repeat(-coef, bb.shape[1]))
-            if config.l2:
-                g += config.l2 * w
+            g = _bce_grad_at(s, ba, bb, by, dim)
 
             step += 1
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1**step)
-            v_hat = v / (1.0 - config.beta2**step)
-            w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1**step)
+            v_hat = v / (1.0 - ADAM_BETA2**step)
+            w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         s_val = _logits(w, xa_v, xb_v)
         val_loss = _bce(s_val, y_v)
@@ -342,16 +338,15 @@ class EvalMetrics(NamedTuple):
     f1: float
 
 
-def evaluate(ranker: LinearRanker, pairs: Sequence[RankPair]) -> EvalMetrics:
+def evaluate(ranker: LinearRanker, pairs: PairSet) -> EvalMetrics:
     if not pairs:
         raise ConfigurationError("cannot evaluate on an empty pair set")
-    xa, xb, y = _pairs_to_arrays(pairs)
-    s = _logits(ranker.weights, xa, xb)
+    s = _logits(ranker.weights, pairs.xa, pairs.xb)
     try:
-        auc = auc_score(s, y)
+        auc = auc_score(s, pairs.y)
     except SingleClassError:
         auc = None
-    return EvalMetrics(auc, f1_score(s >= 0.0, y))
+    return EvalMetrics(auc, f1_score(s >= 0.0, pairs.y))
 
 
 def write_history_csv(history: Sequence[EpochStats], path: str) -> None:

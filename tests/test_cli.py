@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from learnedcache import cli
 from learnedcache.cli import main
 from learnedcache.modelpack import load_json
 from learnedcache.trace import EventKind, read_csv_trace, read_trace
@@ -209,6 +210,25 @@ def test_zero_trials_exits_2(pipeline, tmp_path):
                "--capacity", "8", "--trials", "0", "--ops", "10",
                "--out", str(tmp_path / "e.json")])
     assert rc == 2
+
+
+def test_zero_jobs_exits_2(pipeline, tmp_path):
+    rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
+               "--capacity", "8", "--trials", "2", "--ops", "10", "--jobs", "0",
+               "--out", str(tmp_path / "e.json")])
+    assert rc == 2
+
+
+def test_unexpected_exception_exits_4_without_traceback(pipeline, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "run_simulation", boom)
+    rc = main(["simulate", "--trace", pipeline["test"], "--policy", "fifo", "--capacity", "8"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "internal error: simulated fault" in err
+    assert "Traceback" not in err
 
 
 def test_missing_input_file_exits_3(tmp_path):

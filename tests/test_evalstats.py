@@ -11,6 +11,7 @@ import random
 import pytest
 import scipy.stats
 
+from learnedcache import evalstats
 from learnedcache.errors import ConfigurationError
 from learnedcache.evalstats import (
     PairedTrialSet,
@@ -280,6 +281,52 @@ def test_run_paired_trials_rejects_zero_trials():
     spec, pack = small_setup()
     with pytest.raises(ConfigurationError):
         run_paired_trials(spec, pack, 8, 0, master_seed=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_paired_trials_rejects_jobs_below_one(jobs):
+    spec, pack = small_setup()
+    with pytest.raises(ConfigurationError):
+        run_paired_trials(spec, pack, 8, 2, master_seed=1, jobs=jobs)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "jobs,cpus,want",
+    [
+        (1_000_000, 2, [2]),  # capped by the CPU count
+        (1_000_000, 64, [3]),  # capped by the trial count
+        (2, 64, [2]),
+        (1_000_000, None, []),  # unknown CPU count counts as one: serial
+        (1, 64, []),
+    ],
+)
+def test_run_paired_trials_caps_worker_count(monkeypatch, jobs, cpus, want):
+    spec, pack = small_setup()
+    serial = run_paired_trials(spec, pack, 8, 3, master_seed=4)
+    monkeypatch.setattr(_InlinePool, "requested", [])
+    monkeypatch.setattr(evalstats, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(evalstats.os, "cpu_count", lambda: cpus)
+    out = run_paired_trials(spec, pack, 8, 3, master_seed=4, jobs=jobs)
+    assert _InlinePool.requested == want
+    assert out.trials == serial.trials
 
 
 def test_zero_model_yields_identical_rates_per_trial():

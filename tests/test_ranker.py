@@ -11,7 +11,7 @@ from learnedcache.errors import ConfigurationError, InternalError, SamplingError
 from learnedcache.features import MISSING, DatasetRow, FeatureVector
 from learnedcache.ranker import (
     EpochStats,
-    RankPair,
+    PairSet,
     TrainConfig,
     auc_score,
     bce_grad,
@@ -150,10 +150,13 @@ def test_sampled_pairs_label_the_sooner_reused_row():
     assert len(enc_to_reuse) == 3  # encodings must identify the rows
     pairs = sample_pairs(rows, bins, 200, seed=3)
     assert len(pairs) == 200
-    for p in pairs:
-        ra, rb = enc_to_reuse[p.xa], enc_to_reuse[p.xb]
+    assert pairs.xa.shape == pairs.xb.shape == (200, 9)
+    assert pairs.xa.dtype == pairs.xb.dtype == np.int64
+    assert pairs.y.dtype == np.float64
+    for xa, xb, y in zip(pairs.xa, pairs.xb, pairs.y):
+        ra, rb = enc_to_reuse[tuple(xa.tolist())], enc_to_reuse[tuple(xb.tolist())]
         assert ra != rb
-        assert p.label == (1 if ra < rb else 0)
+        assert y == (1.0 if ra < rb else 0.0)
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -162,8 +165,9 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_pairs(rows, bins, 100, seed=5)
     b = sample_pairs(rows, bins, 100, seed=5)
     c = sample_pairs(rows, bins, 100, seed=6)
-    assert a == b
-    assert a != c
+    same = lambda p, q: all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("xa", "xb", "y"))
+    assert same(a, b)
+    assert not same(a, c)
 
 
 def test_sampling_rejects_degenerate_inputs():
@@ -239,6 +243,25 @@ def test_analytic_gradient_matches_finite_differences():
         assert rel < 1e-5, rel
 
 
+def test_gradient_accumulates_row_a_bins_then_row_b_bins_in_order():
+    # a small dim makes bins repeat, so any other summation order would
+    # show up in the low bits
+    rng = np.random.default_rng(8)
+    dim = 5
+    w = rng.normal(size=dim)
+    xa = rng.integers(0, dim, size=(300, 3))
+    xb = rng.integers(0, dim, size=(300, 3))
+    y = rng.integers(0, 2, size=300).astype(float)
+    s = w[xa].sum(axis=1) - w[xb].sum(axis=1)
+    coef = (1.0 / (1.0 + np.exp(-s)) - y) / len(y)
+    want = [0.0] * dim
+    for rows, sign in ((xa, 1.0), (xb, -1.0)):
+        for i, row in enumerate(rows):
+            for idx in row:
+                want[idx] += sign * coef[i]
+    assert bce_grad(w, xa, xb, y).tolist() == want
+
+
 def _separable_setup(n_pairs=1500, seed=0):
     rows = []
     for i in range(60):
@@ -279,7 +302,7 @@ def test_training_is_deterministic():
 
 def test_flipping_every_label_negates_the_learned_weights():
     _, bins, tr, va = _separable_setup(n_pairs=600)
-    flip = lambda ps: [RankPair(p.xa, p.xb, 1 - p.label) for p in ps]
+    flip = lambda ps: PairSet(ps.xa, ps.xb, 1 - ps.y)
     cfg = TrainConfig(max_epochs=5, batch_size=128, seed=2)
     w_pos = train(tr, va, bins, cfg).ranker.weights
     w_neg = train(flip(tr), flip(va), bins, cfg).ranker.weights
@@ -301,10 +324,7 @@ def test_returned_weights_are_the_best_validation_epoch():
     result = train(tr, va, bins, cfg)
     best = min(h.val_loss for h in result.history)
     assert result.history[result.best_epoch - 1].val_loss == best
-    xa = np.array([p.xa for p in va])
-    xb = np.array([p.xb for p in va])
-    y = np.array([p.label for p in va], dtype=float)
-    assert abs(bce_loss(result.ranker.weights, xa, xb, y) - best) < 1e-12
+    assert abs(bce_loss(result.ranker.weights, va.xa, va.xb, va.y) - best) < 1e-12
 
 
 def test_early_stopping_waits_for_patience():
@@ -317,19 +337,28 @@ def test_early_stopping_waits_for_patience():
     assert len(result.history) == result.best_epoch + 2
 
 
+def _pairs(xa, xb, y):
+    return PairSet(np.array(xa, dtype=np.int64), np.array(xb, dtype=np.int64),
+                   np.array(y, dtype=np.float64))
+
+
+def _no_pairs():
+    return _pairs(np.empty((0, 1)), np.empty((0, 1)), [])
+
+
 def test_train_rejects_empty_pair_sets():
     bins = (FeatureBins((1,)),)
-    pair = RankPair((0,), (1,), 1)
+    pair = _pairs([[0]], [[1]], [1])
     with pytest.raises(ConfigurationError):
-        train([], [pair], bins)
+        train(_no_pairs(), pair, bins)
     with pytest.raises(ConfigurationError):
-        train([pair], [], bins)
+        train(pair, _no_pairs(), bins)
 
 
 def test_train_rejects_out_of_range_encodings():
     bins = (FeatureBins((1,)),)
     with pytest.raises(InternalError):
-        train([RankPair((5,), (0,), 1)], [RankPair((0,), (1,), 1)], bins)
+        train(_pairs([[5]], [[0]], [1]), _pairs([[0]], [[1]], [1]), bins)
 
 
 def test_config_validation():
@@ -374,13 +403,13 @@ def test_f1_from_counted_confusion():
 
 def test_evaluate_reports_none_auc_on_single_class_pairs():
     bins = (FeatureBins((1,)),)
-    pairs = [RankPair((0,), (1,), 1) for _ in range(8)]
+    pairs = _pairs([[0]] * 8, [[1]] * 8, [1] * 8)
     result = train(pairs, pairs, bins, TrainConfig(max_epochs=2, batch_size=4))
     assert math.isnan(result.history[0].val_auc)
     metrics = evaluate(result.ranker, pairs)
     assert metrics.auc is None
     with pytest.raises(ConfigurationError):
-        evaluate(result.ranker, [])
+        evaluate(result.ranker, _no_pairs())
 
 
 def test_history_csv_is_readable(tmp_path):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from learnedcache.errors import ConfigurationError, TraceFormatError
 from learnedcache.trace import (
@@ -213,6 +215,38 @@ def test_read_rejects_unsorted_records(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(TraceFormatError):
         read_trace(str(path))
+
+
+@pytest.fixture(scope="module")
+def valid_trace_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corrupt") / "ok.bin"
+    events = small_trace("mongo", seed=3, ops=12)
+    events.append(TraceEvent(EventKind.EVICT, U64_MAX, PageKey(U64_MAX, U64_MAX, U64_MAX)))
+    write_trace(events, str(path))
+    return path
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_corrupted_trace_is_rejected_or_read_exactly(valid_trace_path, data):
+    # overwrite up to 8 random bytes of a valid trace, then maybe truncate it;
+    # the reader may only raise TraceFormatError or return events that write
+    # back to the very same bytes
+    corrupt = bytearray(valid_trace_path.read_bytes())
+    for _ in range(data.draw(st.integers(0, 8), label="n_overwrites")):
+        pos = data.draw(st.integers(0, len(corrupt) - 1), label="pos")
+        corrupt[pos] = data.draw(st.integers(0, 255), label="byte")
+    if data.draw(st.booleans(), label="truncate"):
+        del corrupt[data.draw(st.integers(0, len(corrupt)), label="keep"):]
+    bad = valid_trace_path.with_name("bad.bin")
+    bad.write_bytes(bytes(corrupt))
+    try:
+        events = read_trace(str(bad))
+    except TraceFormatError:
+        return
+    again = valid_trace_path.with_name("again.bin")
+    write_trace(events, str(again))
+    assert again.read_bytes() == bytes(corrupt)
 
 
 def test_csv_round_trip(tmp_path):
