@@ -68,6 +68,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if args.capacity < 1:
         raise ConfigurationError("--capacity must be >= 1")
+    if args.pairs is not None and args.pairs < 1:
+        raise ConfigurationError("--pairs must be >= 1")
+    config = TrainConfig(
+        max_epochs=args.epochs,
+        batch_size=args.batch,
+        patience=args.patience,
+        learning_rate=args.lr,
+        seed=evalstats.derive_seed(seed, 3),
+    )
 
     def rows_for(path: str):
         events = read_trace(path)
@@ -92,18 +101,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     columns = [[row.features[j] for row in train_rows] for j in range(N_FEATURES)]
     bins = fit_all(columns)
 
-    n_train_pairs = args.pairs if args.pairs else default_pair_budget(len(train_rows))
+    n_train_pairs = default_pair_budget(len(train_rows)) if args.pairs is None else args.pairs
     n_val_pairs = min(default_pair_budget(len(val_rows)), n_train_pairs)
     train_pairs = sample_pairs(train_rows, bins, n_train_pairs, evalstats.derive_seed(seed, 1))
     val_pairs = sample_pairs(val_rows, bins, n_val_pairs, evalstats.derive_seed(seed, 2))
 
-    config = TrainConfig(
-        max_epochs=args.epochs,
-        batch_size=args.batch,
-        patience=args.patience,
-        learning_rate=args.lr,
-        seed=evalstats.derive_seed(seed, 3),
-    )
     result = ranker.train(train_pairs, val_pairs, bins, config)
     metrics = evaluate(result.ranker, val_pairs)
 

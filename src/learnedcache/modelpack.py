@@ -4,6 +4,12 @@ weights_int[i] = trunc(weights_float[i] * weight_scale), truncation toward
 zero, so an integer-only scorer (shifts, adds, compares; no floating point)
 can rank eviction candidates. Scores are sums of per-feature integer weights
 selected by [start, end) bin lookup.
+
+int_score is the plain reference for one feature vector. PreparedScorer
+scores a whole eviction window straight from the tracker tables: it gathers
+each candidate's page and inode columns once, derives the time-dependent
+features in place, and looks every binned feature's weight up in one merged
+rank table.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .discretizer import MAX_BINS, FeatureBins
+from .discretizer import MAX_BINS
 from .errors import PackValidationError, QuantizationError
 from .features import (
     FEATURE_NAMES,
@@ -229,222 +235,90 @@ def float_score(pack: ModelPack, raw_features: Sequence[int]) -> float:
     return total
 
 
-_PAGE_SOURCED = {0: P_D1, 1: P_D2, 4: P_OFF, 6: P_EMA_T, 8: P_LAST}
-_INODE_SOURCED = {2: I_D1, 3: I_D2, 5: I_SIZE, 7: I_EMA_T}
+# score_window gathers one block: the 7 page fields (rows P_*), then the 7
+# inode fields of each page's file (rows _I0 + I_*). The inode ema score and
+# timestamp sit 6 rows after the page ones, so g[P_EMA::6] and g[P_EMA_T::6]
+# each view both, and one ufunc chain decays the two ema scores.
+_I0 = 7
+assert _I0 + I_EMA - P_EMA == _I0 + I_EMA_T - P_EMA_T == 6
+# row of the block that holds each feature, by FEATURE_NAMES index, once
+# score_window has derived the access gap, ema decays and offset distance
+_ROW = (P_D1, P_D2, _I0 + I_D1, _I0 + I_D2, P_OFF, _I0 + I_SIZE, P_EMA_T, _I0 + I_EMA_T, P_LAST)
 
 
 class PreparedScorer:
-    """Precomputed arrays for scoring an eviction window in one pass.
+    """Precomputed tables for scoring an eviction window in one pass.
 
     score_window is the only scorer the simulator uses; tests verify it
     agrees element-for-element with the int_score() reference. Features
     whose pack entry has a single bin contribute a constant folded into a
     precomputed base score.
 
-    Multi-bin features share one merged edge list: a single binary search
-    gives each value its rank in the merged list, and a per-feature table
-    maps that rank straight to the feature's integer weight (the base score
-    is folded into the first table row). When the worst-case |score| fits in
-    32 bits the weight tables are int32, keeping the pipeline in narrow
-    arithmetic. Window scoring gathers each tracker table once with a single
-    two-dimensional index (field rows x candidate slots) and derives the
-    delta/decay features in place on the gathered block.
+    Binned features share one merged edge list: a single binary search gives
+    each value its rank in the merged list, and a per-feature table maps that
+    rank straight to the feature's integer weight (the base score is folded
+    into the first table row). The tables are int64 when the worst-case
+    |score| fits in int64 and exact Python ints (dtype=object) otherwise, so
+    wide packs score exactly through the same path.
     """
 
-    __slots__ = (
-        "pack", "indices", "edge_tuples", "weight_tuples", "base", "active",
-        "_u_edges", "_wflat", "_row_off", "_wide", "_order",
-        "_kp", "_ki", "_sp", "_si", "_pfields", "_ifields", "_pi_row",
-        "_gap_row", "_pair", "_singles", "_offd", "_mulcache", "_bufcache",
-        "_offcache",
-    )
+    __slots__ = ("base", "_gap", "_ema", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
 
     def __init__(self, pack: ModelPack):
-        self.pack = pack
-        self.indices = tuple(fe.index for fe in pack.features)
-        self.edge_tuples = tuple(fe.bin_edges for fe in pack.features)
-        self.weight_tuples = tuple(fe.weights_int for fe in pack.features)
+        binned = [fe for fe in pack.features if fe.n_bins > 1]
         self.base = sum(fe.weights_int[0] for fe in pack.features if fe.n_bins == 1)
-        self.active = tuple(j for j, fe in enumerate(pack.features) if fe.n_bins > 1)
-        bound = abs(self.base) + sum(
-            max(abs(w) for w in self.weight_tuples[j]) for j in self.active
-        )
-        # past int64 the window plan's weight tables cannot hold the weights;
-        # score_window then falls back to exact int_score
-        self._wide = bound > _I64_MAX
-        if not self._wide:
-            self._build_window_plan(bound)
+        idx = {fe.index for fe in binned}
+        self._gap = 8 in idx
+        self._ema = 6 in idx or 7 in idx
+        self._offset = 4 in idx
+        # with no binned feature, one all-zero row (any block row) carries base
+        self._rows = np.array([_ROW[fe.index] for fe in binned] or [0], dtype=np.intp)
 
-    def _build_window_plan(self, bound: int) -> None:
-        # one scratch buffer holds everything: active feature rows first
-        # (page-sourced, then inode-sourced), then gathered helper rows.
-        # Putting the page-ema feature last in the page section and the
-        # inode-ema feature first in the inode section makes the two decay
-        # targets adjacent, so both run as one two-row ufunc chain.
-        idx_of = self.indices
-        page_feats = [j for j in self.active if idx_of[j] in _PAGE_SOURCED]
-        inode_feats = [j for j in self.active if idx_of[j] in _INODE_SOURCED]
-        page_feats.sort(key=lambda j: idx_of[j] == 6)
-        inode_feats.sort(key=lambda j: idx_of[j] != 7)
-        self._order = tuple(page_feats + inode_feats)
-        kp = self._kp = len(page_feats)
-        ki = self._ki = len(inode_feats)
-        nf = kp + ki
-
-        union = sorted({e for j in self.active for e in self.edge_tuples[j]})
+        union = sorted({e for fe in binned for e in fe.bin_edges})
         self._u_edges = np.array(union, dtype=np.uint64)
-        m = len(union)
-        dtype = np.int32 if bound <= 2**31 - 1 else np.int64
-        wtab = np.empty((nf, m + 1), dtype=dtype)
-        for a, j in enumerate(self._order):
-            # weight for merged-list rank g: rank g means the value sits at or
-            # above union[g-1], so this feature's bin is the number of its own
-            # edges <= union[g-1] (rank 0 sits below every edge: bin 0)
+        bound = abs(self.base) + sum(max(abs(w) for w in fe.weights_int) for fe in binned)
+        dtype = np.int64 if bound <= _I64_MAX else object
+        wtab = np.zeros((len(self._rows), len(union) + 1), dtype=dtype)
+        for a, fe in enumerate(binned):
+            # weight for merged-list rank r: rank r means the value sits at or
+            # above union[r-1], so this feature's bin is the number of its own
+            # edges <= union[r-1] (rank 0 sits below every edge: bin 0)
             lut = np.concatenate(
-                ([0], np.searchsorted(np.array(self.edge_tuples[j], dtype=np.uint64),
+                ([0], np.searchsorted(np.array(fe.bin_edges, dtype=np.uint64),
                                       self._u_edges, side="right"))
             )
-            wtab[a] = np.array(self.weight_tuples[j], dtype=dtype)[lut]
-        if nf:
-            wtab[0] += dtype(self.base)
+            wtab[a] = np.array(fe.weights_int, dtype=dtype)[lut]
+        wtab[0] += self.base
         self._wflat = wtab.reshape(-1)
-        self._row_off = (np.arange(nf, dtype=np.int64) * (m + 1)).reshape(-1, 1)
-
-        pidx = [idx_of[j] for j in page_feats]
-        iidx = [idx_of[j] for j in inode_feats]
-        has_p_ema = 6 in pidx
-        has_i_ema = 7 in iidx
-        has_offd = 4 in pidx
-        inode_side = bool(inode_feats) or has_offd
-
-        pfields = [_PAGE_SOURCED[i] for i in pidx]
-        ifields = [_INODE_SOURCED[i] for i in iidx]
-        # scratch row order: page ema, inode slot, inode ema, last offset
-        self._pi_row = -1
-        if has_p_ema:
-            pfields.append(P_EMA)
-        if inode_side:
-            self._pi_row = nf + len(pfields) - kp
-            pfields.append(P_INODE)
-        ie_row = -1
-        if has_i_ema:
-            ie_row = nf + (len(pfields) - kp) + len(ifields) - ki
-            ifields.append(I_EMA)
-        il_row = -1
-        if has_offd:
-            il_row = nf + (len(pfields) - kp) + len(ifields) - ki
-            ifields.append(I_LAST_OFF)
-        self._sp = len(pfields) - kp
-        self._si = len(ifields) - ki
-
-        self._gap_row = pidx.index(8) if 8 in pidx else -1
-        self._pair = has_p_ema and has_i_ema
-        singles = []
-        if has_p_ema and not has_i_ema:
-            singles.append((kp - 1, nf))
-        if has_i_ema and not has_p_ema:
-            singles.append((kp, ie_row))
-        self._singles = tuple(singles)
-        self._offd = (pidx.index(4), il_row) if has_offd else None
-        self._pfields = np.array(pfields, dtype=np.int64).reshape(-1, 1)
-        self._ifields = np.array(ifields, dtype=np.int64).reshape(-1, 1)
-        self._mulcache = [0, None, 0, None]  # page width, page idx, inode width, inode idx
-        self._bufcache: dict[int, tuple] = {}
-        self._offcache: dict[int, np.ndarray] = {}
-
-    def _rank_scores(self, buf_flat: np.ndarray, n: int) -> np.ndarray:
-        """Merged-rank lookup: buf_flat holds the active feature rows."""
-        g = self._u_edges.searchsorted(buf_flat, side="right")
-        off = self._offcache.get(n)
-        if off is None:
-            off = np.repeat(self._row_off.reshape(-1), n)
-            self._offcache[n] = off
-        g += off
-        w = self._wflat.take(g.reshape(len(self._order), n), mode="clip")
-        return w.sum(axis=0, dtype=w.dtype)
-
-    def _window_bufs(self, n: int) -> tuple:
-        bufs = self._bufcache.get(n)
-        if bufs is None:
-            nf = self._kp + self._ki
-            bufs = (
-                np.empty((nf + self._sp + self._si, n), dtype=np.uint64),
-                np.empty((self._kp + self._sp, n), dtype=np.int64),
-                np.empty((self._ki + self._si, n), dtype=np.int64),
-            )
-            self._bufcache[n] = bufs
-        return bufs
+        self._row_off = (np.arange(len(self._rows)) * (len(union) + 1)).reshape(-1, 1)
 
     def score_window(self, tracker, slots: np.ndarray, t_now_ns: int) -> np.ndarray:
         """Score resident pages given their tracker column slots.
 
         Equivalent to int_score(pack, tracker.extract_features(key, t_now))
-        per candidate, but reads the tracker tables directly and computes
+        per candidate, but reads the tracker tables directly and derives
         only the features the pack discriminates on.
         """
-        n = len(slots)
-        if self._wide:
-            keys = tracker.page_keys
-            return np.array(
-                [int_score(self.pack, tracker.extract_features(keys[s], t_now_ns))
-                 for s in slots.tolist()],
-                dtype=object,
-            )
-        if not self.active:
-            return np.full(n, self.base, dtype=np.int64)
-        kp, ki, sp, si = self._kp, self._ki, self._sp, self._si
-        nf = kp + ki
-        buf, pidx, iidx = self._window_bufs(n)
-
-        ptab = tracker.page_tab
-        mc = self._mulcache
-        if mc[0] != ptab.shape[1]:
-            mc[0] = ptab.shape[1]
-            mc[1] = self._pfields * mc[0]
-        np.add(mc[1], slots, out=pidx)
-        # flat indices are in range by construction (field < 7, slot < width);
-        # clip mode skips the bounds-check buffering of the default mode
-        if kp:
-            ptab.take(pidx[:kp], out=buf[:kp], mode="clip")
-        if sp:
-            ptab.take(pidx[kp:], out=buf[nf:nf + sp], mode="clip")
-        if ki or si:
-            itab = tracker.inode_tab
-            if mc[2] != itab.shape[1]:
-                mc[2] = itab.shape[1]
-                mc[3] = self._ifields * mc[2]
-            islots = buf[self._pi_row].view(np.int64)
-            np.add(mc[3], islots, out=iidx)
-            if ki:
-                itab.take(iidx[:ki], out=buf[kp:nf], mode="clip")
-            if si:
-                itab.take(iidx[ki:], out=buf[nf + sp:], mode="clip")
-
+        p = tracker.page_tab.take(slots, axis=1)
+        g = np.concatenate((p, tracker.inode_tab.take(p[P_INODE].view(np.int64), axis=1)))
         t = np.uint64(t_now_ns)
-        if self._gap_row >= 0:
-            br = buf[self._gap_row]
-            np.subtract(t, br, out=br)
-        if self._pair:
-            # the two ema timestamps sit in adjacent rows; the stride-2
-            # slice pairs their decayed-score scratch rows to match
-            br = buf[kp - 1:kp + 1]
-            src = buf[nf:nf + 3:2]
-            np.subtract(t, br, out=br)
-            np.floor_divide(br, _HALF_LIFE_U64, out=br)
-            np.minimum(br, _SHIFT_CAP, out=br)
-            np.right_shift(src, br, out=br)
-        for fr, sr in self._singles:
-            br = buf[fr]
-            np.subtract(t, br, out=br)
-            np.floor_divide(br, _HALF_LIFE_U64, out=br)
-            np.minimum(br, _SHIFT_CAP, out=br)
-            np.right_shift(buf[sr], br, out=br)
-        if self._offd is not None:
+        if self._gap:
+            r = g[P_LAST]
+            np.subtract(t, r, out=r)
+        if self._ema:
+            r = g[P_EMA_T::6]
+            np.subtract(t, r, out=r)
+            np.floor_divide(r, _HALF_LIFE_U64, out=r)
+            np.minimum(r, _SHIFT_CAP, out=r)
+            np.right_shift(g[P_EMA::6], r, out=r)
+        if self._offset:
             # |offset - last_offset|: of the two wrapped u64 differences
             # the smaller one is the true distance
-            br = buf[self._offd[0]]
-            scratch = buf[self._offd[1]]
-            np.subtract(br, scratch, out=br)
-            np.subtract(np.uint64(0), br, out=scratch)
-            np.minimum(br, scratch, out=br)
-        return self._rank_scores(buf[:nf].reshape(-1), n)
+            r, s = g[P_OFF], g[_I0 + I_LAST_OFF]
+            np.subtract(r, s, out=r)
+            np.subtract(np.uint64(0), r, out=s)
+            np.minimum(r, s, out=r)
+        ranks = self._u_edges.searchsorted(g.take(self._rows, axis=0), side="right")
+        ranks += self._row_off
+        # ranks are in range by construction; clip mode skips the bounds check
+        return self._wflat.take(ranks, mode="clip").sum(axis=0)

@@ -182,8 +182,8 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if self.patience < 1:
             raise ConfigurationError("patience must be >= 1")
-        if not self.learning_rate > 0:
-            raise ConfigurationError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError("learning_rate must be finite and > 0")
 
 
 class EpochStats(NamedTuple):
@@ -240,7 +240,11 @@ def train(
     bins: Sequence[FeatureBins],
     config: TrainConfig = TrainConfig(),
 ) -> TrainResult:
-    """Adam + early stopping; returns the best-validation-loss weights."""
+    """Adam + early stopping; returns the best-validation-loss weights.
+
+    Raises ConfigurationError when no epoch reaches a finite validation loss
+    (the learning rate diverges), since there is no best epoch to return.
+    """
     if not train_pairs or not val_pairs:
         raise ConfigurationError("need non-empty train and validation pair sets")
     bins = tuple(bins)
@@ -300,6 +304,10 @@ def train(
             if bad >= config.patience:
                 break
 
+    if not best_epoch:
+        raise ConfigurationError(
+            "no epoch reached a finite validation loss; lower the learning rate"
+        )
     return TrainResult(LinearRanker(bins, best_w), history, best_epoch)
 
 

@@ -219,6 +219,20 @@ def test_zero_jobs_exits_2(pipeline, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("knobs", [
+    ["--pairs", "0"],
+    ["--pairs", "500", "--lr", "inf"],
+    ["--pairs", "500", "--lr", "1e308"],  # finite, but training diverges
+], ids=["pairs-0", "lr-inf", "lr-diverges"])
+def test_bad_training_knobs_exit_2(pipeline, tmp_path, knobs, capsys):
+    out = tmp_path / "m.json"
+    rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
+               "--out", str(out), "--capacity", str(CAPACITY), "--epochs", "2"] + knobs)
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unexpected_exception_exits_4_without_traceback(pipeline, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("simulated fault")

@@ -266,7 +266,7 @@ def test_batch_scoring_handles_small_and_single_windows():
         assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
 
-def test_batch_scorer_reuses_buffers_across_window_sizes():
+def test_batch_scoring_agrees_across_changing_window_sizes():
     tracker, rng = _tracker_with_traffic(3, n=120)
     pack = random_pack(rng)
     scorer = PreparedScorer(pack)
@@ -324,6 +324,42 @@ def test_huge_weights_fall_back_to_exact_big_integers():
         slots = np.arange(size, dtype=np.int64)
         window = scorer.score_window(tracker, slots, tracker.last_t)
         assert window.tolist() == _reference_scores(pack, tracker, slots, tracker.last_t)
+
+
+@pytest.mark.parametrize("small, dtype", [(1023, np.int64), (1024, object)])
+def test_table_dtype_follows_the_score_bound(small, dtype):
+    # scale 1 and weights 2**63 - 1024 and `small` put the score bound at
+    # exactly int64's maximum (int64 tables) or one past it (exact ints)
+    pack = build_pack([([1], [2**63 - 1024, 0]), ([1], [small, 0])], scale=1)
+    tracker = AccessTracker()
+    for key, n in ((PageKey(1, 1, 0), 3), (PageKey(1, 1, 1), 2), (PageKey(1, 1, 2), 1)):
+        for _ in range(n):
+            tracker.on_access(key, 0)  # equal timestamps: zero deltas, else MISSING
+    slots = np.arange(3, dtype=np.int64)
+    window = PreparedScorer(pack).score_window(tracker, slots, 0)
+    assert window.dtype == dtype
+    assert window.tolist() == [2**63 - 1024 + small, 2**63 - 1024, 0]
+    assert window.tolist() == _reference_scores(pack, tracker, slots, 0)
+
+
+def test_scoring_never_writes_to_the_tracker():
+    # offset distance, both emas and the access gap are derived in place on
+    # the gathered rows, which must be copies of the tracker tables
+    tracker, rng = _tracker_with_traffic(4, n=200)
+    per_feature = [([], [0.5])] * 9
+    for j in (4, 6, 7, 8):
+        per_feature[j] = ([1, 1000, 10**9], [rng.uniform(-3.0, 3.0) for _ in range(4)])
+    pack = build_pack(per_feature)
+    scorer = PreparedScorer(pack)
+    page_tab, inode_tab = tracker.page_tab.copy(), tracker.inode_tab.copy()
+    n_slots = len(tracker.page_keys)
+    t_now = tracker.last_t + 3_000_000_000
+    for slots in (np.arange(n_slots, dtype=np.int64),
+                  np.array([rng.randrange(n_slots) for _ in range(5)], dtype=np.int64)):
+        window = scorer.score_window(tracker, slots, t_now)
+        assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
+    assert np.array_equal(tracker.page_tab, page_tab)
+    assert np.array_equal(tracker.inode_tab, inode_tab)
 
 
 def test_edges_near_the_u64_limit_bin_correctly():

@@ -337,6 +337,15 @@ def test_early_stopping_waits_for_patience():
     assert len(result.history) == result.best_epoch + 2
 
 
+def test_training_that_never_reaches_a_finite_validation_loss_is_rejected():
+    # a finite but huge rate overflows the weights within the first epoch,
+    # so every validation loss is nan and no epoch can be returned as best
+    _, bins, tr, va = _separable_setup(n_pairs=300)
+    cfg = TrainConfig(max_epochs=3, batch_size=32, learning_rate=1e308, seed=4)
+    with pytest.raises(ConfigurationError, match="finite validation loss"):
+        train(tr, va, bins, cfg)
+
+
 def _pairs(xa, xb, y):
     return PairSet(np.array(xa, dtype=np.int64), np.array(xb, dtype=np.int64),
                    np.array(y, dtype=np.float64))
@@ -367,6 +376,8 @@ def test_config_validation():
         {"batch_size": 0},
         {"patience": 0},
         {"learning_rate": 0.0},
+        {"learning_rate": math.inf},
+        {"learning_rate": math.nan},
     ):
         with pytest.raises(ConfigurationError):
             TrainConfig(**kwargs)

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from learnedcache.errors import ConfigurationError
 from learnedcache.features import FEATURE_NAMES
@@ -172,6 +174,28 @@ def test_all_zero_model_reproduces_fifo_exactly(seed):
     assert [(e.kind, e.t_ns, e.key) for e in zero_sink] == [
         (e.kind, e.t_ns, e.key) for e in fifo_sink
     ]
+
+
+@settings(deadline=None)
+@given(
+    rng=st.randoms(use_true_random=False),
+    weights=st.lists(st.sampled_from([0.0, 0.25, -1.5, 3.0]), min_size=1, max_size=9),
+    capacity=st.integers(1, 32),
+    oversample=st.integers(1, 8),
+)
+@example(rng=random.Random(0), weights=[0.0] * 9, capacity=1, oversample=8)
+def test_constant_pack_is_exactly_fifo(rng, weights, capacity, oversample):
+    # every feature has one bin, so all candidates tie and the stable sort
+    # must keep FIFO's victims and FIFO's order of the survivors
+    pack = build_pack([([], [w]) for w in weights])
+    pairs = make_accesses(rng, rng.randint(1, 300), n_inodes=rng.randint(1, 6),
+                          pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
+    fifo_cache, learned_cache = CacheState(capacity), CacheState(capacity)
+    assert drive(learned_cache, pairs, LearnedPolicy(pack, oversample=oversample)) == drive(
+        fifo_cache, pairs, FifoPolicy()
+    )
+    assert learned_cache.resident_keys() == fifo_cache.resident_keys()
+    assert learned_cache.counters == fifo_cache.counters
 
 
 @pytest.mark.parametrize("seed,oversample", [(s, o) for s in range(5) for o in (3, 40)])
