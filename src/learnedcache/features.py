@@ -7,9 +7,11 @@ adds EMA_SCALE, and the score halves for every whole half-life elapsed since
 the last update (lazy decay via a right shift).
 
 Tracker state lives in flat uint64 tables with one column per page (or per
-inode) and one row per field, so an eviction window of candidates can be
-scored by gathering whole field rows with array operations; the scalar API
-reads the same columns one at a time.
+inode) and one row per field (six each), so an eviction window of candidates can be
+scored by gathering whole field rows with array operations. The per-access
+update and extract_features read and write single cells through cached
+memoryviews of the field rows: one cell through a 1-D memoryview costs a
+small fraction of a numpy scalar index or a column tolist().
 """
 
 from __future__ import annotations
@@ -41,10 +43,10 @@ FEATURE_NAMES = (
 
 N_FEATURES = len(FEATURE_NAMES)
 
-# page table field rows
-P_OFF, P_D1, P_D2, P_EMA, P_EMA_T, P_LAST, P_INODE = range(7)
-# inode table field rows
-I_D1, I_D2, I_EMA, I_EMA_T, I_LAST, I_LAST_OFF, I_SIZE = range(7)
+# page table field rows (AccessTracker unpacks its row views in this order)
+P_OFF, P_D1, P_D2, P_EMA, P_LAST, P_INODE = range(6)
+# inode table field rows (likewise)
+I_D1, I_D2, I_EMA, I_LAST, I_LAST_OFF, I_SIZE = range(6)
 
 
 class FeatureVector(NamedTuple):
@@ -59,73 +61,99 @@ class FeatureVector(NamedTuple):
     access_to_eviction: int
 
 
-def _decayed(score: int, t_updated: int, t_now: int) -> int:
-    halves = (t_now - t_updated) // HALF_LIFE_NS
-    if halves <= 0:
-        return score
-    if halves >= 64:
-        return 0
-    return score >> halves
+def _rows(tab: np.ndarray) -> tuple[memoryview, ...]:
+    """One memoryview per field row of tab, in field order."""
+    return tuple(memoryview(row) for row in tab)
+
+
+def _grown(tab: np.ndarray) -> np.ndarray:
+    """tab copied into a table with twice the columns."""
+    new = np.zeros((tab.shape[0], 2 * tab.shape[1]), dtype=np.uint64)
+    new[:, : tab.shape[1]] = tab
+    return new
 
 
 class AccessTracker:
     """Observes a time-ordered access stream and answers feature queries.
 
-    Per-page columns hold (offset, delta1, delta2, ema, ema_t, last,
-    inode_slot); per-inode columns hold (delta1, delta2, ema, ema_t, last,
-    last_offset, file_size). The deltas are maintained incrementally: on each
-    access the previous delta1 becomes delta2 and the new delta1 is the gap
-    to the previous access (MISSING when there is no previous access), which
-    is exactly the last/second_last/third_last timestamp formulation.
+    Per-page columns hold (offset, delta1, delta2, ema, last, inode_slot);
+    per-inode columns hold (delta1, delta2, ema, last, last_offset,
+    file_size). An ema score was last updated at the column's last access,
+    so `last` is also the start of its lazy decay. The deltas are maintained
+    incrementally: on each access the previous delta1 becomes delta2 and the
+    new delta1 is the gap to the previous access (MISSING when there is no
+    previous access), which is exactly the last/second_last/third_last
+    timestamp formulation.
+
+    page_tab and inode_tab are the field-major tables that eviction scoring
+    gathers from. _prows and _irows hold a memoryview of each of their field
+    rows; on_access and extract_features read and write single cells through
+    them. Growing a table replaces its row views too.
     """
 
     def __init__(self) -> None:
         self.page_slot: dict[PageKey, int] = {}
         self.inode_slot: dict[tuple[int, int], int] = {}
         self.page_keys: list[PageKey] = []
-        self.page_tab = np.zeros((7, 256), dtype=np.uint64)
-        self.inode_tab = np.zeros((7, 64), dtype=np.uint64)
+        self.page_tab = np.zeros((6, 256), dtype=np.uint64)
+        self.inode_tab = np.zeros((6, 64), dtype=np.uint64)
+        self._prows = _rows(self.page_tab)
+        self._irows = _rows(self.inode_tab)
         self.last_t = 0
-
-    def _grow(self, tab: np.ndarray, need: int) -> np.ndarray:
-        if need < tab.shape[1]:
-            return tab
-        new = np.zeros((7, max(need + 1, 2 * tab.shape[1])), dtype=np.uint64)
-        new[:, : tab.shape[1]] = tab
-        return new
 
     def on_access(self, key: PageKey, t_ns: int) -> int:
         """Update page and inode state; returns the page's column slot."""
         if t_ns < self.last_t:
             raise ValueError(f"access at t={t_ns} precedes tracker time {self.last_t}")
         self.last_t = t_ns
+        off = key.offset
 
         ikey = (key.dev, key.inode)
         islot = self.inode_slot.get(ikey)
         if islot is None:
             islot = len(self.inode_slot)
             self.inode_slot[ikey] = islot
-            self.inode_tab = self._grow(self.inode_tab, islot)
-            self.inode_tab[:, islot] = (MISSING, MISSING, EMA_SCALE, t_ns, t_ns, key.offset, key.offset + 1)
+            if islot == self.inode_tab.shape[1]:
+                self.inode_tab = _grown(self.inode_tab)
+                self._irows = _rows(self.inode_tab)
+            d1, d2, ema, last, last_off, size = self._irows
+            d1[islot] = d2[islot] = MISSING
+            ema[islot] = EMA_SCALE
+            last[islot] = t_ns
+            last_off[islot] = off
+            size[islot] = off + 1
         else:
-            col = self.inode_tab[:, islot].tolist()
-            ema = _decayed(col[I_EMA], col[I_EMA_T], t_ns) + EMA_SCALE
-            size = col[I_SIZE]
-            if key.offset + 1 > size:
-                size = key.offset + 1
-            self.inode_tab[:, islot] = (t_ns - col[I_LAST], col[I_D1], ema, t_ns, t_ns, key.offset, size)
+            d1, d2, ema, last, last_off, size = self._irows
+            gap = t_ns - last[islot]
+            d2[islot] = d1[islot]
+            d1[islot] = gap
+            ema[islot] = (ema[islot] >> (gap // HALF_LIFE_NS)) + EMA_SCALE
+            last[islot] = t_ns
+            last_off[islot] = off
+            if off >= size[islot]:
+                size[islot] = off + 1
 
         slot = self.page_slot.get(key)
         if slot is None:
             slot = len(self.page_slot)
             self.page_slot[key] = slot
             self.page_keys.append(key)
-            self.page_tab = self._grow(self.page_tab, slot)
-            self.page_tab[:, slot] = (key.offset, MISSING, MISSING, EMA_SCALE, t_ns, t_ns, islot)
+            if slot == self.page_tab.shape[1]:
+                self.page_tab = _grown(self.page_tab)
+                self._prows = _rows(self.page_tab)
+            poff, d1, d2, ema, last, inode = self._prows
+            poff[slot] = off
+            d1[slot] = d2[slot] = MISSING
+            ema[slot] = EMA_SCALE
+            last[slot] = t_ns
+            inode[slot] = islot
         else:
-            col = self.page_tab[:, slot].tolist()
-            ema = _decayed(col[P_EMA], col[P_EMA_T], t_ns) + EMA_SCALE
-            self.page_tab[P_D1:P_INODE, slot] = (t_ns - col[P_LAST], col[P_D1], ema, t_ns, t_ns)
+            _, d1, d2, ema, last, _ = self._prows
+            gap = t_ns - last[slot]
+            d2[slot] = d1[slot]
+            d1[slot] = gap
+            ema[slot] = (ema[slot] >> (gap // HALF_LIFE_NS)) + EMA_SCALE
+            last[slot] = t_ns
         return slot
 
     def extract_features(self, key: PageKey, t_now: int) -> FeatureVector:
@@ -142,21 +170,21 @@ class AccessTracker:
             f0 = f1 = f8 = MISSING
             f6 = 0
         else:
-            col = self.page_tab[:, slot].tolist()
-            f0, f1 = col[P_D1], col[P_D2]
-            f6 = _decayed(col[P_EMA], col[P_EMA_T], t_now)
-            f8 = t_now - col[P_LAST]
+            _, d1, d2, ema, last, _ = self._prows
+            f0, f1 = d1[slot], d2[slot]
+            f8 = t_now - last[slot]
+            f6 = ema[slot] >> (f8 // HALF_LIFE_NS)
 
         islot = self.inode_slot.get((key.dev, key.inode))
         if islot is None:
             f2 = f3 = MISSING
             f4 = f5 = f7 = 0
         else:
-            icol = self.inode_tab[:, islot].tolist()
-            f2, f3 = icol[I_D1], icol[I_D2]
-            f4 = abs(key.offset - icol[I_LAST_OFF])
-            f5 = icol[I_SIZE]
-            f7 = _decayed(icol[I_EMA], icol[I_EMA_T], t_now)
+            d1, d2, ema, last, last_off, size = self._irows
+            f2, f3 = d1[islot], d2[islot]
+            f4 = abs(key.offset - last_off[islot])
+            f5 = size[islot]
+            f7 = ema[islot] >> ((t_now - last[islot]) // HALF_LIFE_NS)
 
         return FeatureVector(f0, f1, f2, f3, f4, f5, f6, f7, f8)
 

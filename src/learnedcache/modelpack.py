@@ -25,8 +25,8 @@ from .discretizer import MAX_BINS
 from .errors import PackValidationError, QuantizationError
 from .features import (
     FEATURE_NAMES,
-    I_D1, I_D2, I_EMA, I_EMA_T, I_LAST_OFF, I_SIZE,
-    P_D1, P_D2, P_EMA, P_EMA_T, P_INODE, P_LAST, P_OFF,
+    I_D1, I_D2, I_EMA, I_LAST, I_LAST_OFF, I_SIZE,
+    P_D1, P_D2, P_EMA, P_INODE, P_LAST, P_OFF,
 )
 from .ranker import LinearRanker
 
@@ -235,15 +235,18 @@ def float_score(pack: ModelPack, raw_features: Sequence[int]) -> float:
     return total
 
 
-# score_window gathers one block: the 7 page fields (rows P_*), then the 7
+# score_window gathers one block: the 6 page fields (rows P_*), then the 6
 # inode fields of each page's file (rows _I0 + I_*). The inode ema score and
-# timestamp sit 6 rows after the page ones, so g[P_EMA::6] and g[P_EMA_T::6]
-# each view both, and one ufunc chain decays the two ema scores.
-_I0 = 7
-assert _I0 + I_EMA - P_EMA == _I0 + I_EMA_T - P_EMA_T == 6
+# last access sit _SP rows after the page ones, so g[P_LAST::_SP] views both
+# last-access rows and g[P_EMA::_SP] both ema rows: one subtract turns the
+# two last-access rows into elapsed times (the page one is the access gap,
+# feature 8), and one ufunc chain decays both ema scores in place.
+_I0 = 6
+_SP = _I0 + I_EMA - P_EMA
+assert _SP == _I0 + I_LAST - P_LAST
 # row of the block that holds each feature, by FEATURE_NAMES index, once
 # score_window has derived the access gap, ema decays and offset distance
-_ROW = (P_D1, P_D2, _I0 + I_D1, _I0 + I_D2, P_OFF, _I0 + I_SIZE, P_EMA_T, _I0 + I_EMA_T, P_LAST)
+_ROW = (P_D1, P_D2, _I0 + I_D1, _I0 + I_D2, P_OFF, _I0 + I_SIZE, P_EMA, _I0 + I_EMA, P_LAST)
 
 
 class PreparedScorer:
@@ -262,13 +265,13 @@ class PreparedScorer:
     wide packs score exactly through the same path.
     """
 
-    __slots__ = ("base", "_gap", "_ema", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
+    __slots__ = ("base", "_elapsed", "_ema", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
 
     def __init__(self, pack: ModelPack):
         binned = [fe for fe in pack.features if fe.n_bins > 1]
         self.base = sum(fe.weights_int[0] for fe in pack.features if fe.n_bins == 1)
         idx = {fe.index for fe in binned}
-        self._gap = 8 in idx
+        self._elapsed = not idx.isdisjoint((6, 7, 8))
         self._ema = 6 in idx or 7 in idx
         self._offset = 4 in idx
         # with no binned feature, one all-zero row (any block row) carries base
@@ -301,16 +304,14 @@ class PreparedScorer:
         """
         p = tracker.page_tab.take(slots, axis=1)
         g = np.concatenate((p, tracker.inode_tab.take(p[P_INODE].view(np.int64), axis=1)))
-        t = np.uint64(t_now_ns)
-        if self._gap:
-            r = g[P_LAST]
-            np.subtract(t, r, out=r)
-        if self._ema:
-            r = g[P_EMA_T::6]
-            np.subtract(t, r, out=r)
-            np.floor_divide(r, _HALF_LIFE_U64, out=r)
-            np.minimum(r, _SHIFT_CAP, out=r)
-            np.right_shift(g[P_EMA::6], r, out=r)
+        if self._elapsed:
+            d = g[P_LAST::_SP]
+            np.subtract(np.uint64(t_now_ns), d, out=d)
+        if self._ema:  # implies _elapsed: d holds both elapsed times
+            h = d // _HALF_LIFE_U64
+            np.minimum(h, _SHIFT_CAP, out=h)
+            e = g[P_EMA::_SP]
+            np.right_shift(e, h, out=e)
         if self._offset:
             # |offset - last_offset|: of the two wrapped u64 differences
             # the smaller one is the true distance

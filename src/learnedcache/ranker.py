@@ -234,6 +234,9 @@ def bce_grad(w: np.ndarray, xa: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np
     return _bce_grad_at(_logits(w, xa, xb), xa, xb, y, len(w))
 
 
+# A diverging rate overflows the weights to inf and the logits to nan. train
+# rejects that run by its validation loss, so numpy need not warn about it.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     train_pairs: PairSet,
     val_pairs: PairSet,

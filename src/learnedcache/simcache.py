@@ -281,6 +281,8 @@ def report_to_dict(report: SimReport, samples_path: str | None = None) -> dict:
         "evictions": report.evictions,
         "hits": report.hits,
         "insertion_rate": None if rate != rate else rate,
+        "eviction_requests": len(report.candidate_counts),
+        "candidates": sum(report.candidate_counts),
         "latency_ns": {
             "p50": _percentile(lat, 50),
             "p90": _percentile(lat, 90),

@@ -25,6 +25,10 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHQ")
 _RECORD = struct.Struct("<BQQQQ")
+_U64_MAX = 2**64 - 1
+# An access makes offset + 1 part of its file's size, which the tracker keeps
+# in a u64, so readers reject an Access at the last u64 offset.
+_MAX_ACCESS_OFFSET = _U64_MAX - 1
 
 
 class EventKind(IntEnum):
@@ -409,6 +413,8 @@ def read_trace(path: str) -> list[TraceEvent]:
             raise TraceFormatError(f"invalid event kind {kind}", offset=rec_off)
         if t_ns < prev_t:
             raise TraceFormatError("timestamps not sorted", offset=rec_off)
+        if offset > _MAX_ACCESS_OFFSET and kind == EventKind.ACCESS:
+            raise TraceFormatError(f"access offset above {_MAX_ACCESS_OFFSET}", offset=rec_off)
         prev_t = t_ns
         events.append(TraceEvent(EventKind(kind), t_ns, PageKey(dev, inode, offset)))
     return events
@@ -445,6 +451,10 @@ def read_csv_trace(path: str) -> list[TraceEvent]:
                 t_ns, dev, inode, offset = int(t_s), int(dev_s), int(inode_s), int(off_s)
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from None
+            if not all(0 <= v <= _U64_MAX for v in (t_ns, dev, inode, offset)):
+                raise TraceFormatError(f"line {lineno}: field outside the u64 range")
+            if offset > _MAX_ACCESS_OFFSET and name == "Access":
+                raise TraceFormatError(f"line {lineno}: access offset above {_MAX_ACCESS_OFFSET}")
             if t_ns < prev_t:
                 raise TraceFormatError(f"line {lineno}: timestamps not sorted")
             prev_t = t_ns

@@ -1,13 +1,14 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
 import json
+import warnings
 
 import pytest
 
 from learnedcache import cli
 from learnedcache.cli import main
 from learnedcache.modelpack import load_json
-from learnedcache.trace import EventKind, read_csv_trace, read_trace
+from learnedcache.trace import EventKind, PageKey, TraceEvent, read_csv_trace, read_trace, write_trace
 
 OPS = 60
 CAPACITY = 24
@@ -93,7 +94,7 @@ def test_train_writes_default_sibling_artifacts(pipeline):
 
 
 def test_simulation_reports_match_a_direct_replay(pipeline):
-    from learnedcache.simcache import FifoPolicy, run_simulation
+    from learnedcache.simcache import FifoPolicy, LearnedPolicy, run_simulation
 
     report = json.load(open(pipeline["report_fifo"]))
     events = read_trace(pipeline["test"])
@@ -106,9 +107,17 @@ def test_simulation_reports_match_a_direct_replay(pipeline):
     assert report["evictions"] == direct.evictions
     assert report["insertion_rate"] == pytest.approx(direct.insertion_rate)
 
+    assert report["eviction_requests"] == len(direct.candidate_counts) > 0
+    assert report["candidates"] == sum(direct.candidate_counts)
+
     learned = json.load(open(pipeline["report_learned"]))
+    model = LearnedPolicy(load_json(pipeline["model"]))
+    direct = run_simulation(events, model, CAPACITY)
     assert learned["policy"] == "learned"
     assert learned["accesses"] == len(events)
+    assert learned["eviction_requests"] == len(direct.candidate_counts)
+    # a learned request of n pages considers the oversample * n oldest
+    assert learned["candidates"] == sum(direct.candidate_counts) > learned["eviction_requests"]
     assert learned["latency_ns"]["samples_path"] == pipeline["latency"]
 
 
@@ -226,10 +235,15 @@ def test_zero_jobs_exits_2(pipeline, tmp_path):
 ], ids=["pairs-0", "lr-inf", "lr-diverges"])
 def test_bad_training_knobs_exit_2(pipeline, tmp_path, knobs, capsys):
     out = tmp_path / "m.json"
-    rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
-               "--out", str(out), "--capacity", str(CAPACITY), "--epochs", "2"] + knobs)
+    # record warnings here: under pytest they never reach stderr, outside it
+    # they would print there ahead of the error message
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
+                   "--out", str(out), "--capacity", str(CAPACITY), "--epochs", "2"] + knobs)
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists()
 
 
@@ -256,6 +270,17 @@ def test_corrupt_trace_exits_3(tmp_path):
     bad.write_bytes(b"NOPE" + b"\x00" * 40)
     rc = main(["simulate", "--trace", str(bad), "--policy", "fifo", "--capacity", "4"])
     assert rc == 3
+
+
+def test_access_at_the_last_u64_offset_exits_3(tmp_path, capsys):
+    # a well-formed record, but its file size offset + 1 would not fit a u64
+    path = tmp_path / "edge.bin"
+    write_trace([TraceEvent(EventKind.ACCESS, 5, PageKey(1, 2, 2**64 - 1))], str(path))
+    rc = main(["simulate", "--trace", str(path), "--policy", "fifo", "--capacity", "4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "access offset" in err
+    assert "Traceback" not in err
 
 
 def test_corrupt_model_exits_3(pipeline, tmp_path):

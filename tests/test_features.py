@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from learnedcache.features import (
     EMA_SCALE,
@@ -15,9 +18,10 @@ from learnedcache.features import (
     read_dataset_csv,
 )
 from learnedcache.errors import TraceFormatError
+from learnedcache.modelpack import PreparedScorer, int_score
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
-from packbuild import make_accesses
+from packbuild import make_accesses, random_pack
 from reference_impls import ref_dataset, ref_features
 
 HALF = 1_000_000_000
@@ -168,6 +172,50 @@ def test_extraction_matches_history_based_reference(seed):
             for p in probes:
                 got = tuple(tr.extract_features(p, t + extra))
                 assert got == ref_features(history, p, t + extra), (i, p, extra)
+
+
+# 70 files of 5 pages: more pages (350) and files (70) than the tracker's
+# initial tables hold (256 and 64), so both tables grow mid-stream
+_GROW_KEYS = [PageKey(1, 500 + i // 5, i % 5) for i in range(350)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    order=st.permutations(_GROW_KEYS),
+    revisits=st.lists(st.tuples(st.integers(0, 349), st.integers(0, 349)), max_size=120),
+    gaps=st.lists(st.integers(0, 3 * HALF), min_size=1, max_size=16),
+    probes=st.sets(st.integers(0, 469), max_size=6),
+    pack_seed=st.integers(0, 2**32),
+)
+def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed):
+    # revisit (i, j): right after the first access of order[i], access again
+    # a key first seen no later, order[j % (i + 1)]; the stream ends with a
+    # revisit of the very first key, after both tables have grown
+    after: dict[int, list[PageKey]] = {}
+    for i, j in revisits:
+        after.setdefault(i, []).append(order[j % (i + 1)])
+    stream = []
+    for i, key in enumerate(order):
+        stream.append(key)
+        stream.extend(after.get(i, ()))
+    stream.append(order[0])
+
+    tr = AccessTracker()
+    history = []
+    t = 0
+    for n, key in enumerate(stream):
+        t += gaps[n % len(gaps)]
+        tr.on_access(key, t)
+        history.append((key, t))
+        if n in probes or n == len(stream) - 1:
+            for p in (key, order[0], order[len(order) // 2]):
+                assert tuple(tr.extract_features(p, t + HALF)) == ref_features(history, p, t + HALF)
+    assert len(tr.page_slot) == 350 and len(tr.inode_slot) == 70
+    # the scorer gathers from the public tables, which must hold the same state
+    slots = np.arange(0, 350, 7)
+    pack = random_pack(random.Random(pack_seed))
+    want = [int_score(pack, ref_features(history, tr.page_keys[s], t)) for s in slots]
+    assert PreparedScorer(pack).score_window(tr, slots, t).tolist() == want
 
 
 def _random_labeled_trace(seed):

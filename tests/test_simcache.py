@@ -312,6 +312,8 @@ def test_report_dict_shape():
         "evictions",
         "hits",
         "insertion_rate",
+        "eviction_requests",
+        "candidates",
         "latency_ns",
     ]
     lat = obj["latency_ns"]

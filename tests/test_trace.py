@@ -132,6 +132,15 @@ def test_binary_format_handles_u64_extremes(tmp_path):
     assert read_trace(str(path)) == events
 
 
+def test_read_rejects_an_access_at_the_last_u64_offset(tmp_path):
+    path = tmp_path / "x.bin"
+    write_trace([TraceEvent(EventKind.ACCESS, 0, PageKey(0, 0, U64_MAX - 1)),
+                 TraceEvent(EventKind.ACCESS, 1, PageKey(0, 0, U64_MAX))], str(path))
+    with pytest.raises(TraceFormatError, match="access offset") as err:
+        read_trace(str(path))
+    assert err.value.offset == 14 + 33  # the second record
+
+
 def test_empty_trace_round_trips(tmp_path):
     path = tmp_path / "empty.bin"
     write_trace([], str(path))
@@ -288,6 +297,18 @@ def test_csv_reader_rejects_unknown_kind_name(tmp_path):
 def test_csv_reader_rejects_non_integer_fields(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("kind,t_ns,dev,inode,offset\nAccess,1.5,1,1,0\n")
+    with pytest.raises(TraceFormatError):
+        read_csv_trace(str(path))
+
+
+@pytest.mark.parametrize("row", [
+    "Access,1,1,1,18446744073709551615",  # offset + 1 overflows the file size
+    "Access,1,1,1,-1",
+    "Evict,1,1,18446744073709551616,0",
+])
+def test_csv_reader_rejects_out_of_range_fields(tmp_path, row):
+    path = tmp_path / "t.csv"
+    path.write_text(f"kind,t_ns,dev,inode,offset\n{row}\n")
     with pytest.raises(TraceFormatError):
         read_csv_trace(str(path))
 
