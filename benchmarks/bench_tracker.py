@@ -1,11 +1,15 @@
-"""Microbenchmarks of the per-access tracker and the window scorer.
+"""Microbenchmarks of the per-access tracker, the window scorer and a learned simulation.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_tracker.py --benchmark-only
 
 Covers AccessTracker.on_access on a hit and on new keys, extract_features,
-and PreparedScorer.score_window at windows 5 (what simulations score: one
+PreparedScorer.score_window at windows 5 (what simulations score: one
 page per eviction request, oversample 5) and 160 (what the latency gate
-times), on the committed perfbench models. The file name does not match
+times), on the committed perfbench models, and a whole learned simulation
+(sizebias-evict's model and capacity, 1000 ops), whose extra_info holds its
+median in µs per event. An eviction request timed inside a simulation costs
+about twice an isolated score_window call, so the isolated cases alone
+understate the learned policy's cost. The file name does not match
 test_*.py, so the test run does not collect it.
 """
 
@@ -17,7 +21,7 @@ import pytest
 
 from learnedcache.features import AccessTracker
 from learnedcache.modelpack import PreparedScorer, load_json
-from learnedcache.simcache import CacheState, LearnedPolicy, access
+from learnedcache.simcache import CacheState, LearnedPolicy, access, run_simulation
 from learnedcache.trace import EventKind, PageKey, default_spec, generate_workload
 
 MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
@@ -73,3 +77,13 @@ def test_score_window(benchmark, model, window):
     assert len(cache) >= window
     slots = cache.order[cache.tail:cache.tail + window]
     benchmark(PreparedScorer(pack).score_window, cache.tracker, slots, cache.tracker.last_t)
+
+
+def test_learned_simulation(benchmark):
+    spec = default_spec("synthetic_sizebias", seed=7, n_ops=1000)
+    events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
+    policy = LearnedPolicy(load_json(str(MODELS / "sizebias-evict.json")))
+    benchmark.pedantic(run_simulation, args=(events, policy, 96), rounds=5)
+    benchmark.extra_info["events"] = len(events)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_event_median"] = benchmark.stats.stats.median / len(events) * 1e6

@@ -82,7 +82,6 @@ from .simcache import (
     access,
     benchmark_eviction_latency,
     evict_fifo,
-    evict_learned,
     report_to_dict,
     run_simulation,
 )

@@ -18,6 +18,7 @@ from . import evalstats, ranker, simcache, trace
 from .errors import (
     ConfigurationError,
     PackValidationError,
+    SamplingError,
     TraceFormatError,
 )
 from .discretizer import fit_all
@@ -103,8 +104,14 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     n_train_pairs = default_pair_budget(len(train_rows)) if args.pairs is None else args.pairs
     n_val_pairs = min(default_pair_budget(len(val_rows)), n_train_pairs)
-    train_pairs = sample_pairs(train_rows, bins, n_train_pairs, evalstats.derive_seed(seed, 1))
-    val_pairs = sample_pairs(val_rows, bins, n_val_pairs, evalstats.derive_seed(seed, 2))
+    try:
+        train_pairs = sample_pairs(train_rows, bins, n_train_pairs, evalstats.derive_seed(seed, 1))
+        val_pairs = sample_pairs(val_rows, bins, n_val_pairs, evalstats.derive_seed(seed, 2))
+    except SamplingError as exc:
+        raise ConfigurationError(
+            f"{exc}: the traces' evicted pages are never reused, or all after the same "
+            "gap, so no eviction ranks above another; use traces with page reuse"
+        ) from None
 
     result = ranker.train(train_pairs, val_pairs, bins, config)
     metrics = evaluate(result.ranker, val_pairs)

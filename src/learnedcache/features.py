@@ -7,11 +7,15 @@ adds EMA_SCALE, and the score halves for every whole half-life elapsed since
 the last update (lazy decay via a right shift).
 
 Tracker state lives in flat uint64 tables with one column per page (or per
-inode) and one row per field (six each), so an eviction window of candidates can be
-scored by gathering whole field rows with array operations. The per-access
-update and extract_features read and write single cells through cached
-memoryviews of the field rows: one cell through a 1-D memoryview costs a
-small fraction of a numpy scalar index or a column tolist().
+inode) and one row per field (six each), so an eviction window of candidates
+can be scored by gathering whole field rows with array operations. Both
+tables number their fields alike (offset, delta1, delta2, ema, last, then the
+page's inode slot or the file's size), so a window's page and inode gathers
+sit side by side and each time-dependent feature comes from one contiguous
+row. The per-access update and extract_features read and write single cells
+through cached memoryviews of the field rows: one cell through a 1-D
+memoryview costs a small fraction of a numpy scalar index or a column
+tolist().
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ N_FEATURES = len(FEATURE_NAMES)
 
 # page table field rows (AccessTracker unpacks its row views in this order)
 P_OFF, P_D1, P_D2, P_EMA, P_LAST, P_INODE = range(6)
-# inode table field rows (likewise)
-I_D1, I_D2, I_EMA, I_LAST, I_LAST_OFF, I_SIZE = range(6)
+# inode table field rows (likewise), numbered like the page fields they pair with
+I_LAST_OFF, I_D1, I_D2, I_EMA, I_LAST, I_SIZE = range(6)
 
 
 class FeatureVector(NamedTuple):
@@ -77,13 +81,13 @@ class AccessTracker:
     """Observes a time-ordered access stream and answers feature queries.
 
     Per-page columns hold (offset, delta1, delta2, ema, last, inode_slot);
-    per-inode columns hold (delta1, delta2, ema, last, last_offset,
-    file_size). An ema score was last updated at the column's last access,
-    so `last` is also the start of its lazy decay. The deltas are maintained
-    incrementally: on each access the previous delta1 becomes delta2 and the
-    new delta1 is the gap to the previous access (MISSING when there is no
-    previous access), which is exactly the last/second_last/third_last
-    timestamp formulation.
+    per-inode columns hold (last_offset, delta1, delta2, ema, last,
+    file_size) in the same rows. An ema score was last updated at the
+    column's last access, so `last` is also the start of its lazy decay. The
+    deltas are maintained incrementally: on each access the previous delta1
+    becomes delta2 and the new delta1 is the gap to the previous access
+    (MISSING when there is no previous access), which is exactly the
+    last/second_last/third_last timestamp formulation.
 
     page_tab and inode_tab are the field-major tables that eviction scoring
     gathers from. _prows and _irows hold a memoryview of each of their field
@@ -116,14 +120,14 @@ class AccessTracker:
             if islot == self.inode_tab.shape[1]:
                 self.inode_tab = _grown(self.inode_tab)
                 self._irows = _rows(self.inode_tab)
-            d1, d2, ema, last, last_off, size = self._irows
+            last_off, d1, d2, ema, last, size = self._irows
             d1[islot] = d2[islot] = MISSING
             ema[islot] = EMA_SCALE
             last[islot] = t_ns
             last_off[islot] = off
             size[islot] = off + 1
         else:
-            d1, d2, ema, last, last_off, size = self._irows
+            last_off, d1, d2, ema, last, size = self._irows
             gap = t_ns - last[islot]
             d2[islot] = d1[islot]
             d1[islot] = gap
@@ -180,7 +184,7 @@ class AccessTracker:
             f2 = f3 = MISSING
             f4 = f5 = f7 = 0
         else:
-            d1, d2, ema, last, last_off, size = self._irows
+            last_off, d1, d2, ema, last, size = self._irows
             f2, f3 = d1[islot], d2[islot]
             f4 = abs(key.offset - last_off[islot])
             f5 = size[islot]

@@ -25,13 +25,13 @@ from .discretizer import MAX_BINS
 from .errors import PackValidationError, QuantizationError
 from .features import (
     FEATURE_NAMES,
+    HALF_LIFE_NS,
     I_D1, I_D2, I_EMA, I_LAST, I_LAST_OFF, I_SIZE,
     P_D1, P_D2, P_EMA, P_INODE, P_LAST, P_OFF,
 )
 from .ranker import LinearRanker
 
-_HALF_LIFE_U64 = np.uint64(1_000_000_000)
-_SHIFT_CAP = np.uint64(63)
+_HALF_LIFE_U64 = np.uint64(HALF_LIFE_NS)
 
 DEFAULT_WEIGHT_SCALE = 10_000
 _I64_MAX = 2**63 - 1
@@ -235,18 +235,18 @@ def float_score(pack: ModelPack, raw_features: Sequence[int]) -> float:
     return total
 
 
-# score_window gathers one block: the 6 page fields (rows P_*), then the 6
-# inode fields of each page's file (rows _I0 + I_*). The inode ema score and
-# last access sit _SP rows after the page ones, so g[P_LAST::_SP] views both
-# last-access rows and g[P_EMA::_SP] both ema rows: one subtract turns the
-# two last-access rows into elapsed times (the page one is the access gap,
-# feature 8), and one ufunc chain decays both ema scores in place.
-_I0 = 6
-_SP = _I0 + I_EMA - P_EMA
-assert _SP == _I0 + I_LAST - P_LAST
-# row of the block that holds each feature, by FEATURE_NAMES index, once
+# score_window gathers one (6, 2w) block for a window of w pages: the page
+# columns, then the columns of each page's inode. Both tables number their
+# fields alike, so each block row holds one field for pages and inodes side by
+# side: one subtract turns row P_LAST into both elapsed times (the page half
+# is the access gap, feature 8), one shift decays both ema scores in row
+# P_EMA, and row P_OFF holds the page offsets next to their files' last
+# offsets. Viewed as (12, w), row 2 * field + is_inode holds one field.
+assert (I_LAST_OFF, I_EMA, I_LAST) == (P_OFF, P_EMA, P_LAST)
+# (12, w) row that holds each feature, by FEATURE_NAMES index, once
 # score_window has derived the access gap, ema decays and offset distance
-_ROW = (P_D1, P_D2, _I0 + I_D1, _I0 + I_D2, P_OFF, _I0 + I_SIZE, P_EMA, _I0 + I_EMA, P_LAST)
+_ROW = (2 * P_D1, 2 * P_D2, 2 * I_D1 + 1, 2 * I_D2 + 1, 2 * P_OFF, 2 * I_SIZE + 1,
+        2 * P_EMA, 2 * I_EMA + 1, 2 * P_LAST)
 
 
 class PreparedScorer:
@@ -302,24 +302,24 @@ class PreparedScorer:
         per candidate, but reads the tracker tables directly and derives
         only the features the pack discriminates on.
         """
+        w = len(slots)
         p = tracker.page_tab.take(slots, axis=1)
-        g = np.concatenate((p, tracker.inode_tab.take(p[P_INODE].view(np.int64), axis=1)))
+        g = np.concatenate((p, tracker.inode_tab.take(p[P_INODE].view(np.int64), axis=1)), axis=1)
         if self._elapsed:
-            d = g[P_LAST::_SP]
-            np.subtract(np.uint64(t_now_ns), d, out=d)
+            d = g[P_LAST]
+            np.subtract(t_now_ns, d, out=d)
         if self._ema:  # implies _elapsed: d holds both elapsed times
-            h = d // _HALF_LIFE_U64
-            np.minimum(h, _SHIFT_CAP, out=h)
-            e = g[P_EMA::_SP]
-            np.right_shift(e, h, out=e)
+            # a shift by 64 or more whole half-lives gives 0, as Python's >> does
+            e = g[P_EMA]
+            np.right_shift(e, d // _HALF_LIFE_U64, out=e)
         if self._offset:
             # |offset - last_offset|: of the two wrapped u64 differences
             # the smaller one is the true distance
-            r, s = g[P_OFF], g[_I0 + I_LAST_OFF]
+            r, s = g[P_OFF, :w], g[P_OFF, w:]
             np.subtract(r, s, out=r)
-            np.subtract(np.uint64(0), r, out=s)
+            np.negative(r, out=s)
             np.minimum(r, s, out=r)
-        ranks = self._u_edges.searchsorted(g.take(self._rows, axis=0), side="right")
+        ranks = self._u_edges.searchsorted(g.reshape(12, w).take(self._rows, axis=0), side="right")
         ranks += self._row_off
         # ranks are in range by construction; clip mode skips the bounds check
         return self._wflat.take(ranks, mode="clip").sum(axis=0)

@@ -123,8 +123,6 @@ class CacheState:
 
 def evict_fifo(cache: CacheState, n: int) -> list[PageKey]:
     """Evict the min(n, resident) oldest pages, oldest first."""
-    if not 1 <= n <= BATCH_MAX:
-        raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
     k = min(n, cache.head - cache.tail)
     victim_slots = cache.order[cache.tail:cache.tail + k].tolist()
     cache.tail += k
@@ -164,23 +162,11 @@ def _evict_scored(
 
 def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[PageKey]:
     """One eviction request of n pages, as both simulation and benchmark issue it."""
+    if not 1 <= n <= BATCH_MAX:
+        raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
     if isinstance(policy, LearnedPolicy):
         return _evict_scored(cache, n, policy._scorer, policy.oversample, t_now_ns)
     return evict_fifo(cache, n)
-
-
-def evict_learned(
-    cache: CacheState,
-    n: int,
-    pack: ModelPack,
-    oversample: int = DEFAULT_OVERSAMPLE,
-    t_now_ns: int | None = None,
-) -> list[PageKey]:
-    """Evict n pages chosen by model score from the oversample * n oldest."""
-    if not 1 <= n <= BATCH_MAX:
-        raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
-    t = t_now_ns if t_now_ns is not None else cache.tracker.last_t
-    return _evict(cache, n, LearnedPolicy(pack, oversample), t)
 
 
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:

@@ -373,14 +373,17 @@ def generate_workload(spec: WorkloadSpec) -> list[TraceEvent]:
 
 
 def write_trace(events: Iterable[TraceEvent], path: str) -> None:
-    """Write events in the binary trace format. Events must be time-sorted."""
+    """Write events in the binary trace format. Events must be time-sorted,
+    and no Access may sit at an offset that read_trace rejects."""
     records = []
     prev_t = 0
-    for ev in events:
-        if ev.t_ns < prev_t:
+    for kind, t_ns, (dev, inode, offset) in events:
+        if t_ns < prev_t:
             raise ValueError("events must be sorted by t_ns before writing")
-        prev_t = ev.t_ns
-        records.append(_RECORD.pack(int(ev.kind), ev.t_ns, ev.key.dev, ev.key.inode, ev.key.offset))
+        if offset > _MAX_ACCESS_OFFSET and kind == EventKind.ACCESS:
+            raise ValueError(f"access offset above {_MAX_ACCESS_OFFSET}")
+        prev_t = t_ns
+        records.append(_RECORD.pack(kind, t_ns, dev, inode, offset))
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(records)))
         f.write(b"".join(records))

@@ -275,7 +275,9 @@ def test_corrupt_trace_exits_3(tmp_path):
 def test_access_at_the_last_u64_offset_exits_3(tmp_path, capsys):
     # a well-formed record, but its file size offset + 1 would not fit a u64
     path = tmp_path / "edge.bin"
-    write_trace([TraceEvent(EventKind.ACCESS, 5, PageKey(1, 2, 2**64 - 1))], str(path))
+    write_trace([TraceEvent(EventKind.ACCESS, 5, PageKey(1, 2, 0))], str(path))
+    # the writer refuses this offset, so patch it into the record's last 8 bytes
+    path.write_bytes(path.read_bytes()[:-8] + b"\xff" * 8)
     rc = main(["simulate", "--trace", str(path), "--policy", "fifo", "--capacity", "4"])
     err = capsys.readouterr().err
     assert rc == 3
@@ -327,6 +329,22 @@ def test_train_with_oversized_capacity_exits_2(pipeline, tmp_path):
     rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
                "--out", str(tmp_path / "m.json"), "--capacity", "100000"])
     assert rc == 2
+
+
+def test_train_on_traces_without_reuse_exits_2(tmp_path, capsys):
+    # every page is touched once, so every evicted page is never reused and
+    # all labels tie: no pair can rank one eviction above another
+    path = tmp_path / "once.bin"
+    write_trace([TraceEvent(EventKind.ACCESS, 1000 * i, PageKey(1, 100 + i // 4, i % 4))
+                 for i in range(40)], str(path))
+    out = tmp_path / "m.json"
+    rc = main(["train", "--traces", str(path), "--test", str(path), "--out", str(out),
+               "--capacity", "4", "--pairs", "100"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "never reused" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_single_epoch_run_writes_single_history_row(pipeline, tmp_path):

@@ -14,7 +14,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_model.json"
 
 from learnedcache.discretizer import FeatureBins
 from learnedcache.errors import PackValidationError, QuantizationError
-from learnedcache.features import FEATURE_NAMES, MISSING, AccessTracker
+from learnedcache.features import FEATURE_NAMES, HALF_LIFE_NS, MISSING, AccessTracker
 from learnedcache.modelpack import (
     DEFAULT_WEIGHT_SCALE,
     PreparedScorer,
@@ -400,7 +400,10 @@ def test_window_scores_equal_the_integer_reference(rng, window, wide):
                          pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
     for key, t in accs:
         tracker.on_access(key, t)
-    t_now = tracker.last_t + rng.choice([0, 1, rng.randrange(5_000_000_000)])
+    # elapsed times of 64 half-lives and more shift the ema scores out whole
+    t_now = tracker.last_t + rng.choice(
+        [0, 1, rng.randrange(5_000_000_000), 64 * HALF_LIFE_NS, 2**62]
+    )
     n_slots = len(tracker.page_keys)
     slots = np.array([rng.randrange(n_slots) for _ in range(window)], dtype=np.int64)
     got = PreparedScorer(pack).score_window(tracker, slots, t_now)

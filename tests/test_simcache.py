@@ -16,10 +16,9 @@ from learnedcache.simcache import (
     CacheState,
     FifoPolicy,
     LearnedPolicy,
+    _evict,
     access,
     benchmark_eviction_latency,
-    evict_fifo,
-    evict_learned,
     report_to_dict,
     run_simulation,
 )
@@ -63,12 +62,13 @@ def test_eviction_request_bounds():
     cache = CacheState(50)
     for i, t in enumerate(range(10)):
         access(cache, PageKey(1, 1, i), t, FifoPolicy())
+    t = cache.tracker.last_t
     with pytest.raises(ConfigurationError):
-        evict_fifo(cache, 0)
+        _evict(cache, 0, FifoPolicy(), t)
     with pytest.raises(ConfigurationError):
-        evict_fifo(cache, BATCH_MAX + 1)
+        _evict(cache, BATCH_MAX + 1, FifoPolicy(), t)
     # a request larger than the population empties the cache gracefully
-    victims = evict_fifo(cache, 32)
+    victims = _evict(cache, 32, FifoPolicy(), t)
     assert victims == [PageKey(1, 1, i) for i in range(10)]
     assert len(cache) == 0
 
@@ -78,13 +78,14 @@ def test_learned_eviction_request_bounds():
     for i, t in enumerate(range(5)):
         access(cache, PageKey(1, 1, i), t, FifoPolicy())
     pack = zero_pack()
+    t = cache.tracker.last_t
     with pytest.raises(ConfigurationError):
-        evict_learned(cache, 0, pack)
+        _evict(cache, 0, LearnedPolicy(pack), t)
     with pytest.raises(ConfigurationError):
-        evict_learned(cache, BATCH_MAX + 1, pack)
+        _evict(cache, BATCH_MAX + 1, LearnedPolicy(pack), t)
     with pytest.raises(ConfigurationError):
-        evict_learned(cache, 1, pack, oversample=0)
-    assert evict_learned(cache, 32, pack) == [PageKey(1, 1, i) for i in range(5)]
+        LearnedPolicy(pack, oversample=0)
+    assert _evict(cache, 32, LearnedPolicy(pack), t) == [PageKey(1, 1, i) for i in range(5)]
 
 
 def test_policy_validation():
@@ -100,8 +101,6 @@ def test_policy_validation():
         mismatched = build_pack([([], [0.0]) for _ in names], names=list(names))
         with pytest.raises(ConfigurationError, match="features"):
             LearnedPolicy(mismatched)
-    with pytest.raises(ConfigurationError):
-        evict_learned(CacheState(4), 1, build_pack([([], [0.0])] * 9, names=FEATURE_NAMES[::-1]))
 
 
 def test_stale_page_is_evicted_before_recent_ones():
@@ -242,7 +241,7 @@ def test_batch_eviction_takes_the_lowest_scores_in_order(n, oversample):
     gone = set(victim_idx)
     expect_resident = [c for i, c in enumerate(cands) if i not in gone] + resident_before[window:]
 
-    victims = evict_learned(cache, n, pack, oversample=oversample)
+    victims = _evict(cache, n, LearnedPolicy(pack, oversample), t_now)
     assert victims == expect_victims
     assert cache.resident_keys() == expect_resident
 

@@ -135,10 +135,22 @@ def test_binary_format_handles_u64_extremes(tmp_path):
 def test_read_rejects_an_access_at_the_last_u64_offset(tmp_path):
     path = tmp_path / "x.bin"
     write_trace([TraceEvent(EventKind.ACCESS, 0, PageKey(0, 0, U64_MAX - 1)),
-                 TraceEvent(EventKind.ACCESS, 1, PageKey(0, 0, U64_MAX))], str(path))
+                 TraceEvent(EventKind.ACCESS, 1, PageKey(0, 0, U64_MAX - 1))], str(path))
+    # the writer refuses the last u64 offset, so patch it into the second
+    # record's offset, the file's last 8 bytes
+    path.write_bytes(path.read_bytes()[:-8] + b"\xff" * 8)
     with pytest.raises(TraceFormatError, match="access offset") as err:
         read_trace(str(path))
     assert err.value.offset == 14 + 33  # the second record
+
+
+def test_write_rejects_an_access_at_the_last_u64_offset(tmp_path):
+    path = tmp_path / "x.bin"
+    events = [TraceEvent(EventKind.ACCESS, 0, PageKey(0, 0, U64_MAX - 1)),
+              TraceEvent(EventKind.ACCESS, 1, PageKey(0, 0, U64_MAX))]
+    with pytest.raises(ValueError, match="access offset"):
+        write_trace(events, str(path))
+    assert not path.exists()
 
 
 def test_empty_trace_round_trips(tmp_path):
