@@ -1,4 +1,4 @@
-"""Microbenchmarks of the per-access tracker, the window scorer and a learned simulation.
+"""Microbenchmarks of the per-access tracker, the window scorer, a learned simulation and trace IO.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_tracker.py --benchmark-only
 
@@ -9,8 +9,10 @@ times), on the committed perfbench models, and a whole learned simulation
 (sizebias-evict's model and capacity, 1000 ops), whose extra_info holds its
 median in µs per event. An eviction request timed inside a simulation costs
 about twice an isolated score_window call, so the isolated cases alone
-understate the learned policy's cost. The file name does not match
-test_*.py, so the test run does not collect it.
+understate the learned policy's cost. write_trace and read_trace time
+the binary trace codec, each record checked by the trace rule, on a
+mongo trace; their extra_info also holds µs per event. The file name does
+not match test_*.py, so the test run does not collect it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pytest
 from learnedcache.features import AccessTracker
 from learnedcache.modelpack import PreparedScorer, load_json
 from learnedcache.simcache import CacheState, LearnedPolicy, access, run_simulation
-from learnedcache.trace import EventKind, PageKey, default_spec, generate_workload
+from learnedcache.trace import EventKind, PageKey, default_spec, generate_workload, read_trace, write_trace
 
 MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
 # keys of the new-key round: 200 pages over 50 files, within the tracker's
@@ -84,6 +86,22 @@ def test_learned_simulation(benchmark):
     events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
     policy = LearnedPolicy(load_json(str(MODELS / "sizebias-evict.json")))
     benchmark.pedantic(run_simulation, args=(events, policy, 96), rounds=5)
-    benchmark.extra_info["events"] = len(events)
+    per_event(benchmark, len(events))
+
+
+def test_write_trace(benchmark, tmp_path, mongo_events):
+    benchmark(write_trace, mongo_events, str(tmp_path / "t.bin"))
+    per_event(benchmark, len(mongo_events))
+
+
+def test_read_trace(benchmark, tmp_path, mongo_events):
+    path = str(tmp_path / "t.bin")
+    write_trace(mongo_events, path)
+    benchmark(read_trace, path)
+    per_event(benchmark, len(mongo_events))
+
+
+def per_event(benchmark, events: int) -> None:
+    benchmark.extra_info["events"] = events
     if benchmark.stats is not None:  # None under --benchmark-disable
-        benchmark.extra_info["us_per_event_median"] = benchmark.stats.stats.median / len(events) * 1e6
+        benchmark.extra_info["us_per_event_median"] = benchmark.stats.stats.median / events * 1e6

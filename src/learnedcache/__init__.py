@@ -41,8 +41,6 @@ from .features import (
     DatasetRow,
     FeatureVector,
     build_dataset,
-    export_dataset_csv,
-    read_dataset_csv,
 )
 from .modelpack import (
     DEFAULT_WEIGHT_SCALE,
@@ -81,7 +79,6 @@ from .simcache import (
     SimReport,
     access,
     benchmark_eviction_latency,
-    evict_fifo,
     report_to_dict,
     run_simulation,
 )

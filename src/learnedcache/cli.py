@@ -174,6 +174,8 @@ def _cmd_paired_eval(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if args.capacity < 1:
         raise ConfigurationError("--capacity must be >= 1")
+    if args.ops < 1:
+        raise ConfigurationError("--ops must be >= 1")
     pack = load_json(args.model)
     base = default_spec(args.workload, seed=0, n_ops=args.ops, n_files=args.files)
     trial_set = evalstats.run_paired_trials(

@@ -20,13 +20,11 @@ tolist().
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import TraceFormatError
 from .trace import EventKind, PageKey, TraceEvent
 
 MISSING = 2**64 - 1
@@ -242,40 +240,4 @@ def build_dataset(
         idx = bisect_right(times, e)
         reuse = times[idx] - e if idx < len(times) else MISSING
         rows.append(DatasetRow(feat._replace(access_to_eviction=e - a), e, reuse, ev.key))
-    return rows
-
-
-_DATASET_HEADER = list(FEATURE_NAMES) + ["eviction_t_ns", "reuse_time_ns", "dev", "inode", "offset"]
-
-
-def export_dataset_csv(rows: Iterable[DatasetRow], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_DATASET_HEADER)
-        for row in rows:
-            w.writerow(list(row.features) + [row.eviction_t_ns, row.reuse_time_ns, *row.key])
-
-
-def read_dataset_csv(path: str) -> list[DatasetRow]:
-    rows: list[DatasetRow] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _DATASET_HEADER:
-            raise TraceFormatError(f"bad dataset header {header!r}")
-        for lineno, rec in enumerate(reader, start=2):
-            if len(rec) != len(_DATASET_HEADER):
-                raise TraceFormatError(f"line {lineno}: expected {len(_DATASET_HEADER)} fields")
-            try:
-                vals = [int(v) for v in rec]
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from None
-            rows.append(
-                DatasetRow(
-                    FeatureVector(*vals[:N_FEATURES]),
-                    vals[N_FEATURES],
-                    vals[N_FEATURES + 1],
-                    PageKey(*vals[N_FEATURES + 2:]),
-                )
-            )
     return rows

@@ -8,7 +8,9 @@ scores the whole window at once with PreparedScorer.score_window, and
 evicts the lowest-scoring n (predicted to be reused last), ties broken
 toward older pages, survivors keeping their relative order. Simulation and
 the latency benchmark issue every eviction request through one dispatch,
-so the benchmark times exactly the path simulations take.
+_evict, which picks the victims, pops them and records the request's wall
+time and candidate window; the benchmark reads its samples back from those
+records, so it times exactly the path simulations take.
 """
 
 from __future__ import annotations
@@ -121,52 +123,44 @@ class CacheState:
         self.head += 1
 
 
-def evict_fifo(cache: CacheState, n: int) -> list[PageKey]:
-    """Evict the min(n, resident) oldest pages, oldest first."""
-    k = min(n, cache.head - cache.tail)
-    victim_slots = cache.order[cache.tail:cache.tail + k].tolist()
-    cache.tail += k
-    keys = cache.tracker.page_keys
-    victims = [keys[s] for s in victim_slots]
-    residency = cache.residency
-    for key in victims:
-        del residency[key]
-    return victims
-
-
-def _evict_scored(
-    cache: CacheState, n: int, scorer: PreparedScorer, oversample: int, t_now_ns: int
-) -> list[PageKey]:
-    live = cache.head - cache.tail
-    n_evict = min(n, live)
-    window = min(oversample * n, live)
-    wslots = cache.order[cache.tail:cache.tail + window]
-    scores = scorer.score_window(cache.tracker, wslots, t_now_ns)
-    # lowest score first, FIFO position (oldest) breaking ties
-    ranked = scores.argsort(kind="stable")
-    victim_slots = wslots[ranked[:n_evict]].tolist()
-    if n_evict < window:
-        # survivors keep FIFO order: sort the kept positions
-        kept = ranked[n_evict:]
-        kept.sort()
-        cache.order[cache.tail + n_evict:cache.tail + window] = wslots[kept]
-
-    keys = cache.tracker.page_keys
-    victims = [keys[s] for s in victim_slots]
-    cache.tail += n_evict
-    residency = cache.residency
-    for key in victims:
-        del residency[key]
-    return victims
-
-
 def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[PageKey]:
-    """One eviction request of n pages, as both simulation and benchmark issue it."""
+    """One eviction request of n pages, as both simulation and benchmark issue it.
+
+    Picks the victims among the oldest min(oversample * n, resident) pages,
+    pops them, and records the request's wall time and that window.
+    """
     if not 1 <= n <= BATCH_MAX:
         raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
+    t0 = time.perf_counter_ns()
+    tail = cache.tail
+    live = cache.head - tail
+    k = min(n, live)
+    window = min(policy.oversample * n, live)
     if isinstance(policy, LearnedPolicy):
-        return _evict_scored(cache, n, policy._scorer, policy.oversample, t_now_ns)
-    return evict_fifo(cache, n)
+        wslots = cache.order[tail:tail + window]
+        scores = policy._scorer.score_window(cache.tracker, wslots, t_now_ns)
+        # lowest score first, FIFO position (oldest) breaking ties
+        ranked = scores.argsort(kind="stable")
+        victim_slots = wslots[ranked[:k]].tolist()
+        if k < window:
+            # survivors keep FIFO order: sort the kept positions
+            kept = ranked[k:]
+            kept.sort()
+            cache.order[tail + k:tail + window] = wslots[kept]
+    else:
+        victim_slots = cache.order[tail:tail + k].tolist()
+    cache.tail = tail + k
+    keys = cache.tracker.page_keys
+    victims = [keys[s] for s in victim_slots]
+    residency = cache.residency
+    for key in victims:
+        del residency[key]
+    cache.eviction_latency_ns.append(time.perf_counter_ns() - t0)
+    cache.candidate_counts.append(window)
+    cache.counters.evictions += k
+    if cache.event_sink is not None:
+        cache.event_sink.extend(TraceEvent(EventKind.EVICT, t_now_ns, v) for v in victims)
+    return victims
 
 
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:
@@ -186,17 +180,7 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
 
     overflow = len(cache.residency) - cache.capacity
     if overflow > 0:
-        n = overflow if overflow < BATCH_MAX else BATCH_MAX
-        considered = min(policy.oversample * n, len(cache.residency))
-        t0 = time.perf_counter_ns()
-        victims = _evict(cache, n, policy, t_ns)
-        dt = time.perf_counter_ns() - t0
-        c.evictions += len(victims)
-        cache.eviction_latency_ns.append(dt)
-        cache.candidate_counts.append(considered)
-        if cache.event_sink is not None:
-            for v in victims:
-                cache.event_sink.append(TraceEvent(EventKind.EVICT, t_ns, v))
+        _evict(cache, overflow if overflow < BATCH_MAX else BATCH_MAX, policy, t_ns)
     return AccessResult.MISS_INSERTED
 
 
@@ -250,15 +234,17 @@ def run_simulation(
     )
 
 
-def _percentile(samples: Sequence[int], q: float) -> float | None:
+def _latency_summary(samples: Sequence[int]) -> dict:
+    """p50, p90, p99 and mean of latency samples in ns; None when there are none."""
     if not samples:
-        return None
-    return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
+        return {"p50": None, "p90": None, "p99": None, "mean": None}
+    arr = np.asarray(samples, dtype=np.float64)
+    p50, p90, p99 = np.percentile(arr, [50, 90, 99]).tolist()
+    return {"p50": p50, "p90": p90, "p99": p99, "mean": float(arr.mean())}
 
 
 def report_to_dict(report: SimReport, samples_path: str | None = None) -> dict:
     rate = report.insertion_rate
-    lat = report.eviction_latency_ns
     return {
         "policy": report.policy,
         "capacity": report.capacity,
@@ -269,13 +255,7 @@ def report_to_dict(report: SimReport, samples_path: str | None = None) -> dict:
         "insertion_rate": None if rate != rate else rate,
         "eviction_requests": len(report.candidate_counts),
         "candidates": sum(report.candidate_counts),
-        "latency_ns": {
-            "p50": _percentile(lat, 50),
-            "p90": _percentile(lat, 90),
-            "p99": _percentile(lat, 99),
-            "mean": float(np.mean(lat)) if lat else None,
-            "samples_path": samples_path,
-        },
+        "latency_ns": {**_latency_summary(report.eviction_latency_ns), "samples_path": samples_path},
     }
 
 
@@ -288,51 +268,41 @@ def benchmark_eviction_latency(
 ) -> dict:
     """Time full eviction requests for FIFO and the learned policy.
 
-    Both caches are prefilled to capacity and then driven through identical
-    rounds: one timed eviction request of `batch` pages followed by untimed
-    refills back to capacity. Returns both latency distributions in ns.
+    Both caches are filled to capacity and then driven through identical
+    rounds: one eviction request of `batch` pages followed by a refill back
+    to capacity. Returns both latency distributions in ns, as _evict
+    recorded them, and the learned policy's candidate window.
     """
     if capacity < batch:
         raise ConfigurationError("capacity must be >= batch")
-    results: dict[str, list[int]] = {}
-    for label, policy in (("fifo", FifoPolicy()), ("learned", LearnedPolicy(pack, oversample))):
-        cache = CacheState(capacity)
+    if rounds < 1:
+        raise ConfigurationError("rounds must be >= 1")
+    caches: dict[str, CacheState] = {}
+    for policy in (FifoPolicy(), LearnedPolicy(pack, oversample)):
+        cache = caches[policy.name] = CacheState(capacity)
         pool = capacity * 2
         t = 1_000_000
         next_key = 0
-        while len(cache) < capacity:
-            i = next_key % pool
-            next_key += 1
-            t += 1_000
-            access(cache, PageKey(1, 100 + i // 64, i % 64), t, policy)
-        samples: list[int] = []
-        for _ in range(rounds):
-            t += 1_000
-            t0 = time.perf_counter_ns()
-            _evict(cache, batch, policy, t)
-            samples.append(time.perf_counter_ns() - t0)
+        while True:
             while len(cache) < capacity:
                 i = next_key % pool
                 next_key += 1
                 t += 1_000
                 access(cache, PageKey(1, 100 + i // 64, i % 64), t, policy)
-        results[label] = samples
+            if len(cache.eviction_latency_ns) == rounds:
+                break
+            t += 1_000
+            _evict(cache, batch, policy, t)
 
-    def summary(samples: list[int]) -> dict:
-        return {
-            "p50": _percentile(samples, 50),
-            "p90": _percentile(samples, 90),
-            "p99": _percentile(samples, 99),
-            "mean": float(np.mean(samples)),
-            "samples": samples,
-        }
+    def summary(cache: CacheState) -> dict:
+        return {**_latency_summary(cache.eviction_latency_ns), "samples": cache.eviction_latency_ns}
 
     return {
         "batch": batch,
         "oversample": oversample,
-        "window": min(oversample * batch, capacity),
+        "window": caches["learned"].candidate_counts[0],
         "capacity": capacity,
         "rounds": rounds,
-        "fifo": summary(results["fifo"]),
-        "learned": summary(results["learned"]),
+        "fifo": summary(caches["fifo"]),
+        "learned": summary(caches["learned"]),
     }

@@ -27,7 +27,7 @@ _HEADER = struct.Struct("<4sHQ")
 _RECORD = struct.Struct("<BQQQQ")
 _U64_MAX = 2**64 - 1
 # An access makes offset + 1 part of its file's size, which the tracker keeps
-# in a u64, so readers reject an Access at the last u64 offset.
+# in a u64, so no trace may hold an Access at the last u64 offset.
 _MAX_ACCESS_OFFSET = _U64_MAX - 1
 
 
@@ -369,19 +369,33 @@ def generate_workload(spec: WorkloadSpec) -> list[TraceEvent]:
     return events
 
 
-# -- binary serialization ----------------------------------------------------
+# -- serialization -----------------------------------------------------------
+
+
+def _record_error(kind: int, t_ns: int, dev: int, inode: int, offset: int, prev_t: int) -> str | None:
+    """Why a record breaks the trace rule, or None: a known kind, every field
+    a u64, times nondecreasing, and no Access at the last u64 offset. Every
+    trace writer and reader applies this rule."""
+    if kind not in _KIND_NAMES:
+        return f"invalid event kind {kind}"
+    if (t_ns | dev | inode | offset) >> 64:  # some field is negative or above 2**64 - 1
+        return "field outside the u64 range"
+    if t_ns < prev_t:
+        return "timestamps not sorted"
+    if offset == _U64_MAX and kind == EventKind.ACCESS:
+        return f"access offset above {_MAX_ACCESS_OFFSET}"
+    return None
 
 
 def write_trace(events: Iterable[TraceEvent], path: str) -> None:
-    """Write events in the binary trace format. Events must be time-sorted,
-    and no Access may sit at an offset that read_trace rejects."""
+    """Write events in the binary trace format. Raises ValueError, before it
+    opens the file, on the first event that breaks the trace rule."""
     records = []
     prev_t = 0
     for kind, t_ns, (dev, inode, offset) in events:
-        if t_ns < prev_t:
-            raise ValueError("events must be sorted by t_ns before writing")
-        if offset > _MAX_ACCESS_OFFSET and kind == EventKind.ACCESS:
-            raise ValueError(f"access offset above {_MAX_ACCESS_OFFSET}")
+        err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
+        if err is not None:
+            raise ValueError(f"event {len(records)}: {err}")
         prev_t = t_ns
         records.append(_RECORD.pack(kind, t_ns, dev, inode, offset))
     with open(path, "wb") as f:
@@ -390,7 +404,7 @@ def write_trace(events: Iterable[TraceEvent], path: str) -> None:
 
 
 def read_trace(path: str) -> list[TraceEvent]:
-    """Read a binary trace, validating structure and timestamp order."""
+    """Read a binary trace, validating structure and every record."""
     with open(path, "rb") as f:
         data = f.read()
     if len(data) < _HEADER.size:
@@ -411,29 +425,32 @@ def read_trace(path: str) -> list[TraceEvent]:
     events: list[TraceEvent] = []
     prev_t = 0
     for i, (kind, t_ns, dev, inode, offset) in enumerate(_RECORD.iter_unpack(data[_HEADER.size:])):
-        rec_off = _HEADER.size + i * _RECORD.size
-        if kind > 2:
-            raise TraceFormatError(f"invalid event kind {kind}", offset=rec_off)
-        if t_ns < prev_t:
-            raise TraceFormatError("timestamps not sorted", offset=rec_off)
-        if offset > _MAX_ACCESS_OFFSET and kind == EventKind.ACCESS:
-            raise TraceFormatError(f"access offset above {_MAX_ACCESS_OFFSET}", offset=rec_off)
+        err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
+        if err is not None:
+            raise TraceFormatError(err, offset=_HEADER.size + i * _RECORD.size)
         prev_t = t_ns
         events.append(TraceEvent(EventKind(kind), t_ns, PageKey(dev, inode, offset)))
     return events
 
 
-# -- CSV serialization -------------------------------------------------------
-
 _CSV_HEADER = ["kind", "t_ns", "dev", "inode", "offset"]
 
 
 def export_csv(events: Iterable[TraceEvent], path: str) -> None:
+    """Write events as CSV under a header row. Raises ValueError, before it
+    opens the file, on the first event that breaks the trace rule."""
+    rows = []
+    prev_t = 0
+    for kind, t_ns, (dev, inode, offset) in events:
+        err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
+        if err is not None:
+            raise ValueError(f"event {len(rows)}: {err}")
+        prev_t = t_ns
+        rows.append((_KIND_NAMES[kind], t_ns, dev, inode, offset))
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(_CSV_HEADER)
-        for ev in events:
-            w.writerow([_KIND_NAMES[ev.kind], ev.t_ns, ev.key.dev, ev.key.inode, ev.key.offset])
+        w.writerows(rows)
 
 
 def read_csv_trace(path: str) -> list[TraceEvent]:
@@ -448,18 +465,16 @@ def read_csv_trace(path: str) -> list[TraceEvent]:
             if len(row) != 5:
                 raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(row)}")
             name, t_s, dev_s, inode_s, off_s = row
-            if name not in _KIND_FROM_NAME:
+            kind = _KIND_FROM_NAME.get(name)
+            if kind is None:
                 raise TraceFormatError(f"line {lineno}: invalid event kind {name!r}")
             try:
                 t_ns, dev, inode, offset = int(t_s), int(dev_s), int(inode_s), int(off_s)
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from None
-            if not all(0 <= v <= _U64_MAX for v in (t_ns, dev, inode, offset)):
-                raise TraceFormatError(f"line {lineno}: field outside the u64 range")
-            if offset > _MAX_ACCESS_OFFSET and name == "Access":
-                raise TraceFormatError(f"line {lineno}: access offset above {_MAX_ACCESS_OFFSET}")
-            if t_ns < prev_t:
-                raise TraceFormatError(f"line {lineno}: timestamps not sorted")
+            err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
+            if err is not None:
+                raise TraceFormatError(f"line {lineno}: {err}")
             prev_t = t_ns
-            events.append(TraceEvent(_KIND_FROM_NAME[name], t_ns, PageKey(dev, inode, offset)))
+            events.append(TraceEvent(kind, t_ns, PageKey(dev, inode, offset)))
     return events

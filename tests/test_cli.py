@@ -221,6 +221,16 @@ def test_zero_trials_exits_2(pipeline, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("ops", ["0", "-1"])
+def test_paired_eval_without_ops_exits_2_and_writes_nothing(pipeline, tmp_path, capsys, ops):
+    out = tmp_path / "e.json"
+    rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
+               "--capacity", "8", "--trials", "2", "--ops", ops, "--out", str(out)])
+    assert rc == 2
+    assert "--ops must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_jobs_exits_2(pipeline, tmp_path):
     rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
                "--capacity", "8", "--trials", "2", "--ops", "10", "--jobs", "0",

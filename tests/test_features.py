@@ -14,10 +14,7 @@ from learnedcache.features import (
     N_FEATURES,
     AccessTracker,
     build_dataset,
-    export_dataset_csv,
-    read_dataset_csv,
 )
-from learnedcache.errors import TraceFormatError
 from learnedcache.modelpack import PreparedScorer, int_score
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
@@ -272,47 +269,3 @@ def test_dataset_rejects_unsorted_inputs():
     e2 = TraceEvent(EventKind.EVICT, 5, K)
     with pytest.raises(ValueError):
         build_dataset([a1], [e1, e2])
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    access_events, evictions = _random_labeled_trace(1)
-    rows = build_dataset(access_events, evictions)
-    assert rows
-    path = tmp_path / "d.csv"
-    export_dataset_csv(rows, str(path))
-    assert read_dataset_csv(str(path)) == rows
-    header = path.read_text().splitlines()[0]
-    assert header.split(",")[:9] == list(FEATURE_NAMES)
-
-
-def test_dataset_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(TraceFormatError):
-        read_dataset_csv(str(path))
-
-
-def test_dataset_csv_rejects_short_rows(tmp_path):
-    access_events, evictions = _random_labeled_trace(2)
-    rows = build_dataset(access_events, evictions)
-    path = tmp_path / "d.csv"
-    export_dataset_csv(rows[:2], str(path))
-    lines = path.read_text().splitlines()
-    lines[1] = ",".join(lines[1].split(",")[:-1])
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError):
-        read_dataset_csv(str(path))
-
-
-def test_dataset_csv_rejects_non_integer_cells(tmp_path):
-    access_events, evictions = _random_labeled_trace(3)
-    rows = build_dataset(access_events, evictions)
-    path = tmp_path / "d.csv"
-    export_dataset_csv(rows[:1], str(path))
-    lines = path.read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[0] = "o" + parts[0]
-    lines[1] = ",".join(parts)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceFormatError):
-        read_dataset_csv(str(path))

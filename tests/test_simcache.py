@@ -88,6 +88,42 @@ def test_learned_eviction_request_bounds():
     assert _evict(cache, 32, LearnedPolicy(pack), t) == [PageKey(1, 1, i) for i in range(5)]
 
 
+@pytest.mark.parametrize("policy", [FifoPolicy(), LearnedPolicy(zero_pack(), oversample=1),
+                                    LearnedPolicy(zero_pack(), oversample=5)],
+                         ids=["fifo", "learned-1", "learned-5"])
+def test_request_above_the_resident_count_records_a_window_of_every_page(policy):
+    cache = CacheState(50)
+    for i in range(7):
+        access(cache, PageKey(1, 1, i), i, FifoPolicy())
+    assert cache.candidate_counts == []
+    with pytest.raises(ConfigurationError):
+        _evict(cache, BATCH_MAX + 1, policy, 7)
+    assert _evict(cache, 9, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
+    # a rejected request records nothing; the accepted one saw all 7 pages
+    assert cache.candidate_counts == [7]
+    assert len(cache.eviction_latency_ns) == 1
+    assert cache.counters.evictions == 7
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rng=st.randoms(use_true_random=False),
+    learned=st.booleans(),
+    capacity=st.integers(1, 24),
+    oversample=st.integers(1, 40),
+)
+def test_every_request_records_one_latency_and_its_window(rng, learned, capacity, oversample):
+    # a miss overflows the cache by one page, so each request evicts one page
+    # from capacity + 1 residents and scores min(oversample, capacity + 1)
+    policy = LearnedPolicy(random_pack(rng), oversample=oversample) if learned else FifoPolicy()
+    pairs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 5),
+                          pages_per_inode=rng.randint(1, 12))
+    report = run_simulation(as_events(pairs), policy, capacity)
+    window = min(oversample, capacity + 1) if learned else 1
+    assert len(report.eviction_latency_ns) == len(report.candidate_counts) == report.evictions
+    assert report.candidate_counts == [window] * report.evictions
+
+
 def test_policy_validation():
     with pytest.raises(ConfigurationError):
         LearnedPolicy(zero_pack(), oversample=0)
@@ -359,6 +395,15 @@ def test_latency_benchmark_reports_both_distributions():
         assert dist["p50"] > 0
         assert dist["mean"] > 0
         assert dist["p50"] <= dist["p99"]
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 9])
+def test_latency_benchmark_returns_one_sample_per_round(rounds):
+    bench = benchmark_eviction_latency(zero_pack(), capacity=40, batch=4, oversample=3, rounds=rounds)
+    assert bench["window"] == 12
+    assert len(bench["fifo"]["samples"]) == len(bench["learned"]["samples"]) == rounds
+    with pytest.raises(ConfigurationError):
+        benchmark_eviction_latency(zero_pack(), capacity=40, batch=4, rounds=0)
 
 
 def test_latency_benchmark_rejects_capacity_below_batch():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from learnedcache.errors import ConfigurationError, TraceFormatError
@@ -151,6 +151,54 @@ def test_write_rejects_an_access_at_the_last_u64_offset(tmp_path):
     with pytest.raises(ValueError, match="access offset"):
         write_trace(events, str(path))
     assert not path.exists()
+
+
+WRITERS = [(write_trace, read_trace, "t.bin"), (export_csv, read_csv_trace, "t.csv")]
+
+
+@pytest.mark.parametrize("write,name", [(w, name) for w, _, name in WRITERS], ids=["binary", "csv"])
+@pytest.mark.parametrize("events,match", [
+    ([TraceEvent(3, 0, PageKey(0, 0, 0))], "invalid event kind 3"),
+    ([TraceEvent(EventKind.EVICT, 0, PageKey(-1, 0, 0))], "u64 range"),
+    ([TraceEvent(EventKind.EVICT, 2**64, PageKey(0, 0, 0))], "u64 range"),
+    ([TraceEvent(EventKind.EVICT, 5, PageKey(0, 0, 0)),
+      TraceEvent(EventKind.EVICT, 4, PageKey(0, 0, 0))], "not sorted"),
+    ([TraceEvent(EventKind.ACCESS, 0, PageKey(0, 0, U64_MAX))], "access offset"),
+], ids=["kind-3", "negative", "above-u64", "unsorted", "last-offset"])
+def test_writers_refuse_records_before_opening_the_file(tmp_path, write, name, events, match):
+    path = tmp_path / name
+    with pytest.raises(ValueError, match=match):
+        write(events, str(path))
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def io_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writers")
+
+
+_FIELD = st.one_of(st.integers(0, 40), st.sampled_from([-1, U64_MAX - 1, U64_MAX, U64_MAX + 1]))
+_EVENT = st.builds(lambda kind, t, dev, inode, offset: TraceEvent(kind, t, PageKey(dev, inode, offset)),
+                   st.integers(0, 3), _FIELD, _FIELD, _FIELD, _FIELD)
+
+
+@settings(deadline=None, max_examples=200)
+@given(events=st.lists(_EVENT, max_size=6), sort=st.booleans())
+@example(events=[TraceEvent(EventKind.EVICT, U64_MAX, PageKey(U64_MAX, U64_MAX, U64_MAX))], sort=False)
+def test_each_writer_refuses_what_its_reader_refuses(io_dir, events, sort):
+    # a writer either raises ValueError and writes nothing, or its reader
+    # returns exactly the events written
+    if sort:
+        events.sort(key=lambda ev: ev.t_ns)
+    for write, read, name in WRITERS:
+        path = io_dir / name
+        path.unlink(missing_ok=True)
+        try:
+            write(events, str(path))
+        except ValueError:
+            assert not path.exists()
+            continue
+        assert read(str(path)) == events
 
 
 def test_empty_trace_round_trips(tmp_path):
