@@ -1,4 +1,4 @@
-"""Microbenchmarks of the per-access tracker, the window scorer, a learned simulation and trace IO.
+"""Microbenchmarks of the per-access tracker, the window scorer, whole simulations and trace IO.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_tracker.py --benchmark-only
 
@@ -9,7 +9,10 @@ times), on the committed perfbench models, and a whole learned simulation
 (sizebias-evict's model and capacity, 1000 ops), whose extra_info holds its
 median in µs per event. An eviction request timed inside a simulation costs
 about twice an isolated score_window call, so the isolated cases alone
-understate the learned policy's cost. write_trace and read_trace time
+understate the learned policy's cost. A whole FIFO simulation (mongo-hits'
+shape: mongo, 8000 ops, capacity 1024; mostly hits, so the tracker and the
+hit path dominate) and generate_workload on the same spec also report µs
+per event. write_trace and read_trace time
 the binary trace codec, each record checked by the trace rule, on a
 mongo trace; their extra_info also holds µs per event. The file name does
 not match test_*.py, so the test run does not collect it.
@@ -23,7 +26,7 @@ import pytest
 
 from learnedcache.features import AccessTracker
 from learnedcache.modelpack import PreparedScorer, load_json
-from learnedcache.simcache import CacheState, LearnedPolicy, access, run_simulation
+from learnedcache.simcache import CacheState, FifoPolicy, LearnedPolicy, access, run_simulation
 from learnedcache.trace import EventKind, PageKey, default_spec, generate_workload, read_trace, write_trace
 
 MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
@@ -86,6 +89,19 @@ def test_learned_simulation(benchmark):
     events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
     policy = LearnedPolicy(load_json(str(MODELS / "sizebias-evict.json")))
     benchmark.pedantic(run_simulation, args=(events, policy, 96), rounds=5)
+    per_event(benchmark, len(events))
+
+
+def test_fifo_simulation(benchmark):
+    spec = default_spec("mongo", seed=7, n_ops=8000)
+    events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
+    benchmark.pedantic(run_simulation, args=(events, FifoPolicy(), 1024), rounds=5)
+    per_event(benchmark, len(events))
+
+
+def test_generate_workload(benchmark):
+    spec = default_spec("mongo", seed=7, n_ops=8000)
+    events = benchmark.pedantic(generate_workload, args=(spec,), rounds=5)
     per_event(benchmark, len(events))
 
 

@@ -143,6 +143,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.oversample < 1:
+        raise ConfigurationError("--oversample must be >= 1")
     events = read_trace(args.trace)
     if args.policy == "learned":
         if not args.model:

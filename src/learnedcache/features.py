@@ -30,6 +30,7 @@ from .trace import EventKind, PageKey, TraceEvent
 MISSING = 2**64 - 1
 EMA_SCALE = 1024
 HALF_LIFE_NS = 1_000_000_000
+_ACCESS, _EVICT = EventKind.ACCESS, EventKind.EVICT  # cheaper to read than members
 
 FEATURE_NAMES = (
     "page_delta1",
@@ -110,8 +111,13 @@ class AccessTracker:
         self.last_t = t_ns
         off = key.offset
 
-        ikey = (key.dev, key.inode)
-        islot = self.inode_slot.get(ikey)
+        # a known page holds its inode slot; a new page resolves its inode first
+        slot = self.page_slot.get(key)
+        if slot is not None:
+            islot = self._prows[P_INODE][slot]
+        else:
+            ikey = (key.dev, key.inode)
+            islot = self.inode_slot.get(ikey)
         if islot is None:
             islot = len(self.inode_slot)
             self.inode_slot[ikey] = islot
@@ -135,7 +141,6 @@ class AccessTracker:
             if off >= size[islot]:
                 size[islot] = off + 1
 
-        slot = self.page_slot.get(key)
         if slot is None:
             slot = len(self.page_slot)
             self.page_slot[key] = slot
@@ -171,13 +176,14 @@ class AccessTracker:
         if slot is None:
             f0 = f1 = f8 = MISSING
             f6 = 0
+            islot = self.inode_slot.get((key.dev, key.inode))
         else:
-            _, d1, d2, ema, last, _ = self._prows
+            _, d1, d2, ema, last, inode = self._prows
             f0, f1 = d1[slot], d2[slot]
             f8 = t_now - last[slot]
             f6 = ema[slot] >> (f8 // HALF_LIFE_NS)
+            islot = inode[slot]
 
-        islot = self.inode_slot.get((key.dev, key.inode))
         if islot is None:
             f2 = f3 = MISSING
             f4 = f5 = f7 = 0
@@ -208,8 +214,8 @@ def build_dataset(
     reuse_time_ns is (first access of p after e) - e, or MISSING if p is never
     touched again. Evictions of never-accessed pages are dropped.
     """
-    accesses = [ev for ev in access_events if ev.kind == EventKind.ACCESS]
-    evictions = [ev for ev in eviction_events if ev.kind == EventKind.EVICT]
+    accesses = [ev for ev in access_events if ev.kind == _ACCESS]
+    evictions = [ev for ev in eviction_events if ev.kind == _EVICT]
     for seq, label in ((accesses, "access"), (evictions, "eviction")):
         for prev, cur in zip(seq, seq[1:]):
             if cur.t_ns < prev.t_ns:

@@ -39,6 +39,8 @@ class EventKind(IntEnum):
 
 _KIND_NAMES = {EventKind.ACCESS: "Access", EventKind.INSERT: "Insert", EventKind.EVICT: "Evict"}
 _KIND_FROM_NAME = {name: kind for kind, name in _KIND_NAMES.items()}
+_KINDS = tuple(EventKind)  # indexed by value; cheaper in per-event loops than EventKind(k)
+_ACCESS = EventKind.ACCESS
 
 
 class PageKey(NamedTuple):
@@ -160,7 +162,7 @@ class _Emitter:
 
     def touch(self, inode: int, offset: int, dt_lo: int = 3_000, dt_hi: int = 9_000) -> None:
         self.t += self.rng.randint(dt_lo, dt_hi)
-        self.events.append(TraceEvent(EventKind.ACCESS, self.t, PageKey(_DEV, inode, offset)))
+        self.events.append(TraceEvent(_ACCESS, self.t, PageKey(_DEV, inode, offset)))
 
     def gap(self, lo: int = 20_000, hi: int = 60_000) -> None:
         self.t += self.rng.randint(lo, hi)
@@ -338,7 +340,7 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
                 continue
             for page in range(sizes[i]):
                 events.append(
-                    TraceEvent(EventKind.ACCESS, base + slots[i] + page * page_dt, PageKey(_DEV, 100 + i, page))
+                    TraceEvent(_ACCESS, base + slots[i] + page * page_dt, PageKey(_DEV, 100 + i, page))
                 )
             ops += 1
         r += 1
@@ -429,7 +431,7 @@ def read_trace(path: str) -> list[TraceEvent]:
         if err is not None:
             raise TraceFormatError(err, offset=_HEADER.size + i * _RECORD.size)
         prev_t = t_ns
-        events.append(TraceEvent(EventKind(kind), t_ns, PageKey(dev, inode, offset)))
+        events.append(TraceEvent(_KINDS[kind], t_ns, PageKey(dev, inode, offset)))
     return events
 
 

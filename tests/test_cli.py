@@ -204,6 +204,16 @@ def test_learned_policy_without_model_exits_2(pipeline):
     assert rc == 2
 
 
+@pytest.mark.parametrize("policy", ["fifo", "learned"])
+@pytest.mark.parametrize("oversample", ["0", "-3"])
+def test_oversample_below_one_exits_2_before_reading_the_trace(pipeline, tmp_path, capsys, policy, oversample):
+    for trace_path in (pipeline["test"], str(tmp_path / "missing.bin")):
+        rc = main(["simulate", "--trace", trace_path, "--policy", policy, "--model", pipeline["model"],
+                   "--capacity", "8", "--oversample", oversample])
+        assert rc == 2
+        assert "--oversample must be >= 1" in capsys.readouterr().err
+
+
 def test_zero_capacity_exits_2(pipeline):
     rc = main(["simulate", "--trace", pipeline["test"], "--policy", "fifo",
                "--capacity", "0"])

@@ -12,6 +12,7 @@ from learnedcache.features import (
     FEATURE_NAMES,
     MISSING,
     N_FEATURES,
+    P_INODE,
     AccessTracker,
     build_dataset,
 )
@@ -213,6 +214,62 @@ def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed)
     pack = random_pack(random.Random(pack_seed))
     want = [int_score(pack, ref_features(history, tr.page_keys[s], t)) for s in slots]
     assert PreparedScorer(pack).score_window(tr, slots, t).tolist() == want
+
+
+# 90 files of 4 pages: every stream below sees all 360 pages, more pages and
+# files than the tracker's initial tables hold (256 and 64)
+_N_FILES, _FILE_PAGES = 90, 4
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 2**16), st.lists(st.integers(0, 2**16), max_size=3)),
+        min_size=1,
+        max_size=40,
+    ),
+    gaps=st.lists(st.integers(0, 3 * HALF), min_size=1, max_size=8),
+    probes=st.sets(st.integers(0, 359), max_size=4),
+)
+def test_page_first_lookup_keeps_inode_slots_and_features(steps, gaps, probes):
+    # Steps repeat in turn until all 360 pages are seen. Each step first
+    # touches one unseen page, on a new file or on a seen file with unseen
+    # pages (its bool prefers a new file; either falls back to the other),
+    # then revisits the seen pages its ints pick.
+    seen: list[PageKey] = []
+    next_page: list[int] = []  # per seen file, its next unseen page
+    stream = []
+    n = 0
+    while len(seen) < _N_FILES * _FILE_PAGES:
+        new_file, pick, revisits = steps[n % len(steps)]
+        open_files = [f for f, p in enumerate(next_page) if p < _FILE_PAGES]
+        if len(next_page) < _N_FILES and (new_file or not open_files):
+            next_page.append(0)
+            f = len(next_page) - 1
+        else:
+            f = open_files[pick % len(open_files)]
+        key = PageKey(1, 500 + f, next_page[f])
+        next_page[f] += 1
+        seen.append(key)
+        stream.append((key, n in probes))
+        stream.extend((seen[r % len(seen)], False) for r in revisits)
+        n += 1
+
+    tr = AccessTracker()
+    history = []
+    t = 0
+    for i, (key, probe) in enumerate(stream):
+        t += gaps[i % len(gaps)]
+        tr.on_access(key, t)
+        history.append((key, t))
+        if probe or i == len(stream) - 1:
+            n_pages = len(tr.page_keys)
+            inode_col = tr.page_tab[P_INODE, :n_pages].tolist()
+            assert inode_col == [tr.inode_slot[(k.dev, k.inode)] for k in tr.page_keys]
+            # a seen page, an unseen page of a seen file, an unseen file
+            for p in (key, seen[0], key._replace(offset=_FILE_PAGES), PageKey(1, 10, 0)):
+                assert tuple(tr.extract_features(p, t + HALF)) == ref_features(history, p, t + HALF)
+    assert len(tr.page_slot) == _N_FILES * _FILE_PAGES and len(tr.inode_slot) == _N_FILES
 
 
 def _random_labeled_trace(seed):

@@ -156,6 +156,17 @@ def test_write_rejects_an_access_at_the_last_u64_offset(tmp_path):
 WRITERS = [(write_trace, read_trace, "t.bin"), (export_csv, read_csv_trace, "t.csv")]
 
 
+@pytest.mark.parametrize("write,read,name", WRITERS, ids=["binary", "csv"])
+def test_readers_return_event_kind_members(tmp_path, write, read, name):
+    # EventKind is an IntEnum, so an int kind would still compare equal to
+    # its member; the round trips cannot tell the two apart
+    events = [TraceEvent(kind, t, PageKey(1, 2, t)) for t, kind in enumerate(EventKind)]
+    write(events, str(tmp_path / name))
+    got = read(str(tmp_path / name))
+    assert got == events
+    assert [type(ev.kind) for ev in got] == [EventKind] * 3
+
+
 @pytest.mark.parametrize("write,name", [(w, name) for w, _, name in WRITERS], ids=["binary", "csv"])
 @pytest.mark.parametrize("events,match", [
     ([TraceEvent(3, 0, PageKey(0, 0, 0))], "invalid event kind 3"),
