@@ -30,8 +30,8 @@ from learnedcache.simcache import CacheState, FifoPolicy, LearnedPolicy, access,
 from learnedcache.trace import EventKind, PageKey, default_spec, generate_workload, read_trace, write_trace
 
 MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
-# keys of the new-key round: 200 pages over 50 files, within the tracker's
-# initial table widths, so no round pays for growing a table
+# keys of the new-key round: 200 pages over 50 files, 250 columns, within the
+# tracker's initial table width (320), so no round pays for growing the table
 NEW_KEYS = [PageKey(1, 100 + i // 4, i % 4) for i in range(200)]
 
 

@@ -6,14 +6,15 @@ slot is MISSING as well. Recency scores are fixed-point EMAs: each access
 adds EMA_SCALE, and the score halves for every whole half-life elapsed since
 the last update (lazy decay via a right shift).
 
-Tracker state lives in flat uint64 tables with one column per page (or per
-inode) and one row per field (six each), so an eviction window of candidates
-can be scored by gathering whole field rows with array operations. Both
-tables number their fields alike (offset, delta1, delta2, ema, last, then the
-page's inode slot or the file's size), so a window's page and inode gathers
-sit side by side and each time-dependent feature comes from one contiguous
-row. The per-access update and extract_features read and write single cells
-through cached memoryviews of the field rows: one cell through a 1-D
+Tracker state lives in one flat uint64 table with one column per page and
+one per file (inode), and one row per field (six), so an eviction window of
+candidates can be scored by gathering whole columns with array operations.
+Page and file columns number their fields alike (offset, delta1, delta2,
+ema, last, then the page's file column or the file's size), so one take
+gathers a window's pages and their files side by side and each
+time-dependent feature comes from one contiguous row. This module owns that
+layout. The per-access update and extract_features read and write single
+cells through cached memoryviews of the field rows: one cell through a 1-D
 memoryview costs a small fraction of a numpy scalar index or a column
 tolist().
 """
@@ -32,25 +33,6 @@ EMA_SCALE = 1024
 HALF_LIFE_NS = 1_000_000_000
 _ACCESS, _EVICT = EventKind.ACCESS, EventKind.EVICT  # cheaper to read than members
 
-FEATURE_NAMES = (
-    "page_delta1",
-    "page_delta2",
-    "inode_delta1",
-    "inode_delta2",
-    "offset_distance",
-    "file_size",
-    "page_ema",
-    "inode_ema",
-    "access_to_eviction",
-)
-
-N_FEATURES = len(FEATURE_NAMES)
-
-# page table field rows (AccessTracker unpacks its row views in this order)
-P_OFF, P_D1, P_D2, P_EMA, P_LAST, P_INODE = range(6)
-# inode table field rows (likewise), numbered like the page fields they pair with
-I_LAST_OFF, I_D1, I_D2, I_EMA, I_LAST, I_SIZE = range(6)
-
 
 class FeatureVector(NamedTuple):
     page_delta1: int
@@ -64,74 +46,87 @@ class FeatureVector(NamedTuple):
     access_to_eviction: int
 
 
-def _rows(tab: np.ndarray) -> tuple[memoryview, ...]:
+FEATURE_NAMES = FeatureVector._fields
+
+N_FEATURES = len(FEATURE_NAMES)
+
+# tracker table field rows at a page column (AccessTracker unpacks its row
+# views in this order)
+P_OFF, P_D1, P_D2, P_EMA, P_LAST, P_INODE = range(6)
+# the same rows at a file column, numbered like the page fields they pair with
+I_LAST_OFF, I_D1, I_D2, I_EMA, I_LAST, I_SIZE = range(6)
+# a window's page offsets, emas and last-access times share a row with
+# their files' last offsets, emas and last-access times
+assert (I_LAST_OFF, I_EMA, I_LAST) == (P_OFF, P_EMA, P_LAST)
+
+
+def _row_views(tab: np.ndarray) -> tuple[memoryview, ...]:
     """One memoryview per field row of tab, in field order."""
     return tuple(memoryview(row) for row in tab)
-
-
-def _grown(tab: np.ndarray) -> np.ndarray:
-    """tab copied into a table with twice the columns."""
-    new = np.zeros((tab.shape[0], 2 * tab.shape[1]), dtype=np.uint64)
-    new[:, : tab.shape[1]] = tab
-    return new
 
 
 class AccessTracker:
     """Observes a time-ordered access stream and answers feature queries.
 
-    Per-page columns hold (offset, delta1, delta2, ema, last, inode_slot);
-    per-inode columns hold (last_offset, delta1, delta2, ema, last,
-    file_size) in the same rows. An ema score was last updated at the
-    column's last access, so `last` is also the start of its lazy decay. The
-    deltas are maintained incrementally: on each access the previous delta1
-    becomes delta2 and the new delta1 is the gap to the previous access
-    (MISSING when there is no previous access), which is exactly the
-    last/second_last/third_last timestamp formulation.
+    Page columns hold (offset, delta1, delta2, ema, last, file column); file
+    columns hold (last_offset, delta1, delta2, ema, last, file_size) in the
+    same rows. An ema score was last updated at the column's last access, so
+    `last` is also the start of its lazy decay. The deltas are maintained
+    incrementally: on each access the previous delta1 becomes delta2 and the
+    new delta1 is the gap to the previous access (MISSING when there is no
+    previous access), which is exactly the last/second_last/third_last
+    timestamp formulation.
 
-    page_tab and inode_tab are the field-major tables that eviction scoring
-    gathers from. _prows and _irows hold a memoryview of each of their field
-    rows; on_access and extract_features read and write single cells through
-    them. Growing a table replaces its row views too.
+    tab is the field-major (6, n) table that eviction scoring gathers from.
+    page_slot and inode_slot map a page and a (dev, inode) file to their
+    columns, and page_keys[c] is the key of column c; a new file's column is
+    allocated before its first page's. _rows holds a memoryview of each
+    field row; on_access and extract_features read and write single cells
+    through them. _column is the one place the table grows, and growing it
+    replaces the row views too.
     """
 
     def __init__(self) -> None:
         self.page_slot: dict[PageKey, int] = {}
         self.inode_slot: dict[tuple[int, int], int] = {}
-        self.page_keys: list[PageKey] = []
-        self.page_tab = np.zeros((6, 256), dtype=np.uint64)
-        self.inode_tab = np.zeros((6, 64), dtype=np.uint64)
-        self._prows = _rows(self.page_tab)
-        self._irows = _rows(self.inode_tab)
+        self.page_keys: list[PageKey | tuple[int, int]] = []
+        self.tab = np.zeros((6, 320), dtype=np.uint64)
+        self._rows = _row_views(self.tab)
         self.last_t = 0
 
+    def _column(self, key: PageKey | tuple[int, int]) -> int:
+        """Allocate the next table column for key; returns its slot."""
+        c = len(self.page_keys)
+        self.page_keys.append(key)
+        if c == self.tab.shape[1]:
+            self.tab = np.concatenate((self.tab, np.zeros_like(self.tab)), axis=1)
+            self._rows = _row_views(self.tab)
+        return c
+
     def on_access(self, key: PageKey, t_ns: int) -> int:
-        """Update page and inode state; returns the page's column slot."""
+        """Update page and file state; returns the page's column slot."""
         if t_ns < self.last_t:
             raise ValueError(f"access at t={t_ns} precedes tracker time {self.last_t}")
         self.last_t = t_ns
         off = key.offset
 
-        # a known page holds its inode slot; a new page resolves its inode first
+        # a known page holds its file's column; a new page resolves its file first
         slot = self.page_slot.get(key)
         if slot is not None:
-            islot = self._prows[P_INODE][slot]
+            islot = self._rows[P_INODE][slot]
         else:
             ikey = (key.dev, key.inode)
             islot = self.inode_slot.get(ikey)
         if islot is None:
-            islot = len(self.inode_slot)
-            self.inode_slot[ikey] = islot
-            if islot == self.inode_tab.shape[1]:
-                self.inode_tab = _grown(self.inode_tab)
-                self._irows = _rows(self.inode_tab)
-            last_off, d1, d2, ema, last, size = self._irows
+            islot = self.inode_slot[ikey] = self._column(ikey)
+            last_off, d1, d2, ema, last, size = self._rows
             d1[islot] = d2[islot] = MISSING
             ema[islot] = EMA_SCALE
             last[islot] = t_ns
             last_off[islot] = off
             size[islot] = off + 1
         else:
-            last_off, d1, d2, ema, last, size = self._irows
+            last_off, d1, d2, ema, last, size = self._rows
             gap = t_ns - last[islot]
             d2[islot] = d1[islot]
             d1[islot] = gap
@@ -142,20 +137,15 @@ class AccessTracker:
                 size[islot] = off + 1
 
         if slot is None:
-            slot = len(self.page_slot)
-            self.page_slot[key] = slot
-            self.page_keys.append(key)
-            if slot == self.page_tab.shape[1]:
-                self.page_tab = _grown(self.page_tab)
-                self._prows = _rows(self.page_tab)
-            poff, d1, d2, ema, last, inode = self._prows
+            slot = self.page_slot[key] = self._column(key)
+            poff, d1, d2, ema, last, inode = self._rows
             poff[slot] = off
             d1[slot] = d2[slot] = MISSING
             ema[slot] = EMA_SCALE
             last[slot] = t_ns
             inode[slot] = islot
         else:
-            _, d1, d2, ema, last, _ = self._prows
+            # no column was added, so the row views unpacked above still hold
             gap = t_ns - last[slot]
             d2[slot] = d1[slot]
             d1[slot] = gap
@@ -178,7 +168,7 @@ class AccessTracker:
             f6 = 0
             islot = self.inode_slot.get((key.dev, key.inode))
         else:
-            _, d1, d2, ema, last, inode = self._prows
+            _, d1, d2, ema, last, inode = self._rows
             f0, f1 = d1[slot], d2[slot]
             f8 = t_now - last[slot]
             f6 = ema[slot] >> (f8 // HALF_LIFE_NS)
@@ -188,7 +178,7 @@ class AccessTracker:
             f2 = f3 = MISSING
             f4 = f5 = f7 = 0
         else:
-            last_off, d1, d2, ema, last, size = self._irows
+            last_off, d1, d2, ema, last, size = self._rows
             f2, f3 = d1[islot], d2[islot]
             f4 = abs(key.offset - last_off[islot])
             f5 = size[islot]

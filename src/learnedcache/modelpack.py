@@ -6,10 +6,10 @@ can rank eviction candidates. Scores are sums of per-feature integer weights
 selected by [start, end) bin lookup.
 
 int_score is the plain reference for one feature vector. PreparedScorer
-scores a whole eviction window straight from the tracker tables: it gathers
-each candidate's page and inode columns once, derives the time-dependent
-features in place, and looks every binned feature's weight up in one merged
-rank table.
+scores a whole eviction window straight from the tracker table: it gathers
+each candidate's page and file columns in one take, derives the
+time-dependent features in place, and looks every binned feature's weight up
+in one merged rank table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import PackValidationError, QuantizationError
 from .features import (
     FEATURE_NAMES,
     HALF_LIFE_NS,
-    I_D1, I_D2, I_EMA, I_LAST, I_LAST_OFF, I_SIZE,
+    I_D1, I_D2, I_EMA, I_SIZE,
     P_D1, P_D2, P_EMA, P_INODE, P_LAST, P_OFF,
 )
 from .ranker import LinearRanker
@@ -215,8 +215,6 @@ def int_score(pack: ModelPack, raw_features: Sequence[int]) -> int:
             if v < edge:
                 break
             b += 1
-        if b >= MAX_BINS:
-            b = MAX_BINS - 1
         total += fe.weights_int[b]
     return total
 
@@ -235,14 +233,15 @@ def float_score(pack: ModelPack, raw_features: Sequence[int]) -> float:
     return total
 
 
-# score_window gathers one (6, 2w) block for a window of w pages: the page
-# columns, then the columns of each page's inode. Both tables number their
-# fields alike, so each block row holds one field for pages and inodes side by
-# side: one subtract turns row P_LAST into both elapsed times (the page half
-# is the access gap, feature 8), one shift decays both ema scores in row
-# P_EMA, and row P_OFF holds the page offsets next to their files' last
-# offsets. Viewed as (12, w), row 2 * field + is_inode holds one field.
-assert (I_LAST_OFF, I_EMA, I_LAST) == (P_OFF, P_EMA, P_LAST)
+# score_window gathers one (6, 2w) block for a window of w pages in one take
+# from the tracker table: the page columns, then each page's file column
+# (its P_INODE cell). Page and file columns number their fields alike, so
+# each block row holds one field for pages and files side by side: one
+# subtract turns row P_LAST into both elapsed times (the page half is the
+# access gap, feature 8), one shift decays both ema scores in row P_EMA, and
+# row P_OFF holds the page offsets next to their files' last offsets. Viewed
+# as (12, w), row 2 * field + is_file holds one field.
+#
 # (12, w) row that holds each feature, by FEATURE_NAMES index, once
 # score_window has derived the access gap, ema decays and offset distance
 _ROW = (2 * P_D1, 2 * P_D2, 2 * I_D1 + 1, 2 * I_D2 + 1, 2 * P_OFF, 2 * I_SIZE + 1,
@@ -299,12 +298,12 @@ class PreparedScorer:
         """Score resident pages given their tracker column slots.
 
         Equivalent to int_score(pack, tracker.extract_features(key, t_now))
-        per candidate, but reads the tracker tables directly and derives
+        per candidate, but reads the tracker table directly and derives
         only the features the pack discriminates on.
         """
         w = len(slots)
-        p = tracker.page_tab.take(slots, axis=1)
-        g = np.concatenate((p, tracker.inode_tab.take(p[P_INODE].view(np.int64), axis=1)), axis=1)
+        tab = tracker.tab
+        g = tab.take(np.concatenate((slots, tab[P_INODE].take(slots).view(np.int64))), axis=1)
         if self._elapsed:
             d = g[P_LAST]
             np.subtract(t_now_ns, d, out=d)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .discretizer import FeatureBins, discretize
 from .errors import ConfigurationError, InternalError, SamplingError, SingleClassError
-from .features import N_FEATURES, DatasetRow
+from .features import DatasetRow
 
 PAIR_BUDGET_CAP = 500_000
 PAIRS_PER_ROW = 50

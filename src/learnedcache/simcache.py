@@ -86,7 +86,10 @@ class CacheState:
 
     The order buffer holds tracker page slots; the live span is
     order[tail:head], oldest first. Evictions only ever remove entries at or
-    near the tail, so the live span never contains dead entries.
+    near the tail, so the live span never contains dead entries. The buffer
+    holds at least twice the capacity and never grows: every miss evicts
+    back to capacity, so when an append reaches the end of the buffer the
+    live span fits in its first half and is compacted there.
     """
 
     def __init__(self, capacity: int):
@@ -117,11 +120,7 @@ class CacheState:
     def _append(self, slot: int) -> None:
         if self.head == len(self.order):
             live = self.head - self.tail
-            buf = self.order
-            if 2 * live > len(buf):
-                buf = np.empty(2 * len(self.order), dtype=np.int64)
-            buf[:live] = self.order[self.tail:self.head]
-            self.order = buf
+            self.order[:live] = self.order[self.tail:self.head]
             self.tail = 0
             self.head = live
         self.order[self.head] = slot

@@ -172,8 +172,8 @@ def test_extraction_matches_history_based_reference(seed):
                 assert got == ref_features(history, p, t + extra), (i, p, extra)
 
 
-# 70 files of 5 pages: more pages (350) and files (70) than the tracker's
-# initial tables hold (256 and 64), so both tables grow mid-stream
+# 70 files of 5 pages: more columns (350 pages plus 70 files) than the
+# tracker's initial table holds (320), so the table grows mid-stream
 _GROW_KEYS = [PageKey(1, 500 + i // 5, i % 5) for i in range(350)]
 
 
@@ -188,7 +188,7 @@ _GROW_KEYS = [PageKey(1, 500 + i // 5, i % 5) for i in range(350)]
 def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed):
     # revisit (i, j): right after the first access of order[i], access again
     # a key first seen no later, order[j % (i + 1)]; the stream ends with a
-    # revisit of the very first key, after both tables have grown
+    # revisit of the very first key, after the table has grown
     after: dict[int, list[PageKey]] = {}
     for i, j in revisits:
         after.setdefault(i, []).append(order[j % (i + 1)])
@@ -209,15 +209,15 @@ def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed)
             for p in (key, order[0], order[len(order) // 2]):
                 assert tuple(tr.extract_features(p, t + HALF)) == ref_features(history, p, t + HALF)
     assert len(tr.page_slot) == 350 and len(tr.inode_slot) == 70
-    # the scorer gathers from the public tables, which must hold the same state
-    slots = np.arange(0, 350, 7)
+    # the scorer gathers from the public table, which must hold the same state
+    slots = np.array([tr.page_slot[k] for k in order[::7]])
     pack = random_pack(random.Random(pack_seed))
     want = [int_score(pack, ref_features(history, tr.page_keys[s], t)) for s in slots]
     assert PreparedScorer(pack).score_window(tr, slots, t).tolist() == want
 
 
-# 90 files of 4 pages: every stream below sees all 360 pages, more pages and
-# files than the tracker's initial tables hold (256 and 64)
+# 90 files of 4 pages: every stream below sees all 360 pages and 90 files,
+# more columns than the tracker's initial table holds (320)
 _N_FILES, _FILE_PAGES = 90, 4
 
 
@@ -263,9 +263,13 @@ def test_page_first_lookup_keeps_inode_slots_and_features(steps, gaps, probes):
         tr.on_access(key, t)
         history.append((key, t))
         if probe or i == len(stream) - 1:
-            n_pages = len(tr.page_keys)
-            inode_col = tr.page_tab[P_INODE, :n_pages].tolist()
-            assert inode_col == [tr.inode_slot[(k.dev, k.inode)] for k in tr.page_keys]
+            # one table: every page and every file has its own column, keyed
+            # in page_keys, and a page's P_INODE cell is its file's column
+            assert len(tr.page_keys) == len(tr.page_slot) + len(tr.inode_slot)
+            assert all(tr.page_keys[s] == k for k, s in tr.page_slot.items())
+            assert all(tr.page_keys[s] == f for f, s in tr.inode_slot.items())
+            inode_col = tr.tab[P_INODE].take(list(tr.page_slot.values())).tolist()
+            assert inode_col == [tr.inode_slot[(k.dev, k.inode)] for k in tr.page_slot]
             # a seen page, an unseen page of a seen file, an unseen file
             for p in (key, seen[0], key._replace(offset=_FILE_PAGES), PageKey(1, 10, 0)):
                 assert tuple(tr.extract_features(p, t + HALF)) == ref_features(history, p, t + HALF)

@@ -232,6 +232,11 @@ def _reference_scores(pack, tracker, slots, t_now):
     return [int_score(pack, tracker.extract_features(keys[s], t_now)) for s in slots.tolist()]
 
 
+def _page_slots(tracker):
+    """The tracker's page columns, in first-access order (file columns sit between them)."""
+    return np.array(list(tracker.page_slot.values()), dtype=np.int64)
+
+
 def _tracker_with_traffic(seed, n=400):
     rng = random.Random(seed)
     tracker = AccessTracker()
@@ -248,8 +253,8 @@ def test_batch_scoring_agrees_with_scalar_scoring(seed):
     pack = random_pack(rng)
     scorer = PreparedScorer(pack)
     t_now = tracker.last_t + rng.randrange(2_500_000_000)
-    n_slots = len(tracker.page_keys)
-    slots = np.array([rng.randrange(n_slots) for _ in range(64)], dtype=np.int64)
+    pages = _page_slots(tracker)
+    slots = pages[[rng.randrange(len(pages)) for _ in range(64)]]
 
     window = scorer.score_window(tracker, slots, t_now)
     assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
@@ -261,7 +266,7 @@ def test_batch_scoring_handles_small_and_single_windows():
     scorer = PreparedScorer(pack)
     t_now = tracker.last_t
     for size in (1, 2, 3, 17):
-        slots = np.arange(size, dtype=np.int64)
+        slots = _page_slots(tracker)[:size]
         got = scorer.score_window(tracker, slots, t_now)
         assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
@@ -270,11 +275,11 @@ def test_batch_scoring_agrees_across_changing_window_sizes():
     tracker, rng = _tracker_with_traffic(3, n=120)
     pack = random_pack(rng)
     scorer = PreparedScorer(pack)
-    keys = tracker.page_keys
+    pages = _page_slots(tracker)
     for t_extra in (0, 1_000_000_000, 5_000_000_000):
         t_now = tracker.last_t + t_extra
         for size in (40, 8, 40, 25):
-            slots = np.array([rng.randrange(len(keys)) for _ in range(size)], dtype=np.int64)
+            slots = pages[[rng.randrange(len(pages)) for _ in range(size)]]
             got = scorer.score_window(tracker, slots, t_now)
             assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
@@ -286,7 +291,7 @@ def test_constant_pack_scores_every_candidate_with_the_base():
     assert int_score(pack, [0] * 9) == 22500
     tracker, _ = _tracker_with_traffic(1, n=30)
     for size in (1, 10):
-        window = scorer.score_window(tracker, np.arange(size, dtype=np.int64), tracker.last_t)
+        window = scorer.score_window(tracker, _page_slots(tracker)[:size], tracker.last_t)
         assert window.tolist() == [22500] * size
 
 
@@ -297,7 +302,7 @@ def test_zero_pack_scores_are_all_zero():
     tracker, _ = _tracker_with_traffic(5, n=30)
     # far in the future every delta and decay saturates
     for t_now in (tracker.last_t, tracker.last_t + 2**62):
-        window = scorer.score_window(tracker, np.arange(4, dtype=np.int64), t_now)
+        window = scorer.score_window(tracker, _page_slots(tracker)[:4], t_now)
         assert window.tolist() == [0] * 4
 
 
@@ -316,12 +321,12 @@ def test_huge_weights_fall_back_to_exact_big_integers():
     tracker = AccessTracker()
     tracker.on_access(PageKey(1, 1, 5000), 0)
     tracker.on_access(PageKey(1, 1, 0), 10_000)
-    window = scorer.score_window(tracker, np.array([0], dtype=np.int64), 10_000)
+    window = scorer.score_window(tracker, _page_slots(tracker)[:1], 10_000)
     assert window.tolist() == [-low]
 
     tracker, _ = _tracker_with_traffic(2, n=40)
     for size in (1, 6):
-        slots = np.arange(size, dtype=np.int64)
+        slots = _page_slots(tracker)[:size]
         window = scorer.score_window(tracker, slots, tracker.last_t)
         assert window.tolist() == _reference_scores(pack, tracker, slots, tracker.last_t)
 
@@ -335,7 +340,7 @@ def test_table_dtype_follows_the_score_bound(small, dtype):
     for key, n in ((PageKey(1, 1, 0), 3), (PageKey(1, 1, 1), 2), (PageKey(1, 1, 2), 1)):
         for _ in range(n):
             tracker.on_access(key, 0)  # equal timestamps: zero deltas, else MISSING
-    slots = np.arange(3, dtype=np.int64)
+    slots = _page_slots(tracker)
     window = PreparedScorer(pack).score_window(tracker, slots, 0)
     assert window.dtype == dtype
     assert window.tolist() == [2**63 - 1024 + small, 2**63 - 1024, 0]
@@ -344,22 +349,20 @@ def test_table_dtype_follows_the_score_bound(small, dtype):
 
 def test_scoring_never_writes_to_the_tracker():
     # offset distance, both emas and the access gap are derived in place on
-    # the gathered rows, which must be copies of the tracker tables
+    # the gathered block, which must be a copy of the tracker table
     tracker, rng = _tracker_with_traffic(4, n=200)
     per_feature = [([], [0.5])] * 9
     for j in (4, 6, 7, 8):
         per_feature[j] = ([1, 1000, 10**9], [rng.uniform(-3.0, 3.0) for _ in range(4)])
     pack = build_pack(per_feature)
     scorer = PreparedScorer(pack)
-    page_tab, inode_tab = tracker.page_tab.copy(), tracker.inode_tab.copy()
-    n_slots = len(tracker.page_keys)
+    tab = tracker.tab.copy()
+    pages = _page_slots(tracker)
     t_now = tracker.last_t + 3_000_000_000
-    for slots in (np.arange(n_slots, dtype=np.int64),
-                  np.array([rng.randrange(n_slots) for _ in range(5)], dtype=np.int64)):
+    for slots in (pages, pages[[rng.randrange(len(pages)) for _ in range(5)]]):
         window = scorer.score_window(tracker, slots, t_now)
         assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
-    assert np.array_equal(tracker.page_tab, page_tab)
-    assert np.array_equal(tracker.inode_tab, inode_tab)
+    assert np.array_equal(tracker.tab, tab)
 
 
 def test_edges_near_the_u64_limit_bin_correctly():
@@ -371,8 +374,8 @@ def test_edges_near_the_u64_limit_bin_correctly():
     tracker = AccessTracker()
     for inode, size in enumerate((U64_MAX - 2, U64_MAX - 1, U64_MAX)):
         tracker.on_access(PageKey(1, inode, size - 1), inode)
-    slots = np.arange(3, dtype=np.int64)
-    assert [tracker.extract_features(k, 2).file_size for k in tracker.page_keys] == [
+    slots = _page_slots(tracker)
+    assert [tracker.extract_features(k, 2).file_size for k in tracker.page_slot] == [
         U64_MAX - 2, U64_MAX - 1, U64_MAX
     ]
     window = PreparedScorer(pack).score_window(tracker, slots, 2)
@@ -404,8 +407,8 @@ def test_window_scores_equal_the_integer_reference(rng, window, wide):
     t_now = tracker.last_t + rng.choice(
         [0, 1, rng.randrange(5_000_000_000), 64 * HALF_LIFE_NS, 2**62]
     )
-    n_slots = len(tracker.page_keys)
-    slots = np.array([rng.randrange(n_slots) for _ in range(window)], dtype=np.int64)
+    pages = _page_slots(tracker)
+    slots = pages[[rng.randrange(len(pages)) for _ in range(window)]]
     got = PreparedScorer(pack).score_window(tracker, slots, t_now)
     assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
 
@@ -435,7 +438,7 @@ def test_golden_pack_scores_known_vectors():
     tracker.on_access(PageKey(1, 2, 4), 0)
     for t in range(5, 30, 5):
         tracker.on_access(PageKey(1, 3, t % 3), t)
-    slots = np.arange(len(tracker.page_keys), dtype=np.int64)
+    slots = _page_slots(tracker)
     for t_now in (tracker.last_t, tracker.last_t + 5):
         window = scorer.score_window(tracker, slots, t_now)
         assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)

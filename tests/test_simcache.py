@@ -383,6 +383,34 @@ def test_ring_buffer_survives_many_wraparounds():
     assert cache.resident_keys() == want_resident
 
 
+@pytest.mark.parametrize("capacity", [5, 96, 200])
+def test_order_buffer_never_grows(capacity):
+    # every miss evicts back to capacity, so the live span always fits in the
+    # buffer's first half and an append at its end only compacts
+    rng = random.Random(capacity)
+    pairs = make_accesses(rng, 3000, n_inodes=8, pages_per_inode=60)
+    pack = random_pack(rng)
+    for policy in (FifoPolicy(), LearnedPolicy(pack)):
+        cache = CacheState(capacity)
+        size = len(cache.order)
+        drive(cache, pairs, policy)
+        assert len(cache.order) == size
+        assert cache.resident_keys() == list(cache.residency)
+
+    # batch-sized requests with refills, as the latency benchmark issues them
+    cache = CacheState(capacity)
+    size = len(cache.order)
+    policy = LearnedPolicy(pack)
+    t = 0
+    for i in range(40 * max(capacity, BATCH_MAX)):
+        t += 1_000
+        access(cache, PageKey(2, i // 16, i % 16), t, policy)
+        if len(cache) == capacity:
+            _evict(cache, BATCH_MAX, policy, t)
+    assert len(cache.order) == size
+    assert cache.resident_keys() == list(cache.residency)
+
+
 def test_latency_benchmark_reports_both_distributions():
     rng = random.Random(3)
     pack = random_pack(rng)
