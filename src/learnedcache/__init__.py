@@ -48,7 +48,6 @@ from .modelpack import (
     PackFeature,
     PreparedScorer,
     export_json,
-    float_score,
     int_score,
     load_json,
     quantize,
@@ -63,12 +62,9 @@ from .ranker import (
     default_pair_budget,
     encode,
     evaluate,
-    predict_prob,
     sample_pairs,
-    score,
     sigmoid,
     train,
-    zero_ranker,
 )
 from .simcache import (
     BATCH_MAX,
@@ -93,7 +89,6 @@ from .trace import (
     default_spec,
     export_csv,
     generate_workload,
-    read_csv_trace,
     read_trace,
     write_trace,
 )

@@ -18,6 +18,7 @@ from . import evalstats, ranker, simcache, trace
 from .errors import (
     ConfigurationError,
     PackValidationError,
+    QuantizationError,
     SamplingError,
     TraceFormatError,
 )
@@ -116,7 +117,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     result = ranker.train(train_pairs, val_pairs, bins, config)
     metrics = evaluate(result.ranker, val_pairs)
 
-    pack = quantize(result.ranker)
+    try:
+        pack = quantize(result.ranker)
+    except QuantizationError as exc:
+        raise ConfigurationError(f"{exc}; lower the learning rate") from None
     export_json(pack, args.out)
     history_path = args.history or _stem(args.out, ".history.csv")
     write_history_csv(result.history, history_path)

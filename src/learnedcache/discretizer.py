@@ -73,6 +73,6 @@ def discretize_binary_search(value: int, bins: FeatureBins) -> int:
     return bisect_right(bins.edges, value)
 
 
-def fit_all(columns: Sequence[Sequence[int]], max_bins: int = MAX_BINS) -> tuple[FeatureBins, ...]:
-    """Fit one FeatureBins per column of a feature matrix."""
-    return tuple(fit_quantile_bins(col, max_bins) for col in columns)
+def fit_all(columns: Sequence[Sequence[int]]) -> tuple[FeatureBins, ...]:
+    """Fit up to MAX_BINS bins per column of a feature matrix."""
+    return tuple(fit_quantile_bins(col) for col in columns)

@@ -39,6 +39,7 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 _FPMIN = 1e-300
 _CF_EPS = 3e-16
+_T_TOL = 1e-10  # bracket width at which t_critical stops bisecting
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -115,20 +116,20 @@ def t_two_sided_p(t: float, df: float) -> float:
     return reg_inc_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-def t_critical(q: float, df: float, tol: float = 1e-10) -> float:
-    """Quantile of Student's t by bisection on the CDF."""
+def t_critical(q: float, df: float) -> float:
+    """Quantile of Student's t by bisection on the CDF, to within _T_TOL."""
     if not 0.0 < q < 1.0:
         raise ConfigurationError("quantile must be in (0, 1)")
     if q == 0.5:
         return 0.0
     if q < 0.5:
-        return -t_critical(1.0 - q, df, tol)
+        return -t_critical(1.0 - q, df)
     lo, hi = 0.0, 1.0
     while t_cdf(hi, df) < q:
         hi *= 2.0
         if hi > 1e300:
             raise ConfigurationError("quantile bracket failed")
-    while hi - lo > tol:
+    while hi - lo > _T_TOL:
         mid = 0.5 * (lo + hi)
         if t_cdf(mid, df) < q:
             lo = mid

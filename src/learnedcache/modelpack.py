@@ -78,8 +78,10 @@ def quantize(
         pos += b.n_bins
         wi = []
         for w in wf:
-            q = int(w * weight_scale)  # int() truncates toward zero
-            if not -_I64_MAX - 1 <= q <= _I64_MAX:
+            q = w * weight_scale
+            if math.isfinite(q):
+                q = int(q)  # int() truncates toward zero
+            if not -_I64_MAX - 1 <= q <= _I64_MAX:  # also rejects inf and nan
                 raise QuantizationError(f"quantized weight {q} overflows 64-bit range")
             wi.append(q)
         feats.append(PackFeature(j, str(names[j]), b.edges, wf, tuple(wi)))
@@ -200,7 +202,9 @@ def load_json(path: str) -> ModelPack:
     with open(path) as f:
         try:
             obj = json.load(f)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError and text that is not UTF-8;
+        # RecursionError is JSON nested deeper than the decoder recurses
+        except (ValueError, RecursionError) as exc:
             raise PackValidationError("$", f"invalid JSON: {exc}") from None
     return pack_from_dict(obj)
 
@@ -216,20 +220,6 @@ def int_score(pack: ModelPack, raw_features: Sequence[int]) -> int:
                 break
             b += 1
         total += fe.weights_int[b]
-    return total
-
-
-def float_score(pack: ModelPack, raw_features: Sequence[int]) -> float:
-    """Same lookup as int_score but over the float weights."""
-    total = 0.0
-    for fe in pack.features:
-        v = raw_features[fe.index]
-        b = 0
-        for edge in fe.bin_edges:
-            if v < edge:
-                break
-            b += 1
-        total += fe.weights_float[b]
     return total
 
 

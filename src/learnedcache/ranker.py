@@ -86,31 +86,6 @@ class LinearRanker:
         if self.weights.shape != (dim,):
             raise ConfigurationError(f"weights must have shape ({dim},), got {self.weights.shape}")
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
-
-def zero_ranker(bins: Sequence[FeatureBins]) -> LinearRanker:
-    bins = tuple(bins)
-    return LinearRanker(bins, np.zeros(sum(b.n_bins for b in bins)))
-
-
-def score(ranker: LinearRanker, encoded: Sequence[int]) -> float:
-    total = 0.0
-    w = ranker.weights
-    d = ranker.dim
-    for idx in encoded:
-        if not 0 <= idx < d:
-            raise InternalError(f"one-hot index {idx} outside weight vector of size {d}")
-        total += w[idx]
-    return float(total)
-
-
-def predict_prob(ranker: LinearRanker, xa: Sequence[int], xb: Sequence[int]) -> float:
-    """P(page a reused sooner than page b) = sigmoid(score a - score b)."""
-    return sigmoid(score(ranker, xa) - score(ranker, xb))
-
 
 def default_pair_budget(n_rows: int) -> int:
     return min(PAIR_BUDGET_CAP, PAIRS_PER_ROW * n_rows)

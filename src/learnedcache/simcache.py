@@ -33,16 +33,16 @@ DEFAULT_OVERSAMPLE = 5
 
 @dataclass(frozen=True)
 class FifoPolicy:
-    name: str = "fifo"
+    name: ClassVar[str] = "fifo"
     # FIFO considers exactly the pages it evicts
     oversample: ClassVar[int] = 1
 
 
 @dataclass
 class LearnedPolicy:
+    name: ClassVar[str] = "learned"
     pack: ModelPack
     oversample: int = DEFAULT_OVERSAMPLE
-    name: str = "learned"
 
     def __post_init__(self) -> None:
         if self.oversample < 1:
@@ -70,15 +70,20 @@ class AccessResult(Enum):
 
 # bound once: reading an Enum member costs about ten times a module global
 _HIT, _MISS_INSERTED = AccessResult.HIT, AccessResult.MISS_INSERTED
-_ACCESS, _INSERT, _EVICT = EventKind.ACCESS, EventKind.INSERT, EventKind.EVICT
+_ACCESS, _EVICT = EventKind.ACCESS, EventKind.EVICT
 
 
 @dataclass
 class Counters:
-    accesses: int = 0
+    """Per-run page counts; every access is either a hit or an insertion."""
+
     insertions: int = 0
     evictions: int = 0
     hits: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.insertions
 
 
 class CacheState:
@@ -97,7 +102,12 @@ class CacheState:
             raise ConfigurationError("capacity must be >= 1")
         self.capacity = capacity
         self.residency: dict[PageKey, None] = {}
-        self.order = np.empty(max(256, 2 * capacity), dtype=np.int64)
+        try:
+            self.order = np.empty(max(256, 2 * capacity), dtype=np.int64)
+        except (MemoryError, ValueError):  # ValueError: above numpy's size limit
+            raise ConfigurationError(
+                f"capacity {capacity} is too large: its order buffer cannot be allocated"
+            ) from None
         self.tail = 0
         self.head = 0
         self.tracker = AccessTracker()
@@ -168,9 +178,8 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
 
 
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:
-    """Count the access, update features, insert on miss, evict on overflow."""
+    """Update features, count a hit, or insert on miss and evict on overflow."""
     c = cache.counters
-    c.accesses += 1
     slot = cache.tracker.on_access(key, t_ns)
     if key in cache.residency:
         c.hits += 1
@@ -179,8 +188,6 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
     cache.residency[key] = None
     cache._append(slot)
     c.insertions += 1
-    if cache.event_sink is not None:
-        cache.event_sink.append(TraceEvent(_INSERT, t_ns, key))
 
     overflow = len(cache.residency) - cache.capacity
     if overflow > 0:
@@ -209,8 +216,9 @@ def run_simulation(
 ) -> SimReport:
     """Replay the Access events of a sorted trace through the cache.
 
-    Insert/Evict events in the input are ignored (the simulator emits its
-    own into event_sink when provided). Both policies are deterministic.
+    Insert/Evict events in the input are ignored. When event_sink is given,
+    the simulator appends one Evict event to it per evicted page, in
+    eviction order. Both policies are deterministic.
     """
     cache = CacheState(capacity)
     cache.event_sink = event_sink

@@ -1,10 +1,11 @@
 """Page access events, synthetic workload generators, and trace serialization.
 
 A trace is a time-sorted list of TraceEvent. Generators emit Access events
-only; Insert/Evict events are produced later by the cache simulator. The
+only; the cache simulator emits Evict events for training labels. The
 binary format is little-endian: a 14-byte header (magic ``LCTR``, version u16,
 record count u64) followed by 33-byte records (kind u8, t_ns u64, dev u64,
-inode u64, offset u64).
+inode u64, offset u64). export_csv writes the same records as a CSV view for
+other tools; nothing in the package reads CSV back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, NamedTuple
 
@@ -38,7 +39,6 @@ class EventKind(IntEnum):
 
 
 _KIND_NAMES = {EventKind.ACCESS: "Access", EventKind.INSERT: "Insert", EventKind.EVICT: "Evict"}
-_KIND_FROM_NAME = {name: kind for kind, name in _KIND_NAMES.items()}
 _KINDS = tuple(EventKind)  # indexed by value; cheaper in per-event loops than EventKind(k)
 _ACCESS = EventKind.ACCESS
 
@@ -453,30 +453,3 @@ def export_csv(events: Iterable[TraceEvent], path: str) -> None:
         w = csv.writer(f)
         w.writerow(_CSV_HEADER)
         w.writerows(rows)
-
-
-def read_csv_trace(path: str) -> list[TraceEvent]:
-    events: list[TraceEvent] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise TraceFormatError(f"bad CSV header {header!r}")
-        prev_t = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(row)}")
-            name, t_s, dev_s, inode_s, off_s = row
-            kind = _KIND_FROM_NAME.get(name)
-            if kind is None:
-                raise TraceFormatError(f"line {lineno}: invalid event kind {name!r}")
-            try:
-                t_ns, dev, inode, offset = int(t_s), int(dev_s), int(inode_s), int(off_s)
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from None
-            err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
-            if err is not None:
-                raise TraceFormatError(f"line {lineno}: {err}")
-            prev_t = t_ns
-            events.append(TraceEvent(kind, t_ns, PageKey(dev, inode, offset)))
-    return events

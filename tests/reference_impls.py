@@ -11,7 +11,10 @@ decision with plain lists.
 
 from __future__ import annotations
 
+import csv
 from bisect import bisect_right
+
+from learnedcache.trace import EventKind, PageKey, TraceEvent
 
 MISSING = 2**64 - 1
 EMA_STEP = 1024
@@ -97,13 +100,22 @@ def ref_discretize(value: int, edges) -> int:
     return sum(1 for e in edges if value >= e)
 
 
-def ref_pack_score(pack_dict: dict, raw: list[int]) -> int:
-    """Integer score straight off the serialized form, via bisect."""
+def ref_pack_score(pack_dict: dict, raw: list[int], weights: str = "weights_int"):
+    """Score straight off the serialized form, via bisect, over one weights list."""
     total = 0
     for fe in pack_dict["features"]:
         b = bisect_right(fe["bin_edges"], raw[fe["index"]])
-        total += fe["weights_int"][b]
+        total += fe[weights][b]
     return total
+
+
+def ref_csv_rows(path: str) -> list[TraceEvent]:
+    """The events of a CSV trace export, parsed with csv.reader and int."""
+    kinds = {"Access": EventKind.ACCESS, "Insert": EventKind.INSERT, "Evict": EventKind.EVICT}
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["kind", "t_ns", "dev", "inode", "offset"]
+    return [TraceEvent(kinds[k], int(t), PageKey(int(d), int(i), int(o))) for k, t, d, i, o in rows]
 
 
 def ref_fifo_sim(accesses: list, capacity: int):

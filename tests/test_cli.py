@@ -8,7 +8,9 @@ import pytest
 from learnedcache import cli
 from learnedcache.cli import main
 from learnedcache.modelpack import load_json
-from learnedcache.trace import EventKind, PageKey, TraceEvent, read_csv_trace, read_trace, write_trace
+from learnedcache.trace import EventKind, PageKey, TraceEvent, read_trace, write_trace
+
+from reference_impls import ref_csv_rows
 
 OPS = 60
 CAPACITY = 24
@@ -67,7 +69,7 @@ def test_generated_trace_is_a_valid_sorted_stream(pipeline):
 
 
 def test_csv_export_matches_binary_trace(pipeline):
-    assert read_csv_trace(pipeline["test_csv"]) == read_trace(pipeline["test"])
+    assert ref_csv_rows(pipeline["test_csv"]) == read_trace(pipeline["test"])
 
 
 def test_trained_model_loads_and_covers_all_features(pipeline):
@@ -224,6 +226,22 @@ def test_zero_capacity_exits_2(pipeline):
     assert rc == 2
 
 
+@pytest.mark.parametrize("capacity", [str(2**62), str(10**15)])
+def test_unallocatable_capacity_exits_2(pipeline, tmp_path, capsys, capacity):
+    for argv in (
+        ["simulate", "--trace", pipeline["test"], "--policy", "fifo"],
+        ["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
+         "--out", str(tmp_path / "m.json")],
+        ["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
+         "--trials", "2", "--ops", "10", "--out", str(tmp_path / "e.json")],
+    ):
+        rc = main(argv + ["--capacity", capacity])
+        err = capsys.readouterr().err
+        assert rc == 2, argv[0]
+        assert "too large" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_trials_exits_2(pipeline, tmp_path):
     rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
                "--capacity", "8", "--trials", "0", "--ops", "10",
@@ -252,7 +270,9 @@ def test_zero_jobs_exits_2(pipeline, tmp_path):
     ["--pairs", "0"],
     ["--pairs", "500", "--lr", "inf"],
     ["--pairs", "500", "--lr", "1e308"],  # finite, but training diverges
-], ids=["pairs-0", "lr-inf", "lr-diverges"])
+    ["--pairs", "500", "--lr", "1e16"],  # trains, but a weight times the scale passes 2**63
+    ["--pairs", "500", "--lr", "1e305"],  # trains, but a weight times the scale is inf
+], ids=["pairs-0", "lr-inf", "lr-diverges", "lr-overflows-pack", "lr-overflows-float"])
 def test_bad_training_knobs_exit_2(pipeline, tmp_path, knobs, capsys):
     out = tmp_path / "m.json"
     # record warnings here: under pytest they never reach stderr, outside it
@@ -305,18 +325,23 @@ def test_access_at_the_last_u64_offset_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_corrupt_model_exits_3(pipeline, tmp_path):
-    not_json = tmp_path / "m1.json"
-    not_json.write_text("{]")
-    rc = main(["simulate", "--trace", pipeline["test"], "--policy", "learned",
-               "--model", str(not_json), "--capacity", "8"])
-    assert rc == 3
-
-    wrong_shape = tmp_path / "m2.json"
-    wrong_shape.write_text(json.dumps({"feature_names": 3}))
-    rc = main(["simulate", "--trace", pipeline["test"], "--policy", "learned",
-               "--model", str(wrong_shape), "--capacity", "8"])
-    assert rc == 3
+def test_corrupt_model_exits_3(pipeline, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    for content in (
+        b"{]",
+        json.dumps({"feature_names": 3}).encode(),
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100_000,  # nested past the JSON decoder's recursion limit
+    ):
+        path.write_bytes(content)
+        for argv in (
+            ["simulate", "--trace", pipeline["test"], "--policy", "learned", "--model", str(path)],
+            ["paired-eval", "--workload", "synthetic_sizebias", "--model", str(path),
+             "--trials", "2", "--ops", "10", "--out", str(tmp_path / "e.json")],
+        ):
+            rc = main(argv + ["--capacity", "8"])
+            assert rc == 3, (argv[0], content[:8])
+            assert "Traceback" not in capsys.readouterr().err
 
 
 def test_pack_whose_scaled_weight_overflows_exits_3(pipeline, tmp_path):

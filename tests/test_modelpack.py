@@ -1,7 +1,6 @@
 """Model quantization, the JSON pack format, and integer scoring."""
 
 import json
-import math
 import random
 from pathlib import Path
 
@@ -19,7 +18,6 @@ from learnedcache.modelpack import (
     DEFAULT_WEIGHT_SCALE,
     PreparedScorer,
     export_json,
-    float_score,
     int_score,
     load_json,
     pack_from_dict,
@@ -73,6 +71,9 @@ def test_quantize_validates_inputs():
     huge, _ = _ranker([2.0e15], [()])
     with pytest.raises(QuantizationError):
         quantize(huge, names=["a"])  # 2e19 does not fit in 64-bit
+    vast, _ = _ranker([1e305], [()])
+    with pytest.raises(QuantizationError):
+        quantize(vast, names=["a"])  # 1e305 * scale is inf
 
 
 def test_pack_dict_schema_field_names():
@@ -206,9 +207,10 @@ def test_integer_and_float_scores_stay_within_quantization_slack():
     rng = random.Random(5)
     for _ in range(20):
         pack = random_pack(rng, n_features=6)
+        obj = pack_to_dict(pack)
         for _ in range(20):
             raw = [rng.randrange(2**64) for _ in range(6)]
-            fs = float_score(pack, raw)
+            fs = ref_pack_score(obj, raw, "weights_float")
             isc = int_score(pack, raw)
             assert abs(fs * pack.weight_scale - isc) < pack.n_features
 
@@ -411,15 +413,6 @@ def test_window_scores_equal_the_integer_reference(rng, window, wide):
     slots = pages[[rng.randrange(len(pages)) for _ in range(window)]]
     got = PreparedScorer(pack).score_window(tracker, slots, t_now)
     assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
-
-
-def test_float_score_uses_float_weights():
-    pack = build_pack([([10], [0.25, -1.5])])
-    assert float_score(pack, [3]) == 0.25
-    assert float_score(pack, [10]) == -1.5
-    assert math.isclose(
-        float_score(pack, [3]) * pack.weight_scale, int_score(pack, [3]), abs_tol=1.0
-    )
 
 
 def test_golden_pack_round_trips_byte_for_byte(tmp_path):

@@ -1,7 +1,6 @@
 """Pairwise ranking model: encoding, loss, training, metrics."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -22,13 +21,10 @@ from learnedcache.ranker import (
     encode,
     evaluate,
     f1_score,
-    predict_prob,
     sample_pairs,
-    score,
     sigmoid,
     train,
     write_history_csv,
-    zero_ranker,
     LinearRanker,
 )
 from learnedcache.trace import PageKey
@@ -76,49 +72,23 @@ def test_encode_rejects_wrong_arity():
         encode((1, 2), (FeatureBins(()),))
 
 
-def test_zero_model_is_indifferent():
-    bins = (FeatureBins((10, 20)), FeatureBins((7,)))
-    r = zero_ranker(bins)
-    assert r.dim == 5
-    xa = encode((0, 0), bins)
-    xb = encode((25, 9), bins)
-    assert score(r, xa) == 0.0
-    assert predict_prob(r, xa, xb) == 0.5
-
-
-def test_score_matches_dense_dot_product():
-    rng = np.random.default_rng(4)
-    bins = (FeatureBins((10, 20, 30)), FeatureBins((5,)), FeatureBins(()))
-    r = LinearRanker(bins, rng.normal(size=7))
-    for _ in range(50):
-        vals = tuple(int(v) for v in rng.integers(0, 40, size=3))
-        enc = encode(vals, bins)
-        one_hot = np.zeros(7)
-        for idx in enc:
-            one_hot[idx] += 1.0
-        assert abs(score(r, enc) - float(r.weights @ one_hot)) < 1e-12
-
-
-def test_score_rejects_out_of_range_indices():
-    r = zero_ranker((FeatureBins((1,)),))
-    with pytest.raises(InternalError):
-        score(r, (2,))
-    with pytest.raises(InternalError):
-        score(r, (-1,))
-
-
 def test_weights_shape_is_validated():
     with pytest.raises(ConfigurationError):
         LinearRanker((FeatureBins((1,)),), np.zeros(3))
 
 
+def _win_prob(w, xa, xb):
+    """P(a reused sooner than b), read off the loss of the one pair (a, b) labelled 1."""
+    return math.exp(-bce_loss(w, np.array([xa]), np.array([xb]), np.ones(1)))
+
+
 def test_pair_probability_is_antisymmetric():
     rng = np.random.default_rng(7)
     bins = (FeatureBins((10,)), FeatureBins((3, 9)))
-    r = LinearRanker(bins, rng.normal(size=5))
+    w = rng.normal(size=5)
     xa = encode((0, 5), bins)
     xb = encode((11, 10), bins)
-    assert abs(predict_prob(r, xa, xb) + predict_prob(r, xb, xa) - 1.0) < 1e-15
+    assert abs(_win_prob(w, xa, xb) + _win_prob(w, xb, xa) - 1.0) < 1e-15
 
 
 def test_shifting_one_feature_block_leaves_probabilities_alone():
@@ -128,8 +98,8 @@ def test_shifting_one_feature_block_leaves_probabilities_alone():
     shifted[:2] += 7.0  # constant added to every bin of feature 0
     xa = encode((0, 5), bins)
     xb = encode((11, 10), bins)
-    p1 = predict_prob(LinearRanker(bins, w), xa, xb)
-    p2 = predict_prob(LinearRanker(bins, shifted), xa, xb)
+    p1 = _win_prob(w, xa, xb)
+    p2 = _win_prob(shifted, xa, xb)
     assert abs(p1 - p2) < 1e-12
 
 
@@ -285,7 +255,8 @@ def test_training_separates_a_perfectly_predictive_feature():
     # the fast group must get the higher strength score
     fast_enc = encode((0, 0, 0, 0, 0, 0, 0, 0, 0), bins)
     slow_enc = encode((100, 0, 0, 0, 0, 0, 0, 0, 0), bins)
-    assert predict_prob(result.ranker, fast_enc, slow_enc) > 0.9
+    w = result.ranker.weights
+    assert sigmoid(w[list(fast_enc)].sum() - w[list(slow_enc)].sum()) > 0.9
     # training loss should drop substantially from the indifferent start
     assert result.history[-1].train_loss < 0.3 < math.log(2)
 

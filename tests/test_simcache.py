@@ -46,6 +46,14 @@ def test_capacity_must_be_positive():
         CacheState(0)
 
 
+# 2**62 is past numpy's size limit (ValueError) and 10**15 pages past any
+# machine's memory (MemoryError); neither touches memory
+@pytest.mark.parametrize("capacity", [2**62, 10**15])
+def test_unallocatable_capacity_is_a_configuration_error(capacity):
+    with pytest.raises(ConfigurationError, match="too large"):
+        CacheState(capacity)
+
+
 def test_fifo_evicts_oldest_without_promotion():
     cache = CacheState(2)
     seq = [(A, 10), (B, 20), (C, 30), (B, 40), (D, 50)]
@@ -307,12 +315,7 @@ def test_run_simulation_ignores_non_access_events_and_emits_its_own():
     sink = []
     report = run_simulation(events, FifoPolicy(), 2, event_sink=sink)
     assert report.accesses == 3
-    assert [(e.kind, e.key) for e in sink] == [
-        (EventKind.INSERT, A),
-        (EventKind.INSERT, B),
-        (EventKind.INSERT, C),
-        (EventKind.EVICT, A),
-    ]
+    assert [(e.kind, e.key) for e in sink] == [(EventKind.EVICT, A)]
 
 
 def test_run_simulation_rejects_unsorted_traces():
