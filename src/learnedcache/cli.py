@@ -113,6 +113,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"{exc}: the traces' evicted pages are never reused, or all after the same "
             "gap, so no eviction ranks above another; use traces with page reuse"
         ) from None
+    except (MemoryError, ValueError):  # ValueError: above numpy's size limit
+        raise ConfigurationError(f"--pairs {n_train_pairs} is too large to allocate") from None
 
     result = ranker.train(train_pairs, val_pairs, bins, config)
     metrics = evaluate(result.ranker, val_pairs)

@@ -44,7 +44,7 @@ class PackValidationError(LearnedCacheError):
 
 
 class QuantizationError(LearnedCacheError):
-    """Quantized weight does not fit the integer range."""
+    """Quantized weight is not finite, or the pack's score bound passes int64."""
 
 
 class InternalError(LearnedCacheError):

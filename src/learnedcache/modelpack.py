@@ -3,7 +3,9 @@
 weights_int[i] = trunc(weights_float[i] * weight_scale), truncation toward
 zero, so an integer-only scorer (shifts, adds, compares; no floating point)
 can rank eviction candidates. Scores are sums of per-feature integer weights
-selected by [start, end) bin lookup.
+selected by [start, end) bin lookup. Scores stay in int64, as in the
+paper's eBPF scorer (no bignums): quantize and pack_from_dict refuse a pack
+whose score_bound passes 2**63 - 1.
 
 int_score is the plain reference for one feature vector. PreparedScorer
 scores a whole eviction window straight from the tracker table: it gathers
@@ -62,13 +64,12 @@ class ModelPack:
         return len(self.features)
 
 
-def quantize(
-    ranker: LinearRanker,
-    weight_scale: int = DEFAULT_WEIGHT_SCALE,
-    names: Sequence[str] = FEATURE_NAMES,
-) -> ModelPack:
-    if weight_scale < 1:
-        raise QuantizationError("weight_scale must be >= 1")
+def score_bound(features: Sequence[PackFeature]) -> int:
+    """Largest |score|, or |partial sum of a score|, these features can give."""
+    return sum(max(map(abs, fe.weights_int)) for fe in features)
+
+
+def quantize(ranker: LinearRanker, names: Sequence[str] = FEATURE_NAMES) -> ModelPack:
     if len(names) != len(ranker.bins):
         raise QuantizationError(f"expected {len(ranker.bins)} feature names, got {len(names)}")
     feats = []
@@ -76,16 +77,14 @@ def quantize(
     for j, b in enumerate(ranker.bins):
         wf = tuple(float(w) for w in ranker.weights[pos:pos + b.n_bins])
         pos += b.n_bins
-        wi = []
-        for w in wf:
-            q = w * weight_scale
-            if math.isfinite(q):
-                q = int(q)  # int() truncates toward zero
-            if not -_I64_MAX - 1 <= q <= _I64_MAX:  # also rejects inf and nan
-                raise QuantizationError(f"quantized weight {q} overflows 64-bit range")
-            wi.append(q)
-        feats.append(PackFeature(j, str(names[j]), b.edges, wf, tuple(wi)))
-    return ModelPack(tuple(str(n) for n in names), weight_scale, tuple(feats))
+        q = [w * DEFAULT_WEIGHT_SCALE for w in wf]
+        if not all(map(math.isfinite, q)):
+            raise QuantizationError(f"{names[j]}: a quantized weight is not finite")
+        # int() truncates toward zero
+        feats.append(PackFeature(j, str(names[j]), b.edges, wf, tuple(map(int, q))))
+    if (bound := score_bound(feats)) > _I64_MAX:
+        raise QuantizationError(f"score bound {bound} exceeds 2**63 - 1")
+    return ModelPack(tuple(str(n) for n in names), DEFAULT_WEIGHT_SCALE, tuple(feats))
 
 
 def pack_to_dict(pack: ModelPack) -> dict:
@@ -195,6 +194,8 @@ def pack_from_dict(obj: dict) -> ModelPack:
         feats.append(
             PackFeature(index, name, tuple(edges), tuple(float(w) for w in wf), tuple(wi))
         )
+    if (bound := score_bound(feats)) > _I64_MAX:
+        raise PackValidationError("features", f"score bound {bound} exceeds 2**63 - 1")
     return ModelPack(tuple(names), scale, tuple(feats))
 
 
@@ -249,9 +250,7 @@ class PreparedScorer:
     Binned features share one merged edge list: a single binary search gives
     each value its rank in the merged list, and a per-feature table maps that
     rank straight to the feature's integer weight (the base score is folded
-    into the first table row). The tables are int64 when the worst-case
-    |score| fits in int64 and exact Python ints (dtype=object) otherwise, so
-    wide packs score exactly through the same path.
+    into the first table row). The tables are int64, which score_bound fits.
     """
 
     __slots__ = ("base", "_elapsed", "_ema", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
@@ -268,9 +267,7 @@ class PreparedScorer:
 
         union = sorted({e for fe in binned for e in fe.bin_edges})
         self._u_edges = np.array(union, dtype=np.uint64)
-        bound = abs(self.base) + sum(max(abs(w) for w in fe.weights_int) for fe in binned)
-        dtype = np.int64 if bound <= _I64_MAX else object
-        wtab = np.zeros((len(self._rows), len(union) + 1), dtype=dtype)
+        wtab = np.zeros((len(self._rows), len(union) + 1), dtype=np.int64)
         for a, fe in enumerate(binned):
             # weight for merged-list rank r: rank r means the value sits at or
             # above union[r-1], so this feature's bin is the number of its own
@@ -279,7 +276,7 @@ class PreparedScorer:
                 ([0], np.searchsorted(np.array(fe.bin_edges, dtype=np.uint64),
                                       self._u_edges, side="right"))
             )
-            wtab[a] = np.array(fe.weights_int, dtype=dtype)[lut]
+            wtab[a] = np.array(fe.weights_int, dtype=np.int64)[lut]
         wtab[0] += self.base
         self._wflat = wtab.reshape(-1)
         self._row_off = (np.arange(len(self._rows)) * (len(union) + 1)).reshape(-1, 1)

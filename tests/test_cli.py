@@ -272,7 +272,9 @@ def test_zero_jobs_exits_2(pipeline, tmp_path):
     ["--pairs", "500", "--lr", "1e308"],  # finite, but training diverges
     ["--pairs", "500", "--lr", "1e16"],  # trains, but a weight times the scale passes 2**63
     ["--pairs", "500", "--lr", "1e305"],  # trains, but a weight times the scale is inf
-], ids=["pairs-0", "lr-inf", "lr-diverges", "lr-overflows-pack", "lr-overflows-float"])
+    ["--pairs", str(10**19)],  # past numpy's array size limit: fails before allocating
+], ids=["pairs-0", "lr-inf", "lr-diverges", "lr-overflows-pack", "lr-overflows-float",
+        "pairs-unallocatable"])
 def test_bad_training_knobs_exit_2(pipeline, tmp_path, knobs, capsys):
     out = tmp_path / "m.json"
     # record warnings here: under pytest they never reach stderr, outside it
@@ -327,11 +329,20 @@ def test_access_at_the_last_u64_offset_exits_3(tmp_path, capsys):
 
 def test_corrupt_model_exits_3(pipeline, tmp_path, capsys):
     path = tmp_path / "m.json"
+    # a valid pack but for its score bound, 2**63: one past int64's maximum
+    past_bound = json.loads(open(pipeline["model"]).read())
+    past_bound["weight_scale"] = 1
+    for fe in past_bound["features"]:
+        fe["weights_float"] = [0.0] * fe["n_bins"]
+        fe["weights_int"] = [0] * fe["n_bins"]
+    past_bound["features"][0]["weights_float"][0] = 2.0**63
+    past_bound["features"][0]["weights_int"][0] = 2**63
     for content in (
         b"{]",
         json.dumps({"feature_names": 3}).encode(),
         b"\xff\xfe{}",  # not UTF-8
         b"[" * 100_000,  # nested past the JSON decoder's recursion limit
+        json.dumps(past_bound).encode(),
     ):
         path.write_bytes(content)
         for argv in (
@@ -342,6 +353,7 @@ def test_corrupt_model_exits_3(pipeline, tmp_path, capsys):
             rc = main(argv + ["--capacity", "8"])
             assert rc == 3, (argv[0], content[:8])
             assert "Traceback" not in capsys.readouterr().err
+            assert not (tmp_path / "e.json").exists()
 
 
 def test_pack_whose_scaled_weight_overflows_exits_3(pipeline, tmp_path):

@@ -46,13 +46,6 @@ def test_quantization_truncates_toward_zero():
     assert pack.weight_scale == DEFAULT_WEIGHT_SCALE
 
 
-def test_quantization_respects_custom_scale():
-    r, _ = _ranker([0.1239, -0.1239], [(5,)])
-    pack = quantize(r, weight_scale=1000, names=["page_delta1"])
-    assert pack.features[0].weights_int == (123, -123)
-    assert pack.weight_scale == 1000
-
-
 def test_quantization_error_is_below_one_step_per_weight():
     rng = np.random.default_rng(0)
     r, _ = _ranker(rng.uniform(-4, 4, size=6), [(1, 2), (9, 10)])
@@ -65,8 +58,6 @@ def test_quantization_error_is_below_one_step_per_weight():
 def test_quantize_validates_inputs():
     r, _ = _ranker([0.1, 0.2], [(5,)])
     with pytest.raises(QuantizationError):
-        quantize(r, weight_scale=0, names=["a"])
-    with pytest.raises(QuantizationError):
         quantize(r, names=["a", "b"])  # wrong arity
     huge, _ = _ranker([2.0e15], [()])
     with pytest.raises(QuantizationError):
@@ -74,6 +65,13 @@ def test_quantize_validates_inputs():
     vast, _ = _ranker([1e305], [()])
     with pytest.raises(QuantizationError):
         quantize(vast, names=["a"])  # 1e305 * scale is inf
+    # each weight 2e18 fits int64, and four of them (8e18) still do, but nine
+    # of them sum past 2**63 - 1
+    four, _ = _ranker([2.0e14] * 4, [()] * 4)
+    assert quantize(four, names=FEATURE_NAMES[:4]).features[3].weights_int == (2 * 10**18,)
+    nine, _ = _ranker([2.0e14] * 9, [()] * 9)
+    with pytest.raises(QuantizationError):
+        quantize(nine)
 
 
 def test_pack_dict_schema_field_names():
@@ -160,6 +158,11 @@ def _valid_dict():
         (
             lambda d: d["features"][0]["weights_int"].__setitem__(2, 3001),
             "features[0].weights_int[2]",
+        ),
+        # each weight is consistent, but 1e19 alone passes int64's maximum
+        (
+            lambda d: d["features"][1].update(weights_float=[1e15], weights_int=[10**19]),
+            "features",
         ),
     ],
 )
@@ -308,45 +311,29 @@ def test_zero_pack_scores_are_all_zero():
         assert window.tolist() == [0] * 4
 
 
-def test_huge_weights_fall_back_to_exact_big_integers():
+def test_pack_whose_score_bound_passes_int64_is_rejected():
     # each weight fits in 64 bits but the 9-feature sum cannot
-    pack = build_pack([([1000], [9.0e14, -9.0e14]) for _ in range(9)])
-    scorer = PreparedScorer(pack)
-    low = int_score(pack, [0] * 9)
-    assert low == 9 * 9_000_000_000_000_000_000
-    assert int_score(pack, [2000] * 9) == -low
-    assert low > 2**63 - 1  # would overflow a fixed-width accumulator
-
-    # every feature of page 5000 is >= 1000: MISSING page deltas and inode
-    # delta2, a 10 us inode gap, offset distance 5000, file size 5001,
-    # emas 1024 and 2048, and 10 us since its access
-    tracker = AccessTracker()
-    tracker.on_access(PageKey(1, 1, 5000), 0)
-    tracker.on_access(PageKey(1, 1, 0), 10_000)
-    window = scorer.score_window(tracker, _page_slots(tracker)[:1], 10_000)
-    assert window.tolist() == [-low]
-
-    tracker, _ = _tracker_with_traffic(2, n=40)
-    for size in (1, 6):
-        slots = _page_slots(tracker)[:size]
-        window = scorer.score_window(tracker, slots, tracker.last_t)
-        assert window.tolist() == _reference_scores(pack, tracker, slots, tracker.last_t)
+    with pytest.raises(PackValidationError) as err:
+        build_pack([([1000], [9.0e14, -9.0e14]) for _ in range(9)])
+    assert err.value.field.startswith("features")
 
 
-@pytest.mark.parametrize("small, dtype", [(1023, np.int64), (1024, object)])
-def test_table_dtype_follows_the_score_bound(small, dtype):
-    # scale 1 and weights 2**63 - 1024 and `small` put the score bound at
-    # exactly int64's maximum (int64 tables) or one past it (exact ints)
-    pack = build_pack([([1], [2**63 - 1024, 0]), ([1], [small, 0])], scale=1)
+def test_score_bound_at_int64_max_scores_exactly():
+    # scale 1 and weights 2**63 - 1024 and 1023 put the score bound at
+    # exactly int64's maximum; one more is past it
+    pack = build_pack([([1], [2**63 - 1024, 0]), ([1], [1023, 0])], scale=1)
     tracker = AccessTracker()
     for key, n in ((PageKey(1, 1, 0), 3), (PageKey(1, 1, 1), 2), (PageKey(1, 1, 2), 1)):
         for _ in range(n):
             tracker.on_access(key, 0)  # equal timestamps: zero deltas, else MISSING
     slots = _page_slots(tracker)
     window = PreparedScorer(pack).score_window(tracker, slots, 0)
-    assert window.dtype == dtype
-    assert window.tolist() == [2**63 - 1024 + small, 2**63 - 1024, 0]
+    assert window.dtype == np.int64
+    assert window.tolist() == [2**63 - 1024 + 1023, 2**63 - 1024, 0]
     assert window.tolist() == _reference_scores(pack, tracker, slots, 0)
+    with pytest.raises(PackValidationError) as err:
+        build_pack([([1], [2**63 - 1024, 0]), ([1], [1024, 0])], scale=1)
+    assert err.value.field == "features"
 
 
 def test_scoring_never_writes_to_the_tracker():
@@ -396,9 +383,10 @@ def test_edges_near_the_u64_limit_bin_correctly():
 def test_window_scores_equal_the_integer_reference(rng, window, wide):
     pack = random_pack(rng)
     if wide:
-        # same edges and weights at a scale whose score bound exceeds int64
+        # same edges and weights at a scale whose score bound (at most
+        # 9 * 3e17) still fits int64, so large int64 sums stay covered
         pack = build_pack(
-            [(fe.bin_edges, fe.weights_float) for fe in pack.features], scale=10**19
+            [(fe.bin_edges, fe.weights_float) for fe in pack.features], scale=10**17
         )
     tracker = AccessTracker()
     accs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 6),
