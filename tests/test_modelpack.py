@@ -318,22 +318,27 @@ def test_pack_whose_score_bound_passes_int64_is_rejected():
     assert err.value.field.startswith("features")
 
 
-def test_score_bound_at_int64_max_scores_exactly():
-    # scale 1 and weights 2**63 - 1024 and 1023 put the score bound at
-    # exactly int64's maximum; one more is past it
-    pack = build_pack([([1], [2**63 - 1024, 0]), ([1], [1023, 0])], scale=1)
+@pytest.mark.parametrize("small, dtype", [(1023, np.int64), (1024, object)])
+def test_table_dtype_follows_the_score_bound(small, dtype):
+    # scale 1 and weights 2**63 - 1024 and `small` put the score bound at
+    # exactly int64's maximum (int64 tables) or one past it, where exact
+    # scores would need Python-int (object) tables: that pack is rejected
+    per_feature = [([1], [2**63 - 1024, 0]), ([1], [small, 0])]
+    if dtype is object:
+        with pytest.raises(PackValidationError) as err:
+            build_pack(per_feature, scale=1)
+        assert err.value.field == "features"
+        return
+    pack = build_pack(per_feature, scale=1)
     tracker = AccessTracker()
     for key, n in ((PageKey(1, 1, 0), 3), (PageKey(1, 1, 1), 2), (PageKey(1, 1, 2), 1)):
         for _ in range(n):
             tracker.on_access(key, 0)  # equal timestamps: zero deltas, else MISSING
     slots = _page_slots(tracker)
     window = PreparedScorer(pack).score_window(tracker, slots, 0)
-    assert window.dtype == np.int64
-    assert window.tolist() == [2**63 - 1024 + 1023, 2**63 - 1024, 0]
+    assert window.dtype == dtype
+    assert window.tolist() == [2**63 - 1024 + small, 2**63 - 1024, 0]
     assert window.tolist() == _reference_scores(pack, tracker, slots, 0)
-    with pytest.raises(PackValidationError) as err:
-        build_pack([([1], [2**63 - 1024, 0]), ([1], [1024, 0])], scale=1)
-    assert err.value.field == "features"
 
 
 def test_scoring_never_writes_to_the_tracker():
