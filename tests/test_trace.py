@@ -1,5 +1,6 @@
 """Workload generation and trace serialization."""
 
+import hashlib
 import random
 
 import pytest
@@ -54,6 +55,27 @@ def test_generated_traces_are_sorted_access_only_and_deterministic(kind):
     assert all(ev.kind == EventKind.ACCESS for ev in events)
     assert all(a.t_ns <= b.t_ns for a, b in zip(events, events[1:]))
     assert events == small_trace(kind)
+
+
+# sha256 of write_trace(generate_workload(default_spec(kind, seed=7, n_ops=300))):
+# every generator's output is pinned byte for byte, so a change to how a
+# trace is built (draws, keys, event construction) cannot change the trace
+GOLDEN_TRACE_SHA256 = {
+    "webserver": "234a127070caaa1855a5dec8f5d2632fc5298e45478607a300ca252e3635a649",
+    "webproxy": "014e7e40881f9d843b51bd762680aa79da7b8791171e8903413b3859e4b949e1",
+    "varmail": "a3833be453b68e68a6cba8e172dbfe274510ad30250261ccab3c069a3595c490",
+    "copyfiles": "7a47f0fc0ddf93221672f692723fb9eb2ef705f06f29c8e743f6ada52fbc1ebd",
+    "openfiles": "37114d8ef320cd45a9286208db745e61f7b79a6ffd56d8e67f6ad8ee33587e30",
+    "mongo": "a0a5e561fb29b92f58bd623b1d0169780b6d3ae2d982b987d3ecba762b88ee92",
+    "synthetic_sizebias": "24e21a58df160c0a9281c88bfd6b4b848d37ea0248c43e804a2322713da8852e",
+}
+
+
+@pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+def test_generated_traces_match_their_golden_digest(tmp_path, kind):
+    path = tmp_path / "t.bin"
+    write_trace(small_trace(kind, seed=7, ops=300), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[kind]
 
 
 def test_different_seeds_give_different_traces():
