@@ -12,7 +12,9 @@ about twice an isolated score_window call, so the isolated cases alone
 understate the learned policy's cost. A whole FIFO simulation (mongo-hits'
 shape: mongo, 8000 ops, capacity 1024; mostly hits, so the tracker and the
 hit path dominate) and generate_workload on the same spec also report µs
-per event. write_trace and read_trace time
+per event; so does generate_workload on sizebias-evict's spec
+(synthetic_sizebias, 1000 ops), whose generator builds its events without
+the _Emitter the other kinds share. write_trace and read_trace time
 the binary trace codec, each record checked by the trace rule, on a
 mongo trace; their extra_info also holds µs per event. The file name does
 not match test_*.py, so the test run does not collect it.
@@ -99,8 +101,9 @@ def test_fifo_simulation(benchmark):
     per_event(benchmark, len(events))
 
 
-def test_generate_workload(benchmark):
-    spec = default_spec("mongo", seed=7, n_ops=8000)
+@pytest.mark.parametrize("kind,ops", [("mongo", 8000), ("synthetic_sizebias", 1000)])
+def test_generate_workload(benchmark, kind, ops):
+    spec = default_spec(kind, seed=7, n_ops=ops)
     events = benchmark.pedantic(generate_workload, args=(spec,), rounds=5)
     per_event(benchmark, len(events))
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .features import FEATURE_NAMES, N_FEATURES, AccessTracker
 from .modelpack import ModelPack, PreparedScorer
-from .trace import EventKind, PageKey, TraceEvent
+from .trace import EventKind, PageKey, TraceEvent, _new_tuple
 
 BATCH_MAX = 32
 DEFAULT_OVERSAMPLE = 5
@@ -173,7 +173,7 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     cache.candidate_counts.append(window)
     cache.counters.evictions += k
     if cache.event_sink is not None:
-        cache.event_sink.extend(TraceEvent(_EVICT, t_now_ns, v) for v in victims)
+        cache.event_sink.extend(_new_tuple(TraceEvent, (_EVICT, t_now_ns, v)) for v in victims)
     return victims
 
 

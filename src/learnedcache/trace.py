@@ -55,6 +55,12 @@ class TraceEvent(NamedTuple):
     key: PageKey
 
 
+# _new_tuple(PageKey, (dev, inode, offset)) builds the same tuple as
+# PageKey(dev, inode, offset) without the NamedTuple's Python-level __new__:
+# per-event loops build their events and keys with it
+_new_tuple = tuple.__new__
+
+
 @dataclass(frozen=True)
 class SizeDist:
     """File size distribution, in pages (>= 1).
@@ -153,19 +159,37 @@ def _validate_spec(spec: WorkloadSpec) -> None:
 
 
 class _Emitter:
-    """Accumulates Access events on a monotone virtual clock."""
+    """Accumulates Access events on a monotone virtual clock.
+
+    Every touch of a page shares one PageKey, and events are built with
+    _new_tuple; draw takes randint's draws without its randrange layers.
+    """
 
     def __init__(self, rng: random.Random, t0: int = 1_000_000):
-        self.rng = rng
+        self.getrandbits = rng.getrandbits
         self.t = t0
         self.events: list[TraceEvent] = []
+        self.keys: dict[tuple[int, int], PageKey] = {}
+
+    def draw(self, lo: int, hi: int) -> int:
+        """rng.randint(lo, hi) for 0 <= lo <= hi, from the same getrandbits
+        calls: CPython's _randbelow rejection loop on hi - lo + 1."""
+        n = hi - lo + 1
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return lo + r
 
     def touch(self, inode: int, offset: int, dt_lo: int = 3_000, dt_hi: int = 9_000) -> None:
-        self.t += self.rng.randint(dt_lo, dt_hi)
-        self.events.append(TraceEvent(_ACCESS, self.t, PageKey(_DEV, inode, offset)))
+        self.t += self.draw(dt_lo, dt_hi)
+        key = self.keys.get((inode, offset))
+        if key is None:
+            key = self.keys[inode, offset] = _new_tuple(PageKey, (_DEV, inode, offset))
+        self.events.append(_new_tuple(TraceEvent, (_ACCESS, self.t, key)))
 
     def gap(self, lo: int = 20_000, hi: int = 60_000) -> None:
-        self.t += self.rng.randint(lo, hi)
+        self.t += self.draw(lo, hi)
 
 
 class _Picker:
@@ -328,6 +352,10 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     periods = [i + 1 for i in range(spec.n_files)]
     phases = [rng.randrange(p) for p in periods]
 
+    # one shared PageKey per page
+    keys = [[_new_tuple(PageKey, (_DEV, 100 + i, page)) for page in range(size)]
+            for i, size in enumerate(sizes)]
+
     events: list[TraceEvent] = []
     ops = 0
     r = 0
@@ -338,10 +366,10 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
                 break
             if (r + phases[i]) % periods[i] != 0:
                 continue
-            for page in range(sizes[i]):
-                events.append(
-                    TraceEvent(_ACCESS, base + slots[i] + page * page_dt, PageKey(_DEV, 100 + i, page))
-                )
+            t = base + slots[i]
+            for key in keys[i]:
+                events.append(_new_tuple(TraceEvent, (_ACCESS, t, key)))
+                t += page_dt
             ops += 1
         r += 1
     return events
@@ -425,13 +453,19 @@ def read_trace(path: str) -> list[TraceEvent]:
         raise TraceFormatError("trailing bytes after last record", offset=expected)
 
     events: list[TraceEvent] = []
+    # one shared PageKey per page; a PageKey hashes and compares as its plain tuple
+    keys: dict[tuple[int, int, int], PageKey] = {}
     prev_t = 0
     for i, (kind, t_ns, dev, inode, offset) in enumerate(_RECORD.iter_unpack(data[_HEADER.size:])):
         err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
         if err is not None:
             raise TraceFormatError(err, offset=_HEADER.size + i * _RECORD.size)
         prev_t = t_ns
-        events.append(TraceEvent(_KINDS[kind], t_ns, PageKey(dev, inode, offset)))
+        page = (dev, inode, offset)
+        key = keys.get(page)
+        if key is None:
+            key = keys[page] = _new_tuple(PageKey, page)
+        events.append(_new_tuple(TraceEvent, (_KINDS[kind], t_ns, key)))
     return events
 
 

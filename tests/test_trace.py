@@ -15,6 +15,7 @@ from learnedcache.trace import (
     EventKind,
     PageKey,
     TraceEvent,
+    _Emitter,
     default_spec,
     export_csv,
     generate_workload,
@@ -76,6 +77,41 @@ def test_generated_traces_match_their_golden_digest(tmp_path, kind):
     path = tmp_path / "t.bin"
     write_trace(small_trace(kind, seed=7, ops=300), str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[kind]
+
+
+# widths on both sides of each step in the rejection loop's bit count:
+# width 2**k - 1 draws k bits and seldom redraws, 2**k and 2**k + 1 draw
+# k + 1 bits and redraw about half the time (width 1 is 2**0)
+EDGE_WIDTHS = sorted({2**k + d for k in range(66) for d in (-1, 0, 1)} - {0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    lo=st.integers(0, 2**70),
+    width=st.one_of(st.sampled_from(EDGE_WIDTHS), st.integers(1, 2**70)),
+    draws=st.integers(1, 40),
+)
+@example(seed=0, lo=5, width=1, draws=3)
+@example(seed=1, lo=3_000, width=6_001, draws=40)
+def test_emitter_draws_equal_randint(seed, lo, width, draws):
+    hi = lo + width - 1
+    rng, ref = random.Random(seed), random.Random(seed)
+    em = _Emitter(rng)
+    assert [em.draw(lo, hi) for _ in range(draws)] == [ref.randint(lo, hi) for _ in range(draws)]
+    # the same getrandbits calls were made, so the generators stay in step
+    assert rng.getstate() == ref.getstate()
+
+
+def test_traces_share_one_page_key_per_page(tmp_path):
+    mongo = small_trace("mongo", seed=3, ops=400)
+    path = tmp_path / "t.bin"
+    write_trace(mongo, str(path))
+    for events in (mongo, small_trace("synthetic_sizebias", seed=3, ops=200), read_trace(str(path))):
+        pages = {ev.key for ev in events}
+        assert len(pages) < len(events)  # pages repeat, so sharing is observable
+        assert len({id(ev.key) for ev in events}) == len(pages)
+        assert all(type(ev) is TraceEvent and type(ev.key) is PageKey for ev in events)
 
 
 def test_different_seeds_give_different_traces():
