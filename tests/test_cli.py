@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
+import hashlib
 import json
 import warnings
 
@@ -432,6 +433,44 @@ def test_train_rerun_is_byte_identical(pipeline, tmp_path):
         open(outs[0].replace(".json", ".metrics.json"), "rb").read()
         == open(outs[1].replace(".json", ".metrics.json"), "rb").read()
     )
+
+
+# sha256 of each output of acceptance test 11's pipeline (Python 3.11, numpy
+# 2.4); "report" is the simulate report without its wall-clock latency_ns,
+# dumped with sorted keys. Test 11 compares two runs of one build; these pin
+# every trained weight, history row, counter and trial across changes.
+GOLDEN_OUTPUT_SHA256 = {
+    "model.json": "5549bead36451bdf84c269dcbc0e478f546230a540f00a4dae33ff39f9b2ae5a",
+    "model.history.csv": "063a1004041e9630f4f5b86a1db29ed0c6deca5d4bae9b512c3626ace53bacca",
+    "model.metrics.json": "e155b6a668eb10672cc6e54b358bd086f6216dad99044d9834de81207a2ee0ae",
+    "eval.json": "2fbc92c028f2e68aa2d636e93a8ae20e5ae86bfaae046efc0129cbb156999cd8",
+    "eval.summary.csv": "16f6090a02383d809c3ceae0ce6530efc88b4b81374c5756ed8026392a22fdb4",
+    "report": "e4fe5564b3a746acc1f3bd1ff5e12a10eeee171cc3173e1ddd5d0e594f9b5246",
+}
+
+
+def test_pipeline_outputs_match_their_golden_digest(tmp_path):
+    wl = "synthetic_sizebias"
+    train, test, model = (str(tmp_path / n) for n in ("train.bin", "test.bin", "model.json"))
+    report, evals = str(tmp_path / "report.json"), str(tmp_path / "eval.json")
+    for seed, out in (("100", train), ("999", test)):
+        assert main(["gen-trace", "--workload", wl, "--ops", "60", "--files", "4",
+                     "--seed", seed, "--out", out]) == 0
+    assert main(["train", "--traces", train, "--test", test, "--out", model, "--capacity", "24",
+                 "--pairs", "800", "--epochs", "2", "--seed", "3"]) == 0
+    assert main(["simulate", "--trace", test, "--policy", "learned", "--model", model,
+                 "--capacity", "24", "--report", report, "--seed", "0"]) == 0
+    assert main(["paired-eval", "--workload", wl, "--model", model, "--capacity", "16",
+                 "--trials", "3", "--ops", "30", "--files", "3", "--seed", "42",
+                 "--out", evals]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_OUTPUT_SHA256 if name != "report"
+    }
+    obj = json.load(open(report))
+    obj.pop("latency_ns")
+    digests["report"] = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+    assert digests == GOLDEN_OUTPUT_SHA256
 
 
 def test_stdout_progress_lines(pipeline, tmp_path, capsys):
