@@ -16,8 +16,11 @@ per event; so does generate_workload on sizebias-evict's spec
 (synthetic_sizebias, 1000 ops), whose generator builds its events without
 the _Emitter the other kinds share. write_trace and read_trace time
 the binary trace codec, each record checked by the trace rule, on a
-mongo trace; their extra_info also holds µs per event. The file name does
-not match test_*.py, so the test run does not collect it.
+mongo trace; their extra_info also holds µs per event. The two largest
+stages of a train run, the FIFO label run (run_simulation with an
+event_sink) and build_dataset, are timed on one trace of train-sizebias'
+shape (synthetic_sizebias, 250 ops, capacity 96), in µs per trace event.
+The file name does not match test_*.py, so the test run does not collect it.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from learnedcache.features import AccessTracker
+from learnedcache.features import AccessTracker, build_dataset
 from learnedcache.modelpack import PreparedScorer, load_json
 from learnedcache.simcache import CacheState, FifoPolicy, LearnedPolicy, access, run_simulation
 from learnedcache.trace import EventKind, PageKey, default_spec, generate_workload, read_trace, write_trace
@@ -35,6 +38,8 @@ MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
 # keys of the new-key round: 200 pages over 50 files, 250 columns, within the
 # tracker's initial table width (320), so no round pays for growing the table
 NEW_KEYS = [PageKey(1, 100 + i // 4, i % 4) for i in range(200)]
+# the capacity of train-sizebias' label runs
+LABEL_CAPACITY = 96
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +110,32 @@ def test_fifo_simulation(benchmark):
 def test_generate_workload(benchmark, kind, ops):
     spec = default_spec(kind, seed=7, n_ops=ops)
     events = benchmark.pedantic(generate_workload, args=(spec,), rounds=5)
+    per_event(benchmark, len(events))
+
+
+@pytest.fixture(scope="module")
+def label_trace():
+    """One train-sizebias trace and its FIFO label run's Evict events."""
+    events = generate_workload(default_spec("synthetic_sizebias", seed=7, n_ops=250))
+    sink: list = []
+    run_simulation(events, FifoPolicy(), LABEL_CAPACITY, event_sink=sink)
+    return events, sink
+
+
+def test_label_run(benchmark, label_trace):
+    events, _ = label_trace
+    benchmark.pedantic(
+        run_simulation,
+        setup=lambda: ((events, FifoPolicy(), LABEL_CAPACITY), {"event_sink": []}),
+        rounds=30,
+    )
+    per_event(benchmark, len(events))
+
+
+def test_build_dataset(benchmark, label_trace):
+    events, sink = label_trace
+    rows = benchmark.pedantic(build_dataset, args=(events, sink), rounds=30)
+    benchmark.extra_info["rows"] = len(rows)
     per_event(benchmark, len(events))
 
 

@@ -151,10 +151,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.oversample < 1:
         raise ConfigurationError("--oversample must be >= 1")
+    if args.policy == "learned" and not args.model:
+        raise ConfigurationError("--policy learned requires --model")
+    if args.capacity < 1:
+        raise ConfigurationError("--capacity must be >= 1")
     events = read_trace(args.trace)
     if args.policy == "learned":
-        if not args.model:
-            raise ConfigurationError("--policy learned requires --model")
         policy = LearnedPolicy(load_json(args.model), oversample=args.oversample)
     else:
         policy = FifoPolicy()

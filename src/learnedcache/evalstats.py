@@ -195,7 +195,6 @@ class TrialResult(NamedTuple):
 class PairedTrialSet:
     workload: WorkloadSpec
     capacity: int
-    n_trials: int
     trials: list[TrialResult]
 
     def differences(self) -> list[float]:
@@ -247,7 +246,7 @@ def run_paired_trials(
             trials = list(pool.map(_run_one_trial, work))
     else:
         trials = [_run_one_trial(w) for w in work]
-    return PairedTrialSet(base_spec, capacity, n_trials, trials)
+    return PairedTrialSet(base_spec, capacity, trials)
 
 
 # -- reporting -----------------------------------------------------------------
@@ -276,7 +275,7 @@ def trial_set_to_dict(trial_set: PairedTrialSet, test: TestResult) -> dict:
     return {
         "workload": trial_set.workload.to_dict(),
         "capacity": trial_set.capacity,
-        "n_trials": trial_set.n_trials,
+        "n_trials": len(trial_set.trials),
         "trials": [
             {
                 "seed": t.seed,

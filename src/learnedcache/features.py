@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .trace import EventKind, PageKey, TraceEvent
+from .trace import EventKind, PageKey, TraceEvent, _new_tuple
 
 MISSING = 2**64 - 1
 EMA_SCALE = 1024
@@ -216,7 +216,7 @@ def build_dataset(
         times_by_key.setdefault(ev.key, []).append(ev.t_ns)
 
     tracker = AccessTracker()
-    latest: dict[PageKey, tuple[FeatureVector, int]] = {}
+    latest: dict[PageKey, FeatureVector] = {}
     rows: list[DatasetRow] = []
     ai = 0
     n_acc = len(accesses)
@@ -225,15 +225,14 @@ def build_dataset(
         while ai < n_acc and accesses[ai].t_ns <= ev.t_ns:
             acc = accesses[ai]
             tracker.on_access(acc.key, acc.t_ns)
-            latest[acc.key] = (tracker.extract_features(acc.key, acc.t_ns), acc.t_ns)
+            latest[acc.key] = tracker.extract_features(acc.key, acc.t_ns)
             ai += 1
-        snap = latest.get(ev.key)
-        if snap is None:
-            continue
-        feat, a = snap
         e = ev.t_ns
-        times = times_by_key[ev.key]
+        times = times_by_key.get(ev.key, ())
         idx = bisect_right(times, e)
+        if idx == 0:  # no access at or before e
+            continue
         reuse = times[idx] - e if idx < len(times) else MISSING
-        rows.append(DatasetRow(feat._replace(access_to_eviction=e - a), e, reuse, ev.key))
+        feat = _new_tuple(FeatureVector, (*latest[ev.key][:8], e - times[idx - 1]))
+        rows.append(DatasetRow(feat, e, reuse, ev.key))
     return rows

@@ -42,7 +42,6 @@ _U64_MAX = 2**64 - 1
 
 @dataclass(frozen=True)
 class PackFeature:
-    index: int
     name: str
     bin_edges: tuple[int, ...]
     weights_float: tuple[float, ...]
@@ -55,9 +54,12 @@ class PackFeature:
 
 @dataclass(frozen=True)
 class ModelPack:
-    feature_names: tuple[str, ...]
     weight_scale: int
     features: tuple[PackFeature, ...]
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return tuple(fe.name for fe in self.features)
 
     @property
     def n_features(self) -> int:
@@ -81,10 +83,10 @@ def quantize(ranker: LinearRanker, names: Sequence[str] = FEATURE_NAMES) -> Mode
         if not all(map(math.isfinite, q)):
             raise QuantizationError(f"{names[j]}: a quantized weight is not finite")
         # int() truncates toward zero
-        feats.append(PackFeature(j, str(names[j]), b.edges, wf, tuple(map(int, q))))
+        feats.append(PackFeature(str(names[j]), b.edges, wf, tuple(map(int, q))))
     if (bound := score_bound(feats)) > _I64_MAX:
         raise QuantizationError(f"score bound {bound} exceeds 2**63 - 1")
-    return ModelPack(tuple(str(n) for n in names), DEFAULT_WEIGHT_SCALE, tuple(feats))
+    return ModelPack(DEFAULT_WEIGHT_SCALE, tuple(feats))
 
 
 def pack_to_dict(pack: ModelPack) -> dict:
@@ -94,14 +96,14 @@ def pack_to_dict(pack: ModelPack) -> dict:
         "weight_scale": pack.weight_scale,
         "features": [
             {
-                "index": fe.index,
+                "index": i,
                 "name": fe.name,
                 "n_bins": fe.n_bins,
                 "bin_edges": list(fe.bin_edges),
                 "weights_float": list(fe.weights_float),
                 "weights_int": list(fe.weights_int),
             }
-            for fe in pack.features
+            for i, fe in enumerate(pack.features)
         ],
     }
 
@@ -192,11 +194,11 @@ def pack_from_dict(obj: dict) -> ModelPack:
                     f"is {q} but trunc(weights_float[{k}] * {scale}) = {scaled[k]}",
                 )
         feats.append(
-            PackFeature(index, name, tuple(edges), tuple(float(w) for w in wf), tuple(wi))
+            PackFeature(name, tuple(edges), tuple(float(w) for w in wf), tuple(wi))
         )
     if (bound := score_bound(feats)) > _I64_MAX:
         raise PackValidationError("features", f"score bound {bound} exceeds 2**63 - 1")
-    return ModelPack(tuple(names), scale, tuple(feats))
+    return ModelPack(scale, tuple(feats))
 
 
 def load_json(path: str) -> ModelPack:
@@ -213,8 +215,8 @@ def load_json(path: str) -> ModelPack:
 def int_score(pack: ModelPack, raw_features: Sequence[int]) -> int:
     """Integer-only candidate score: sum of selected weights_int per feature."""
     total = 0
-    for fe in pack.features:
-        v = raw_features[fe.index]
+    for i, fe in enumerate(pack.features):
+        v = raw_features[i]
         b = 0
         for edge in fe.bin_edges:
             if v < edge:
@@ -253,17 +255,18 @@ class PreparedScorer:
     into the first table row). The tables are int64, which score_bound fits.
     """
 
-    __slots__ = ("base", "_elapsed", "_ema", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
+    __slots__ = ("base", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
 
     def __init__(self, pack: ModelPack):
-        binned = [fe for fe in pack.features if fe.n_bins > 1]
+        idx = [i for i, fe in enumerate(pack.features) if fe.n_bins > 1]
+        binned = [pack.features[i] for i in idx]
         self.base = sum(fe.weights_int[0] for fe in pack.features if fe.n_bins == 1)
-        idx = {fe.index for fe in binned}
-        self._elapsed = not idx.isdisjoint((6, 7, 8))
-        self._ema = 6 in idx or 7 in idx
+        # score_window always derives features 6-8, which every trained pack
+        # bins. No trained pack bins offset_distance: build_dataset reads it
+        # right after the access that zeroes it, so it is derived only if binned
         self._offset = 4 in idx
         # with no binned feature, one all-zero row (any block row) carries base
-        self._rows = np.array([_ROW[fe.index] for fe in binned] or [0], dtype=np.intp)
+        self._rows = np.array([_ROW[i] for i in idx] or [0], dtype=np.intp)
 
         union = sorted({e for fe in binned for e in fe.bin_edges})
         self._u_edges = np.array(union, dtype=np.uint64)
@@ -285,19 +288,17 @@ class PreparedScorer:
         """Score resident pages given their tracker column slots.
 
         Equivalent to int_score(pack, tracker.extract_features(key, t_now))
-        per candidate, but reads the tracker table directly and derives
-        only the features the pack discriminates on.
+        per candidate, but reads the tracker table directly.
         """
         w = len(slots)
         tab = tracker.tab
         g = tab.take(np.concatenate((slots, tab[P_INODE].take(slots).view(np.int64))), axis=1)
-        if self._elapsed:
-            d = g[P_LAST]
-            np.subtract(t_now_ns, d, out=d)
-        if self._ema:  # implies _elapsed: d holds both elapsed times
-            # a shift by 64 or more whole half-lives gives 0, as Python's >> does
-            e = g[P_EMA]
-            np.right_shift(e, d // _HALF_LIFE_U64, out=e)
+        # d holds both elapsed times; a shift by 64 or more whole half-lives
+        # gives 0, as Python's >> does
+        d = g[P_LAST]
+        np.subtract(t_now_ns, d, out=d)
+        e = g[P_EMA]
+        np.right_shift(e, d // _HALF_LIFE_U64, out=e)
         if self._offset:
             # |offset - last_offset|: of the two wrapped u64 differences
             # the smaller one is the true distance

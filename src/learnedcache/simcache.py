@@ -199,13 +199,19 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
 class SimReport:
     policy: str
     capacity: int
-    accesses: int
     insertions: int
     evictions: int
     hits: int
-    insertion_rate: float  # nan when the trace had no accesses
     eviction_latency_ns: list[int] = field(repr=False, default_factory=list)
     candidate_counts: list[int] = field(repr=False, default_factory=list)
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.insertions
+
+    @property
+    def insertion_rate(self) -> float:  # nan when the trace had no accesses
+        return self.insertions / self.accesses if self.accesses else float("nan")
 
 
 def run_simulation(
@@ -232,15 +238,12 @@ def run_simulation(
         access(cache, key, t_ns, policy)
 
     c = cache.counters
-    rate = c.insertions / c.accesses if c.accesses else float("nan")
     return SimReport(
         policy=policy.name,
         capacity=capacity,
-        accesses=c.accesses,
         insertions=c.insertions,
         evictions=c.evictions,
         hits=c.hits,
-        insertion_rate=rate,
         eviction_latency_ns=cache.eviction_latency_ns,
         candidate_counts=cache.candidate_counts,
     )

@@ -65,8 +65,8 @@ _new_tuple = tuple.__new__
 class SizeDist:
     """File size distribution, in pages (>= 1).
 
-    kinds: fixed(a), uniform(a, b), lognormal(median=a, sigma=b),
-    linear(base=a, step=b) where file i gets a + b*i pages.
+    kinds: uniform(a, b), lognormal(median=a, sigma=b), linear(base=a,
+    step=b) where file i gets a + b*i pages.
     """
 
     kind: str
@@ -74,15 +74,11 @@ class SizeDist:
     b: float = 0
 
     def sample(self, index: int, rng: random.Random) -> int:
-        if self.kind == "fixed":
-            return max(1, int(self.a))
         if self.kind == "uniform":
             return rng.randint(max(1, int(self.a)), max(1, int(self.b)))
         if self.kind == "lognormal":
             return max(1, round(self.a * math.exp(rng.gauss(0.0, self.b))))
-        if self.kind == "linear":
-            return max(1, int(self.a + self.b * index))
-        raise ConfigurationError(f"unknown size distribution {self.kind!r}")
+        return max(1, int(self.a + self.b * index))  # linear
 
 
 @dataclass(frozen=True)
@@ -92,12 +88,6 @@ class PopularityDist:
     kind: str
     s: float = 1.0
 
-    def validate(self) -> None:
-        if self.kind not in ("zipf", "uniform"):
-            raise ConfigurationError(f"unknown popularity distribution {self.kind!r}")
-        if self.kind == "zipf" and not self.s > 0:
-            raise ConfigurationError("zipf exponent must be > 0")
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -105,8 +95,14 @@ class WorkloadSpec:
     seed: int
     n_ops: int
     n_files: int
-    file_sizes: SizeDist
-    popularity: PopularityDist
+
+    @property
+    def file_sizes(self) -> SizeDist:
+        return _CATALOG[self.kind][1]
+
+    @property
+    def popularity(self) -> PopularityDist:
+        return _CATALOG[self.kind][2]
 
     def to_dict(self) -> dict:
         return {
@@ -119,7 +115,7 @@ class WorkloadSpec:
         }
 
 
-# Per-kind defaults: (n_files, SizeDist, PopularityDist). The kinds mimic the
+# Per kind: (default n_files, SizeDist, PopularityDist). The kinds mimic the
 # qualitative shape of the classic filebench personalities plus two synthetic
 # ones; they are approximations, not replays of the original workloads.
 _CATALOG: dict[str, tuple[int, SizeDist, PopularityDist]] = {
@@ -142,8 +138,7 @@ def default_spec(kind: str, seed: int = 0, n_ops: int = 50_000, n_files: int | N
         raise ConfigurationError(
             f"unknown workload kind {kind!r}; valid kinds: {', '.join(WORKLOAD_KINDS)}"
         )
-    files, sizes, pop = _CATALOG[kind]
-    return WorkloadSpec(kind, seed, n_ops, n_files if n_files is not None else files, sizes, pop)
+    return WorkloadSpec(kind, seed, n_ops, n_files if n_files is not None else _CATALOG[kind][0])
 
 
 def _validate_spec(spec: WorkloadSpec) -> None:
@@ -155,7 +150,6 @@ def _validate_spec(spec: WorkloadSpec) -> None:
         raise ConfigurationError("n_ops must be >= 0")
     if spec.n_files < 1 and spec.n_ops > 0:
         raise ConfigurationError("n_files must be >= 1 for a non-empty workload")
-    spec.popularity.validate()
 
 
 class _Emitter:

@@ -201,10 +201,12 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["simulate", "--trace", out, "--policy", "lru", "--capacity", "4"]) == 2
 
 
-def test_learned_policy_without_model_exits_2(pipeline):
-    rc = main(["simulate", "--trace", pipeline["test"], "--policy", "learned",
-               "--capacity", "8"])
-    assert rc == 2
+def test_learned_policy_without_model_exits_2(pipeline, tmp_path, capsys):
+    for trace_path in (pipeline["test"], str(tmp_path / "missing.bin")):
+        rc = main(["simulate", "--trace", trace_path, "--policy", "learned",
+                   "--capacity", "8"])
+        assert rc == 2
+        assert "--policy learned requires --model" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("policy", ["fifo", "learned"])
@@ -217,10 +219,11 @@ def test_oversample_below_one_exits_2_before_reading_the_trace(pipeline, tmp_pat
         assert "--oversample must be >= 1" in capsys.readouterr().err
 
 
-def test_zero_capacity_exits_2(pipeline):
-    rc = main(["simulate", "--trace", pipeline["test"], "--policy", "fifo",
-               "--capacity", "0"])
-    assert rc == 2
+def test_zero_capacity_exits_2(pipeline, tmp_path):
+    for trace_path in (pipeline["test"], str(tmp_path / "missing.bin")):
+        rc = main(["simulate", "--trace", trace_path, "--policy", "fifo",
+                   "--capacity", "0"])
+        assert rc == 2
     rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
                "--capacity", "0", "--trials", "2", "--ops", "10",
                "--out", pipeline["eval"] + ".tmp"])

@@ -254,7 +254,7 @@ def test_run_paired_trials_is_deterministic():
     a = run_paired_trials(spec, pack, 8, 4, master_seed=11)
     b = run_paired_trials(spec, pack, 8, 4, master_seed=11)
     assert a.trials == b.trials
-    assert a.capacity == 8 and a.n_trials == 4
+    assert a.capacity == 8 and len(a.trials) == 4
     c = run_paired_trials(spec, pack, 8, 4, master_seed=12)
     assert c.trials != a.trials
 
@@ -342,7 +342,6 @@ def test_trial_set_accessors():
     ts = PairedTrialSet(
         workload=default_spec("synthetic_sizebias", n_ops=10, n_files=2),
         capacity=4,
-        n_trials=2,
         trials=[
             TrialResult(1, "model_first", 0.5, 0.4),
             TrialResult(2, "normal_first", 0.7, 0.8),
@@ -372,7 +371,6 @@ def trivial_trial_set():
     return PairedTrialSet(
         workload=default_spec("synthetic_sizebias", n_ops=10, n_files=2),
         capacity=4,
-        n_trials=1,
         trials=[TrialResult(3, "normal_first", 0.5, 0.35)],
     )
 
