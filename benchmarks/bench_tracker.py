@@ -5,13 +5,16 @@
 Covers AccessTracker.on_access on a hit and on new keys, extract_features,
 PreparedScorer.score_window at windows 5 (what simulations score: one
 page per eviction request, oversample 5) and 160 (what the latency gate
-times), on the committed perfbench models, and a whole learned simulation
-(sizebias-evict's model and capacity, 1000 ops), whose extra_info holds its
-median in µs per event. An eviction request timed inside a simulation costs
-about twice an isolated score_window call, so the isolated cases alone
-understate the learned policy's cost. A whole FIFO simulation (mongo-hits'
-shape: mongo, 8000 ops, capacity 1024; mostly hits, so the tracker and the
-hit path dominate) and generate_workload on the same spec also report µs
+times), on the committed perfbench models, and whole learned simulations
+in the shapes of both perfbench simulate workloads, each with its committed
+model: sizebias-evict (synthetic_sizebias, 1000 ops, capacity 96; mostly
+evictions, so scoring dominates) and mongo-hits (mongo, 8000 ops, capacity
+1024; mostly hits, so the tracker and the hit path dominate). Their
+extra_info holds the median in µs per event. An eviction request timed
+inside a simulation costs about twice an isolated score_window call, so the
+isolated cases alone understate the learned policy's cost. A whole FIFO
+simulation of mongo-hits' shape, which updates no features (only the learned
+policy tracks them), and generate_workload on the same spec also report µs
 per event; so does generate_workload on sizebias-evict's spec
 (synthetic_sizebias, 1000 ops), whose generator builds its events without
 the _Emitter the other kinds share. write_trace and read_trace time
@@ -91,11 +94,15 @@ def test_score_window(benchmark, model, window):
     benchmark(PreparedScorer(pack).score_window, cache.tracker, slots, cache.tracker.last_t)
 
 
-def test_learned_simulation(benchmark):
-    spec = default_spec("synthetic_sizebias", seed=7, n_ops=1000)
+@pytest.mark.parametrize("model,kind,ops,capacity", [
+    ("sizebias-evict", "synthetic_sizebias", 1000, 96),
+    ("mongo-hits", "mongo", 8000, 1024),
+], ids=["sizebias-evict", "mongo-hits"])
+def test_learned_simulation(benchmark, model, kind, ops, capacity):
+    spec = default_spec(kind, seed=7, n_ops=ops)
     events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
-    policy = LearnedPolicy(load_json(str(MODELS / "sizebias-evict.json")))
-    benchmark.pedantic(run_simulation, args=(events, policy, 96), rounds=5)
+    policy = LearnedPolicy(load_json(str(MODELS / f"{model}.json")))
+    benchmark.pedantic(run_simulation, args=(events, policy, capacity), rounds=5)
     per_event(benchmark, len(events))
 
 

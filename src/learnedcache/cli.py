@@ -155,12 +155,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigurationError("--policy learned requires --model")
     if args.capacity < 1:
         raise ConfigurationError("--capacity must be >= 1")
-    events = read_trace(args.trace)
     if args.policy == "learned":
         policy = LearnedPolicy(load_json(args.model), oversample=args.oversample)
     else:
         policy = FifoPolicy()
-    report = run_simulation(events, policy, args.capacity)
+    report = run_simulation(read_trace(args.trace), policy, args.capacity)
 
     samples_path = None
     if args.latency_csv:

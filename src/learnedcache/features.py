@@ -83,7 +83,8 @@ class AccessTracker:
     allocated before its first page's. _rows holds a memoryview of each
     field row; on_access and extract_features read and write single cells
     through them. _column is the one place the table grows, and growing it
-    replaces the row views too.
+    replaces the row views too. page_column only numbers pages: it allocates
+    a page's column through _column and updates nothing.
     """
 
     def __init__(self) -> None:
@@ -102,6 +103,18 @@ class AccessTracker:
             self.tab = np.concatenate((self.tab, np.zeros_like(self.tab)), axis=1)
             self._rows = _row_views(self.tab)
         return c
+
+    def page_column(self, key: PageKey) -> int:
+        """The page's column slot, allocated on first sight; sets no field.
+
+        For a caller that only numbers pages (a FIFO cache) and never mixes
+        this with on_access: the column's features stay zero and name no
+        file column, so they are not features to score or extract.
+        """
+        slot = self.page_slot.get(key)
+        if slot is None:
+            slot = self.page_slot[key] = self._column(key)
+        return slot
 
     def on_access(self, key: PageKey, t_ns: int) -> int:
         """Update page and file state; returns the page's column slot."""

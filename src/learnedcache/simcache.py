@@ -10,7 +10,9 @@ toward older pages, survivors keeping their relative order. Simulation and
 the latency benchmark issue every eviction request through one dispatch,
 _evict, which picks the victims, pops them and records the request's wall
 time and candidate window; the benchmark reads its samples back from those
-records, so it times exactly the path simulations take.
+records, so it times exactly the path simulations take. Only a policy that
+reads features (learned) has the cache update the feature tracker on every
+access; FIFO, like a kernel running no feature hooks, pays for none.
 """
 
 from __future__ import annotations
@@ -36,11 +38,14 @@ class FifoPolicy:
     name: ClassVar[str] = "fifo"
     # FIFO considers exactly the pages it evicts
     oversample: ClassVar[int] = 1
+    # and reads no feature, so its cache updates none (see access)
+    tracks: ClassVar[bool] = False
 
 
 @dataclass
 class LearnedPolicy:
     name: ClassVar[str] = "learned"
+    tracks: ClassVar[bool] = True
     pack: ModelPack
     oversample: int = DEFAULT_OVERSAMPLE
 
@@ -95,6 +100,11 @@ class CacheState:
     holds at least twice the capacity and never grows: every miss evicts
     back to capacity, so when an append reaches the end of the buffer the
     live span fits in its first half and is compacted there.
+
+    A cache serves one policy for its lifetime. Only a tracking (learned)
+    policy updates the tracker's features; a FIFO cache's tracker holds
+    page columns with no features and no file columns, and is there only to
+    number the pages the order buffer holds.
     """
 
     def __init__(self, capacity: int):
@@ -178,16 +188,27 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
 
 
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:
-    """Update features, count a hit, or insert on miss and evict on overflow."""
-    c = cache.counters
-    slot = cache.tracker.on_access(key, t_ns)
+    """Count a hit, or insert on miss and evict on overflow.
+
+    cache must serve this policy for its whole lifetime. A policy that
+    tracks (learned) updates the page's and its file's features on every
+    access. FIFO reads no feature: a FIFO hit touches no tracker state, and
+    a FIFO miss only gets or allocates the page's column, which the order
+    buffer holds.
+    """
     if key in cache.residency:
-        c.hits += 1
+        if policy.tracks:
+            cache.tracker.on_access(key, t_ns)
+        cache.counters.hits += 1
         return _HIT
 
+    if policy.tracks:
+        slot = cache.tracker.on_access(key, t_ns)
+    else:
+        slot = cache.tracker.page_column(key)
     cache.residency[key] = None
     cache._append(slot)
-    c.insertions += 1
+    cache.counters.insertions += 1
 
     overflow = len(cache.residency) - cache.capacity
     if overflow > 0:

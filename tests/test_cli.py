@@ -331,7 +331,10 @@ def test_access_at_the_last_u64_offset_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_corrupt_model_exits_3(pipeline, tmp_path, capsys):
+def test_corrupt_model_exits_3(pipeline, tmp_path, capsys, monkeypatch):
+    # both commands load the model before any trace: simulate reads none
+    reads = []
+    monkeypatch.setattr(cli, "read_trace", lambda path: reads.append(path) or read_trace(path))
     path = tmp_path / "m.json"
     # a valid pack but for its score bound, 2**63: one past int64's maximum
     past_bound = json.loads(open(pipeline["model"]).read())
@@ -358,6 +361,7 @@ def test_corrupt_model_exits_3(pipeline, tmp_path, capsys):
             assert rc == 3, (argv[0], content[:8])
             assert "Traceback" not in capsys.readouterr().err
             assert not (tmp_path / "e.json").exists()
+    assert reads == []
 
 
 def test_pack_whose_scaled_weight_overflows_exits_3(pipeline, tmp_path):

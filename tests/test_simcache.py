@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from learnedcache.errors import ConfigurationError
-from learnedcache.features import FEATURE_NAMES
+from learnedcache.features import FEATURE_NAMES, AccessTracker
 from learnedcache.modelpack import int_score
 from learnedcache.simcache import (
     BATCH_MAX,
@@ -70,7 +70,7 @@ def test_eviction_request_bounds():
     cache = CacheState(50)
     for i, t in enumerate(range(10)):
         access(cache, PageKey(1, 1, i), t, FifoPolicy())
-    t = cache.tracker.last_t
+    t = 10
     with pytest.raises(ConfigurationError):
         _evict(cache, 0, FifoPolicy(), t)
     with pytest.raises(ConfigurationError):
@@ -83,9 +83,9 @@ def test_eviction_request_bounds():
 
 def test_learned_eviction_request_bounds():
     cache = CacheState(50)
-    for i, t in enumerate(range(5)):
-        access(cache, PageKey(1, 1, i), t, FifoPolicy())
     pack = zero_pack()
+    for i, t in enumerate(range(5)):
+        access(cache, PageKey(1, 1, i), t, LearnedPolicy(pack))
     t = cache.tracker.last_t
     with pytest.raises(ConfigurationError):
         _evict(cache, 0, LearnedPolicy(pack), t)
@@ -102,7 +102,7 @@ def test_learned_eviction_request_bounds():
 def test_request_above_the_resident_count_records_a_window_of_every_page(policy):
     cache = CacheState(50)
     for i in range(7):
-        access(cache, PageKey(1, 1, i), i, FifoPolicy())
+        access(cache, PageKey(1, 1, i), i, policy)
     assert cache.candidate_counts == []
     with pytest.raises(ConfigurationError):
         _evict(cache, BATCH_MAX + 1, policy, 7)
@@ -196,6 +196,55 @@ def test_fifo_matches_listwise_reference(seed):
     assert evicted == [k for batch in want_batches for k in batch]
 
 
+@settings(deadline=None)
+@given(
+    pages=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 15)), max_size=300),
+    capacity=st.integers(1, 40),
+)
+def test_fifo_matches_listwise_reference_on_any_stream(pages, capacity):
+    pairs = [(PageKey(1, 10 + inode, off), t) for t, (inode, off) in enumerate(pages)]
+    want_hits, want_batches, want_resident, _, _ = ref_fifo_sim(pairs, capacity)
+
+    cache = CacheState(capacity)
+    sink = []
+    cache.event_sink = sink
+    assert drive(cache, pairs, FifoPolicy()) == want_hits
+    assert cache.resident_keys() == want_resident
+    assert [(ev.kind, ev.key) for ev in sink] == [
+        (EventKind.EVICT, k) for batch in want_batches for k in batch
+    ]
+    # FIFO reads no feature: its tracker only numbers pages, and sets no field
+    tracker = cache.tracker
+    assert tracker.inode_slot == {}
+    assert tracker.page_keys == list(tracker.page_slot) == list(dict.fromkeys(k for k, _ in pairs))
+    assert not tracker.tab.any()
+
+
+def test_only_the_learned_policy_updates_the_tracker(monkeypatch):
+    rng = random.Random(31)
+    events = as_events(make_accesses(rng, 400, n_inodes=4, pages_per_inode=12))
+    on_access = AccessTracker.on_access
+
+    def refuse(self, key, t_ns):
+        raise AssertionError("a FIFO cache updated the tracker")
+
+    monkeypatch.setattr(AccessTracker, "on_access", refuse)
+    fifo = run_simulation(events, FifoPolicy(), 8)
+    assert fifo.hits > 0 and fifo.evictions > 0  # both paths ran
+
+    calls = []
+
+    def counting(self, key, t_ns):
+        calls.append((key, t_ns))
+        return on_access(self, key, t_ns)
+
+    # patched on the class, as a tracer patches it: access must look the
+    # method up at call time, not hold one bound at import
+    monkeypatch.setattr(AccessTracker, "on_access", counting)
+    run_simulation(events, LearnedPolicy(random_pack(rng)), 8)
+    assert calls == [(ev.key, ev.t_ns) for ev in events]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_all_zero_model_reproduces_fifo_exactly(seed):
     rng = random.Random(100 + seed)
@@ -269,8 +318,9 @@ def test_batch_eviction_takes_the_lowest_scores_in_order(n, oversample):
     rng = random.Random(7)
     pack = random_pack(rng)
     cache = CacheState(500)
+    policy = LearnedPolicy(pack, oversample)
     pairs = make_accesses(rng, 300, n_inodes=5, pages_per_inode=30)
-    drive(cache, pairs, FifoPolicy())
+    drive(cache, pairs, policy)  # 150 pages at most: nothing is evicted
     resident_before = cache.resident_keys()
     t_now = cache.tracker.last_t
 
@@ -285,7 +335,7 @@ def test_batch_eviction_takes_the_lowest_scores_in_order(n, oversample):
     gone = set(victim_idx)
     expect_resident = [c for i, c in enumerate(cands) if i not in gone] + resident_before[window:]
 
-    victims = _evict(cache, n, LearnedPolicy(pack, oversample), t_now)
+    victims = _evict(cache, n, policy, t_now)
     assert victims == expect_victims
     assert cache.resident_keys() == expect_resident
 
