@@ -168,12 +168,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for sample in report.eviction_latency_ns:
                 f.write(f"{sample}\n")
         samples_path = args.latency_csv
-    obj = simcache.report_to_dict(report, samples_path)
+    obj = simcache.report_to_dict(report, args.policy, args.capacity, samples_path)
     if args.report:
         _write_json(obj, args.report)
     rate = "nan" if report.insertion_rate != report.insertion_rate else f"{report.insertion_rate:.6f}"
     print(
-        f"simulate: policy={report.policy} capacity={report.capacity} accesses={report.accesses} "
+        f"simulate: policy={args.policy} capacity={args.capacity} accesses={report.accesses} "
         f"hits={report.hits} insertions={report.insertions} insertion_rate={rate}"
     )
     return 0

@@ -9,10 +9,11 @@ evicts the lowest-scoring n (predicted to be reused last), ties broken
 toward older pages, survivors keeping their relative order. Simulation and
 the latency benchmark issue every eviction request through one dispatch,
 _evict, which picks the victims, pops them and records the request's wall
-time and candidate window; the benchmark reads its samples back from those
-records, so it times exactly the path simulations take. Only a policy that
-reads features (learned) has the cache update the feature tracker on every
-access; FIFO, like a kernel running no feature hooks, pays for none.
+time and candidate window in the cache's SimReport; the benchmark reads its
+samples back from that record, so it times exactly the path simulations
+take. Only a policy that reads features (learned) has the cache update the
+feature tracker on every access; FIFO, like a kernel running no feature
+hooks, pays for none.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import cycle
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -35,7 +37,6 @@ DEFAULT_OVERSAMPLE = 5
 
 @dataclass(frozen=True)
 class FifoPolicy:
-    name: ClassVar[str] = "fifo"
     # FIFO considers exactly the pages it evicts
     oversample: ClassVar[int] = 1
     # and reads no feature, so its cache updates none (see access)
@@ -44,7 +45,6 @@ class FifoPolicy:
 
 @dataclass
 class LearnedPolicy:
-    name: ClassVar[str] = "learned"
     tracks: ClassVar[bool] = True
     pack: ModelPack
     oversample: int = DEFAULT_OVERSAMPLE
@@ -79,20 +79,31 @@ _ACCESS, _EVICT = EventKind.ACCESS, EventKind.EVICT
 
 
 @dataclass
-class Counters:
-    """Per-run page counts; every access is either a hit or an insertion."""
+class SimReport:
+    """One run's record, which the cache counts into as it runs.
+
+    Every access is either a hit or an insertion. Each eviction request adds
+    its wall time and its candidate window size to the two per-request lists.
+    The wall times differ between runs, so compare two runs by their counts.
+    """
 
     insertions: int = 0
     evictions: int = 0
     hits: int = 0
+    eviction_latency_ns: list[int] = field(repr=False, default_factory=list)
+    candidate_counts: list[int] = field(repr=False, default_factory=list)
 
     @property
     def accesses(self) -> int:
         return self.hits + self.insertions
 
+    @property
+    def insertion_rate(self) -> float:  # nan when the trace had no accesses
+        return self.insertions / self.accesses if self.accesses else float("nan")
+
 
 class CacheState:
-    """Residency index + FIFO order buffer + feature tracker + counters.
+    """Residency index + FIFO order buffer + feature tracker + run record.
 
     The order buffer holds tracker page slots; the live span is
     order[tail:head], oldest first. Evictions only ever remove entries at or
@@ -104,7 +115,9 @@ class CacheState:
     A cache serves one policy for its lifetime. Only a tracking (learned)
     policy updates the tracker's features; a FIFO cache's tracker holds
     page columns with no features and no file columns, and is there only to
-    number the pages the order buffer holds.
+    number the pages the order buffer holds. The cache counts every access
+    and eviction request into report, the SimReport that run_simulation
+    returns.
     """
 
     def __init__(self, capacity: int):
@@ -121,9 +134,7 @@ class CacheState:
         self.tail = 0
         self.head = 0
         self.tracker = AccessTracker()
-        self.counters = Counters()
-        self.eviction_latency_ns: list[int] = []
-        self.candidate_counts: list[int] = []
+        self.report = SimReport()
         self.event_sink: list[TraceEvent] | None = None
 
     def __len__(self) -> int:
@@ -151,7 +162,8 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     """One eviction request of n pages, as both simulation and benchmark issue it.
 
     Picks the victims among the oldest min(oversample * n, resident) pages,
-    pops them, and records the request's wall time and that window.
+    pops them, and records the request's wall time and that window in the
+    cache's report.
     """
     if not 1 <= n <= BATCH_MAX:
         raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
@@ -179,9 +191,10 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     residency = cache.residency
     for key in victims:
         del residency[key]
-    cache.eviction_latency_ns.append(time.perf_counter_ns() - t0)
-    cache.candidate_counts.append(window)
-    cache.counters.evictions += k
+    report = cache.report
+    report.eviction_latency_ns.append(time.perf_counter_ns() - t0)
+    report.candidate_counts.append(window)
+    report.evictions += k
     if cache.event_sink is not None:
         cache.event_sink.extend(_new_tuple(TraceEvent, (_EVICT, t_now_ns, v)) for v in victims)
     return victims
@@ -199,7 +212,7 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
     if key in cache.residency:
         if policy.tracks:
             cache.tracker.on_access(key, t_ns)
-        cache.counters.hits += 1
+        cache.report.hits += 1
         return _HIT
 
     if policy.tracks:
@@ -208,31 +221,12 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
         slot = cache.tracker.page_column(key)
     cache.residency[key] = None
     cache._append(slot)
-    cache.counters.insertions += 1
+    cache.report.insertions += 1
 
     overflow = len(cache.residency) - cache.capacity
     if overflow > 0:
         _evict(cache, overflow if overflow < BATCH_MAX else BATCH_MAX, policy, t_ns)
     return _MISS_INSERTED
-
-
-@dataclass
-class SimReport:
-    policy: str
-    capacity: int
-    insertions: int
-    evictions: int
-    hits: int
-    eviction_latency_ns: list[int] = field(repr=False, default_factory=list)
-    candidate_counts: list[int] = field(repr=False, default_factory=list)
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.insertions
-
-    @property
-    def insertion_rate(self) -> float:  # nan when the trace had no accesses
-        return self.insertions / self.accesses if self.accesses else float("nan")
 
 
 def run_simulation(
@@ -257,17 +251,7 @@ def run_simulation(
         if kind != _ACCESS:
             continue
         access(cache, key, t_ns, policy)
-
-    c = cache.counters
-    return SimReport(
-        policy=policy.name,
-        capacity=capacity,
-        insertions=c.insertions,
-        evictions=c.evictions,
-        hits=c.hits,
-        eviction_latency_ns=cache.eviction_latency_ns,
-        candidate_counts=cache.candidate_counts,
-    )
+    return cache.report
 
 
 def _latency_summary(samples: Sequence[int]) -> dict:
@@ -279,11 +263,14 @@ def _latency_summary(samples: Sequence[int]) -> dict:
     return {"p50": p50, "p90": p90, "p99": p99, "mean": float(arr.mean())}
 
 
-def report_to_dict(report: SimReport, samples_path: str | None = None) -> dict:
+def report_to_dict(
+    report: SimReport, policy: str, capacity: int, samples_path: str | None = None
+) -> dict:
+    """The simulate report: the run's counts under the policy and capacity it ran."""
     rate = report.insertion_rate
     return {
-        "policy": report.policy,
-        "capacity": report.capacity,
+        "policy": policy,
+        "capacity": capacity,
         "accesses": report.accesses,
         "insertions": report.insertions,
         "evictions": report.evictions,
@@ -304,39 +291,36 @@ def benchmark_eviction_latency(
 ) -> dict:
     """Time full eviction requests for FIFO and the learned policy.
 
-    Both caches are filled to capacity and then driven through identical
-    rounds: one eviction request of `batch` pages followed by a refill back
-    to capacity. Returns both latency distributions in ns, as _evict
-    recorded them, and the learned policy's candidate window.
+    Both caches are driven through identical rounds: a refill to capacity,
+    then one eviction request of `batch` pages. Returns both latency
+    distributions in ns, as _evict recorded them, and the learned policy's
+    candidate window.
     """
     if capacity < batch:
         raise ConfigurationError("capacity must be >= batch")
     if rounds < 1:
         raise ConfigurationError("rounds must be >= 1")
     caches: dict[str, CacheState] = {}
-    for policy in (FifoPolicy(), LearnedPolicy(pack, oversample)):
-        cache = caches[policy.name] = CacheState(capacity)
-        pool = capacity * 2
+    for name, policy in (("fifo", FifoPolicy()), ("learned", LearnedPolicy(pack, oversample))):
+        cache = caches[name] = CacheState(capacity)
+        keys = cycle(range(2 * capacity))
         t = 1_000_000
-        next_key = 0
-        while True:
+        for _ in range(rounds):
             while len(cache) < capacity:
-                i = next_key % pool
-                next_key += 1
+                i = next(keys)
                 t += 1_000
                 access(cache, PageKey(1, 100 + i // 64, i % 64), t, policy)
-            if len(cache.eviction_latency_ns) == rounds:
-                break
             t += 1_000
             _evict(cache, batch, policy, t)
 
     def summary(cache: CacheState) -> dict:
-        return {**_latency_summary(cache.eviction_latency_ns), "samples": cache.eviction_latency_ns}
+        samples = cache.report.eviction_latency_ns
+        return {**_latency_summary(samples), "samples": samples}
 
     return {
         "batch": batch,
         "oversample": oversample,
-        "window": caches["learned"].candidate_counts[0],
+        "window": caches["learned"].report.candidate_counts[0],
         "capacity": capacity,
         "rounds": rounds,
         "fifo": summary(caches["fifo"]),

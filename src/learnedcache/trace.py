@@ -17,7 +17,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import ConfigurationError, InternalError, TraceFormatError
 
@@ -115,21 +115,6 @@ class WorkloadSpec:
         }
 
 
-# Per kind: (default n_files, SizeDist, PopularityDist). The kinds mimic the
-# qualitative shape of the classic filebench personalities plus two synthetic
-# ones; they are approximations, not replays of the original workloads.
-_CATALOG: dict[str, tuple[int, SizeDist, PopularityDist]] = {
-    "webserver": (1000, SizeDist("lognormal", 8, 0.7), PopularityDist("zipf", 1.1)),
-    "webproxy": (2000, SizeDist("lognormal", 6, 1.0), PopularityDist("zipf", 0.75)),
-    "varmail": (500, SizeDist("lognormal", 2, 0.5), PopularityDist("zipf", 1.0)),
-    "copyfiles": (300, SizeDist("lognormal", 16, 0.6), PopularityDist("uniform")),
-    "openfiles": (5000, SizeDist("uniform", 1, 4), PopularityDist("zipf", 0.6)),
-    "mongo": (8, SizeDist("uniform", 256, 1024), PopularityDist("zipf", 1.0)),
-    "synthetic_sizebias": (12, SizeDist("linear", 4, 4), PopularityDist("uniform")),
-}
-
-WORKLOAD_KINDS = tuple(_CATALOG)
-
 _DEV = 1
 
 
@@ -207,7 +192,18 @@ class _Picker:
 
 
 def _file_sizes(spec: WorkloadSpec, rng: random.Random) -> list[int]:
-    return [spec.file_sizes.sample(i, rng) for i in range(spec.n_files)]
+    """One size per file, from a list allocated up front: a file count that
+    no list can hold fails at once instead of growing until memory runs out."""
+    try:
+        sizes = [0] * spec.n_files
+    except (MemoryError, OverflowError):
+        raise ConfigurationError(
+            f"n_files {spec.n_files} is too large: its file sizes cannot be allocated"
+        ) from None
+    sample = spec.file_sizes.sample
+    for i in range(spec.n_files):
+        sizes[i] = sample(i, rng)
+    return sizes
 
 
 def _gen_webserver(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
@@ -369,15 +365,21 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     return events
 
 
-_GENERATORS = {
-    "webserver": _gen_webserver,
-    "webproxy": _gen_webproxy,
-    "varmail": _gen_varmail,
-    "copyfiles": _gen_copyfiles,
-    "openfiles": _gen_openfiles,
-    "mongo": _gen_mongo,
-    "synthetic_sizebias": _gen_sizebias,
+# Per kind: (default n_files, SizeDist, PopularityDist, generator). The kinds
+# mimic the qualitative shape of the classic filebench personalities plus two
+# synthetic ones; they are approximations, not replays of the original
+# workloads.
+_CATALOG: dict[str, tuple[int, SizeDist, PopularityDist, Callable[..., list[TraceEvent]]]] = {
+    "webserver": (1000, SizeDist("lognormal", 8, 0.7), PopularityDist("zipf", 1.1), _gen_webserver),
+    "webproxy": (2000, SizeDist("lognormal", 6, 1.0), PopularityDist("zipf", 0.75), _gen_webproxy),
+    "varmail": (500, SizeDist("lognormal", 2, 0.5), PopularityDist("zipf", 1.0), _gen_varmail),
+    "copyfiles": (300, SizeDist("lognormal", 16, 0.6), PopularityDist("uniform"), _gen_copyfiles),
+    "openfiles": (5000, SizeDist("uniform", 1, 4), PopularityDist("zipf", 0.6), _gen_openfiles),
+    "mongo": (8, SizeDist("uniform", 256, 1024), PopularityDist("zipf", 1.0), _gen_mongo),
+    "synthetic_sizebias": (12, SizeDist("linear", 4, 4), PopularityDist("uniform"), _gen_sizebias),
 }
+
+WORKLOAD_KINDS = tuple(_CATALOG)
 
 
 def generate_workload(spec: WorkloadSpec) -> list[TraceEvent]:
@@ -386,7 +388,7 @@ def generate_workload(spec: WorkloadSpec) -> list[TraceEvent]:
     if spec.n_ops == 0:
         return []
     rng = random.Random(spec.seed)
-    events = _GENERATORS[spec.kind](spec, rng)
+    events = _CATALOG[spec.kind][3](spec, rng)
     for prev, cur in zip(events, events[1:]):
         if cur.t_ns < prev.t_ns:
             raise InternalError("generator emitted unsorted timestamps")  # pragma: no cover

@@ -246,6 +246,21 @@ def test_unallocatable_capacity_exits_2(pipeline, tmp_path, capsys, capacity):
         assert list(tmp_path.iterdir()) == []
 
 
+# 2**60 file sizes take 2**63 bytes, past any list: the allocation fails at
+# once, before one size is drawn
+def test_unallocatable_file_count_exits_2(pipeline, tmp_path, capsys):
+    for argv in (
+        ["gen-trace", "--workload", "webserver", "--ops", "3", "--out", str(tmp_path / "t.bin")],
+        ["paired-eval", "--workload", "webserver", "--model", pipeline["model"],
+         "--capacity", "8", "--trials", "2", "--ops", "3", "--out", str(tmp_path / "e.json")],
+    ):
+        rc = main(argv + ["--files", str(2**60)])
+        err = capsys.readouterr().err
+        assert rc == 2, argv[0]
+        assert "too large" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_zero_trials_exits_2(pipeline, tmp_path):
     rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
                "--capacity", "8", "--trials", "0", "--ops", "10",

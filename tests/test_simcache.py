@@ -41,6 +41,11 @@ def as_events(pairs):
     return [TraceEvent(EventKind.ACCESS, t, k) for k, t in pairs]
 
 
+def counts(report):
+    # a run's record also holds wall times, so runs compare by their counts
+    return (report.accesses, report.insertions, report.evictions, report.hits)
+
+
 def test_capacity_must_be_positive():
     with pytest.raises(ConfigurationError):
         CacheState(0)
@@ -61,9 +66,7 @@ def test_fifo_evicts_oldest_without_promotion():
     # C's insert evicts A; B stays oldest despite its hit, so D's insert evicts B
     assert hits == [False, False, False, True, False]
     assert cache.resident_keys() == [C, D]
-    assert cache.counters.insertions == 4
-    assert cache.counters.evictions == 2
-    assert cache.counters.hits == 1
+    assert counts(cache.report) == (5, 4, 2, 1)
 
 
 def test_eviction_request_bounds():
@@ -103,14 +106,14 @@ def test_request_above_the_resident_count_records_a_window_of_every_page(policy)
     cache = CacheState(50)
     for i in range(7):
         access(cache, PageKey(1, 1, i), i, policy)
-    assert cache.candidate_counts == []
+    assert cache.report.candidate_counts == []
     with pytest.raises(ConfigurationError):
         _evict(cache, BATCH_MAX + 1, policy, 7)
     assert _evict(cache, 9, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
     # a rejected request records nothing; the accepted one saw all 7 pages
-    assert cache.candidate_counts == [7]
-    assert len(cache.eviction_latency_ns) == 1
-    assert cache.counters.evictions == 7
+    assert cache.report.candidate_counts == [7]
+    assert len(cache.report.eviction_latency_ns) == 1
+    assert cache.report.evictions == 7
 
 
 @settings(deadline=None, max_examples=60)
@@ -170,7 +173,7 @@ def test_conservation_of_pages():
     rng = random.Random(0)
     cache = CacheState(8)
     drive(cache, make_accesses(rng, 300, n_inodes=3, pages_per_inode=12), FifoPolicy())
-    c = cache.counters
+    c = cache.report
     assert c.accesses == 300
     assert c.insertions == c.evictions + len(cache)
     assert c.hits == c.accesses - c.insertions
@@ -190,8 +193,8 @@ def test_fifo_matches_listwise_reference(seed):
     hits = drive(cache, pairs, FifoPolicy())
     assert hits == want_hits
     assert cache.resident_keys() == want_resident
-    assert cache.counters.insertions == want_ins
-    assert cache.counters.evictions == want_ev
+    assert cache.report.insertions == want_ins
+    assert cache.report.evictions == want_ev
     evicted = [ev.key for ev in sink if ev.kind == EventKind.EVICT]
     assert evicted == [k for batch in want_batches for k in batch]
 
@@ -287,7 +290,7 @@ def test_constant_pack_is_exactly_fifo(rng, weights, capacity, oversample):
         fifo_cache, pairs, FifoPolicy()
     )
     assert learned_cache.resident_keys() == fifo_cache.resident_keys()
-    assert learned_cache.counters == fifo_cache.counters
+    assert counts(learned_cache.report) == counts(fifo_cache.report)
 
 
 @pytest.mark.parametrize("seed,oversample", [(s, o) for s in range(5) for o in (3, 40)])
@@ -343,12 +346,7 @@ def test_batch_eviction_takes_the_lowest_scores_in_order(n, oversample):
 def test_run_simulation_counts_and_rate():
     pairs = [(A, 1), (B, 2), (A, 3), (C, 4), (D, 5)]
     report = run_simulation(as_events(pairs), FifoPolicy(), 2)
-    assert report.policy == "fifo"
-    assert report.capacity == 2
-    assert report.accesses == 5
-    assert report.insertions == 4
-    assert report.hits == 1
-    assert report.evictions == 2
+    assert counts(report) == (5, 4, 2, 1)
     assert report.insertion_rate == 0.8
     assert len(report.eviction_latency_ns) == 2
     assert report.candidate_counts == [1, 1]
@@ -381,7 +379,7 @@ def test_empty_trace_reports_nan_rate():
     report = run_simulation([], FifoPolicy(), 4)
     assert report.accesses == 0
     assert math.isnan(report.insertion_rate)
-    obj = report_to_dict(report)
+    obj = report_to_dict(report, "fifo", 4)
     assert obj["insertion_rate"] is None
     assert obj["latency_ns"]["p50"] is None
     assert obj["latency_ns"]["mean"] is None
@@ -390,25 +388,31 @@ def test_empty_trace_reports_nan_rate():
 def test_report_dict_shape():
     rng = random.Random(1)
     pairs = make_accesses(rng, 200, n_inodes=3, pages_per_inode=10)
-    report = run_simulation(as_events(pairs), FifoPolicy(), 4)
-    obj = report_to_dict(report, samples_path="lat.csv")
-    assert list(obj) == [
-        "policy",
-        "capacity",
-        "accesses",
-        "insertions",
-        "evictions",
-        "hits",
-        "insertion_rate",
-        "eviction_requests",
-        "candidates",
-        "latency_ns",
-    ]
-    lat = obj["latency_ns"]
-    assert list(lat) == ["p50", "p90", "p99", "mean", "samples_path"]
-    assert lat["samples_path"] == "lat.csv"
-    assert lat["p50"] > 0
-    assert lat["p50"] <= lat["p90"] <= lat["p99"]
+    for name, policy in (("fifo", FifoPolicy()), ("learned", LearnedPolicy(random_pack(rng), 3))):
+        report = run_simulation(as_events(pairs), policy, 4)
+        obj = report_to_dict(report, name, 4, samples_path="lat.csv")
+        assert list(obj) == [
+            "policy",
+            "capacity",
+            "accesses",
+            "insertions",
+            "evictions",
+            "hits",
+            "insertion_rate",
+            "eviction_requests",
+            "candidates",
+            "latency_ns",
+        ]
+        # the record holds only what the run produced; the caller names the run
+        assert (obj["policy"], obj["capacity"]) == (name, 4)
+        assert tuple(obj[k] for k in ("accesses", "insertions", "evictions", "hits")) == counts(report)
+        assert obj["eviction_requests"] == len(report.candidate_counts) == report.evictions
+        assert obj["candidates"] == sum(report.candidate_counts) == policy.oversample * report.evictions
+        lat = obj["latency_ns"]
+        assert list(lat) == ["p50", "p90", "p99", "mean", "samples_path"]
+        assert lat["samples_path"] == "lat.csv"
+        assert lat["p50"] > 0
+        assert lat["p50"] <= lat["p90"] <= lat["p99"]
 
 
 def test_identical_runs_produce_identical_counters():
@@ -417,12 +421,7 @@ def test_identical_runs_produce_identical_counters():
     pack = random_pack(rng)
     r1 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
     r2 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
-    assert (r1.accesses, r1.insertions, r1.evictions, r1.hits) == (
-        r2.accesses,
-        r2.insertions,
-        r2.evictions,
-        r2.hits,
-    )
+    assert counts(r1) == counts(r2)
 
 
 def test_ring_buffer_survives_many_wraparounds():
