@@ -19,15 +19,30 @@ per event; so does generate_workload on sizebias-evict's spec
 (synthetic_sizebias, 1000 ops), whose generator builds its events without
 the _Emitter the other kinds share. write_trace and read_trace time
 the binary trace codec, each record checked by the trace rule, on a
-mongo trace; their extra_info also holds µs per event. The two largest
+mongo trace; their extra_info also holds µs per event. The read case runs
+twice, for read_trace, which builds the event list, and for iter_trace,
+which streams the same events and is consumed one event at a time as
+simulate consumes it; each also records its tracemalloc peak. The two largest
 stages of a train run, the FIFO label run (run_simulation with an
 event_sink) and build_dataset, are timed on one trace of train-sizebias'
 shape (synthetic_sizebias, 250 ops, capacity 96), in µs per trace event.
 The file name does not match test_*.py, so the test run does not collect it.
+
+Raw wall times on a shared host move by tens of percent between runs of
+one tree, so every case is also reported scaled as perfbench scales its
+end-to-end times: perfbench's reference loop is timed just before and just
+after the case, and extra_info holds the median times REF_NOMINAL_S over
+the mean of those two reference times (scaled_median_s, and
+scaled_us_per_event where the case counts events).
 """
 
 from __future__ import annotations
 
+import gc
+import sys
+import time
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -35,14 +50,47 @@ import pytest
 from learnedcache.features import AccessTracker, build_dataset
 from learnedcache.modelpack import PreparedScorer, load_json
 from learnedcache.simcache import CacheState, FifoPolicy, LearnedPolicy, access, run_simulation
-from learnedcache.trace import EventKind, PageKey, default_spec, generate_workload, read_trace, write_trace
+from learnedcache.trace import (
+    EventKind,
+    PageKey,
+    default_spec,
+    generate_workload,
+    iter_trace,
+    read_trace,
+    write_trace,
+)
 
-MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODELS = PERFBENCH / "models"
+sys.path.insert(0, str(PERFBENCH))
+from run import REF_NOMINAL_S, reference_work  # noqa: E402
 # keys of the new-key round: 200 pages over 50 files, 250 columns, within the
 # tracker's initial table width (320), so no round pays for growing the table
 NEW_KEYS = [PageKey(1, 100 + i // 4, i % 4) for i in range(200)]
 # the capacity of train-sizebias' label runs
 LABEL_CAPACITY = 96
+
+
+def reference_s() -> float:
+    gc.collect()
+    t0 = time.perf_counter()
+    reference_work()
+    return time.perf_counter() - t0
+
+
+@pytest.fixture(autouse=True)
+def reference_scaled(benchmark):
+    """Time the reference loop around the case and add its scaled median."""
+    before = reference_s()
+    yield
+    after = reference_s()
+    if benchmark.stats is None:  # --benchmark-disable
+        return
+    info = benchmark.extra_info
+    info["reference_s"] = [before, after]
+    info["scaled_median_s"] = benchmark.stats.stats.median * REF_NOMINAL_S * 2 / (before + after)
+    if "events" in info:
+        info["scaled_us_per_event"] = info["scaled_median_s"] / info["events"] * 1e6
 
 
 @pytest.fixture(scope="module")
@@ -151,11 +199,20 @@ def test_write_trace(benchmark, tmp_path, mongo_events):
     per_event(benchmark, len(mongo_events))
 
 
-def test_read_trace(benchmark, tmp_path, mongo_events):
+def stream(path: str) -> None:
+    deque(iter_trace(path), maxlen=0)
+
+
+@pytest.mark.parametrize("read", [read_trace, stream], ids=["read_trace", "iter_trace"])
+def test_read_trace(benchmark, tmp_path, mongo_events, read):
     path = str(tmp_path / "t.bin")
     write_trace(mongo_events, path)
-    benchmark(read_trace, path)
+    benchmark(read, path)
     per_event(benchmark, len(mongo_events))
+    tracemalloc.start()
+    read(path)
+    benchmark.extra_info["tracemalloc_peak_kib"] = tracemalloc.get_traced_memory()[1] // 1024
+    tracemalloc.stop()
 
 
 def per_event(benchmark, events: int) -> None:

@@ -60,7 +60,6 @@ from .ranker import (
     TrainResult,
     bt_probability,
     default_pair_budget,
-    encode,
     evaluate,
     sample_pairs,
     sigmoid,
@@ -89,6 +88,7 @@ from .trace import (
     default_spec,
     export_csv,
     generate_workload,
+    iter_trace,
     read_trace,
     write_trace,
 )

@@ -27,7 +27,7 @@ from .features import N_FEATURES, build_dataset
 from .modelpack import export_json, load_json, quantize
 from .ranker import TrainConfig, default_pair_budget, evaluate, sample_pairs, write_history_csv
 from .simcache import FifoPolicy, LearnedPolicy, run_simulation
-from .trace import default_spec, generate_workload, read_trace, write_trace
+from .trace import default_spec, generate_workload, iter_trace, read_trace, write_trace
 
 log = logging.getLogger("learnedcache")
 
@@ -159,14 +159,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy = LearnedPolicy(load_json(args.model), oversample=args.oversample)
     else:
         policy = FifoPolicy()
-    report = run_simulation(read_trace(args.trace), policy, args.capacity)
+    # the trace streams through the simulation; only --latency-csv keeps raw samples
+    samples = [] if args.latency_csv else None
+    report = run_simulation(iter_trace(args.trace), policy, args.capacity, latency_sink=samples)
 
     samples_path = None
     if args.latency_csv:
         with open(args.latency_csv, "w") as f:
             f.write("eviction_latency_ns\n")
-            for sample in report.eviction_latency_ns:
-                f.write(f"{sample}\n")
+            f.writelines(f"{sample}\n" for sample in samples)
         samples_path = args.latency_csv
     obj = simcache.report_to_dict(report, args.policy, args.capacity, samples_path)
     if args.report:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .discretizer import FeatureBins, discretize
+from .discretizer import FeatureBins
 from .errors import ConfigurationError, InternalError, SamplingError, SingleClassError
 from .features import DatasetRow
 
@@ -67,14 +67,6 @@ def bin_offsets(bins: Sequence[FeatureBins]) -> tuple[int, ...]:
     return tuple(offs)
 
 
-def encode(features: Sequence[int], bins: Sequence[FeatureBins]) -> tuple[int, ...]:
-    """Flattened one-hot indices: feature j activates offset_j + bin_j."""
-    if len(features) != len(bins):
-        raise ConfigurationError(f"expected {len(bins)} features, got {len(features)}")
-    offs = bin_offsets(bins)
-    return tuple(offs[j] + discretize(v, bins[j]) for j, v in enumerate(features))
-
-
 @dataclass
 class LinearRanker:
     bins: tuple[FeatureBins, ...]
@@ -92,7 +84,8 @@ def default_pair_budget(n_rows: int) -> int:
 
 
 def _encode_matrix(rows: Sequence[DatasetRow], bins: Sequence[FeatureBins]) -> np.ndarray:
-    """Vectorized encode() over a dataset; one row of flat indices per entry."""
+    """Flattened one-hot indices, one row per entry: feature j activates
+    offset_j + its bin."""
     offs = bin_offsets(bins)
     raw = np.array([r.features for r in rows], dtype=np.uint64)
     out = np.empty((len(rows), len(bins)), dtype=np.int64)

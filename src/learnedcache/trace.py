@@ -4,20 +4,23 @@ A trace is a time-sorted list of TraceEvent. Generators emit Access events
 only; the cache simulator emits Evict events for training labels. The
 binary format is little-endian: a 14-byte header (magic ``LCTR``, version u16,
 record count u64) followed by 33-byte records (kind u8, t_ns u64, dev u64,
-inode u64, offset u64). export_csv writes the same records as a CSV view for
-other tools; nothing in the package reads CSV back.
+inode u64, offset u64). iter_trace streams a file's events one chunk of
+records at a time; read_trace collects them into a list. export_csv writes
+the same records as a CSV view for other tools; nothing in the package
+reads CSV back.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import random
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, InternalError, TraceFormatError
 
@@ -26,6 +29,8 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHQ")
 _RECORD = struct.Struct("<BQQQQ")
+# records iter_trace decodes per read: about 1 MB
+_CHUNK_RECORDS = 1 << 15
 _U64_MAX = 2**64 - 1
 # An access makes offset + 1 part of its file's size, which the tracker keeps
 # in a u64, so no trace may hold an Access at the last u64 offset.
@@ -429,40 +434,55 @@ def write_trace(events: Iterable[TraceEvent], path: str) -> None:
         f.write(b"".join(records))
 
 
-def read_trace(path: str) -> list[TraceEvent]:
-    """Read a binary trace, validating structure and every record."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < _HEADER.size:
-        raise TraceFormatError("truncated header", offset=len(data))
-    magic, version, count = _HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise TraceFormatError(f"bad magic {magic!r}", offset=0)
-    if version != FORMAT_VERSION:
-        raise TraceFormatError(f"unsupported version {version}", offset=4)
-    expected = _HEADER.size + count * _RECORD.size
-    if len(data) < expected:
-        raise TraceFormatError(
-            f"truncated record data: expected {expected} bytes, got {len(data)}", offset=len(data)
-        )
-    if len(data) > expected:
-        raise TraceFormatError("trailing bytes after last record", offset=expected)
+def iter_trace(path: str) -> Iterator[TraceEvent]:
+    """Yield a binary trace's events, decoding one chunk of records at a time.
 
-    events: list[TraceEvent] = []
-    # one shared PageKey per page; a PageKey hashes and compares as its plain tuple
-    keys: dict[tuple[int, int, int], PageKey] = {}
-    prev_t = 0
-    for i, (kind, t_ns, dev, inode, offset) in enumerate(_RECORD.iter_unpack(data[_HEADER.size:])):
-        err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
-        if err is not None:
-            raise TraceFormatError(err, offset=_HEADER.size + i * _RECORD.size)
-        prev_t = t_ns
-        page = (dev, inode, offset)
-        key = keys.get(page)
-        if key is None:
-            key = keys[page] = _new_tuple(PageKey, page)
-        events.append(_new_tuple(TraceEvent, (_KINDS[kind], t_ns, key)))
-    return events
+    The header is checked against the file size before the first event, and
+    every record by the trace rule as it is decoded; a bad record raises
+    TraceFormatError at its byte offset once the events before it have been
+    yielded. Memory holds one chunk and one shared PageKey per page, not the
+    trace.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size < _HEADER.size:
+            raise TraceFormatError("truncated header", offset=size)
+        magic, version, count = _HEADER.unpack(f.read(_HEADER.size))
+        if magic != MAGIC:
+            raise TraceFormatError(f"bad magic {magic!r}", offset=0)
+        if version != FORMAT_VERSION:
+            raise TraceFormatError(f"unsupported version {version}", offset=4)
+        expected = _HEADER.size + count * _RECORD.size
+        if size < expected:
+            raise TraceFormatError(
+                f"truncated record data: expected {expected} bytes, got {size}", offset=size
+            )
+        if size > expected:
+            raise TraceFormatError("trailing bytes after last record", offset=expected)
+
+        # one shared PageKey per page; a PageKey hashes and compares as its plain tuple
+        keys: dict[tuple[int, int, int], PageKey] = {}
+        prev_t = 0
+        for first in range(0, count, _CHUNK_RECORDS):
+            want = min(_CHUNK_RECORDS, count - first) * _RECORD.size
+            chunk = f.read(want)
+            if len(chunk) != want:  # the file shrank while it was read
+                raise TraceFormatError("truncated record data", offset=f.tell())
+            for i, (kind, t_ns, dev, inode, offset) in enumerate(_RECORD.iter_unpack(chunk), first):
+                err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
+                if err is not None:
+                    raise TraceFormatError(err, offset=_HEADER.size + i * _RECORD.size)
+                prev_t = t_ns
+                page = (dev, inode, offset)
+                key = keys.get(page)
+                if key is None:
+                    key = keys[page] = _new_tuple(PageKey, page)
+                yield _new_tuple(TraceEvent, (_KINDS[kind], t_ns, key))
+
+
+def read_trace(path: str) -> list[TraceEvent]:
+    """Read a whole binary trace into a list, validating structure and every record."""
+    return list(iter_trace(path))
 
 
 _CSV_HEADER = ["kind", "t_ns", "dev", "inode", "offset"]

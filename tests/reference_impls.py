@@ -100,6 +100,18 @@ def ref_discretize(value: int, edges) -> int:
     return sum(1 for e in edges if value >= e)
 
 
+def ref_encode(features, bins) -> tuple[int, ...]:
+    """Flattened one-hot indices of one row: feature j activates the bin
+    ref_discretize picks, offset by the bin counts of the features before j."""
+    assert len(features) == len(bins)
+    out = []
+    offset = 0
+    for v, b in zip(features, bins):
+        out.append(offset + ref_discretize(v, b.edges))
+        offset += len(b.edges) + 1
+    return tuple(out)
+
+
 def ref_pack_score(pack_dict: dict, raw: list[int], weights: str = "weights_int"):
     """Score straight off the serialized form, via bisect, over one weights list."""
     total = 0

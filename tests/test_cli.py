@@ -2,14 +2,20 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from learnedcache import cli
+import learnedcache
+from learnedcache import cli, trace
 from learnedcache.cli import main
+from learnedcache.errors import TraceFormatError
 from learnedcache.modelpack import load_json
-from learnedcache.trace import EventKind, PageKey, TraceEvent, read_trace, write_trace
+from learnedcache.trace import EventKind, PageKey, TraceEvent, iter_trace, read_trace, write_trace
 
 from reference_impls import ref_csv_rows
 
@@ -112,6 +118,8 @@ def test_simulation_reports_match_a_direct_replay(pipeline):
 
     assert report["eviction_requests"] == len(direct.candidate_counts) > 0
     assert report["candidates"] == sum(direct.candidate_counts)
+    assert sum(report["latency_ns"]["buckets"]) == report["eviction_requests"]
+    assert report["latency_ns"]["samples_path"] is None
 
     learned = json.load(open(pipeline["report_learned"]))
     model = LearnedPolicy(load_json(pipeline["model"]))
@@ -128,9 +136,12 @@ def test_latency_csv_has_one_row_per_eviction_batch(pipeline):
     lines = open(pipeline["latency"]).read().splitlines()
     assert lines[0] == "eviction_latency_ns"
     learned = json.load(open(pipeline["report_learned"]))
-    assert len(lines) - 1 > 0
-    assert all(int(x) >= 0 for x in lines[1:])
-    assert learned["evictions"] >= len(lines) - 1
+    samples = [int(x) for x in lines[1:]]
+    assert len(samples) == learned["eviction_requests"] > 0
+    assert all(x >= 0 for x in samples)
+    # the report's histogram counts the same requests, by the bit length of their ns
+    buckets = learned["latency_ns"]["buckets"]
+    assert buckets == [sum(1 for x in samples if x.bit_length() == b) for b in range(len(buckets))]
 
 
 def test_paired_eval_artifacts(pipeline):
@@ -333,6 +344,56 @@ def test_corrupt_trace_exits_3(tmp_path):
     assert rc == 3
 
 
+def test_bad_record_late_in_the_trace_exits_3_and_writes_nothing(pipeline, tmp_path, capsys, monkeypatch):
+    # simulate streams the trace, so it has simulated every record before
+    # the bad one when it meets it; it must still fail as read_trace does
+    data = bytearray(open(pipeline["test"], "rb").read())
+    at = len(data) - 33
+    data[at] = 9  # the last record's kind
+    path = tmp_path / "late.bin"
+    path.write_bytes(bytes(data))
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(str(path))
+    assert err.value.offset == at
+    monkeypatch.setattr(trace, "_CHUNK_RECORDS", 64)  # the bad record lies many chunks in
+    for policy in ("fifo", "learned"):
+        report, latency = tmp_path / "r.json", tmp_path / "l.csv"
+        rc = main(["simulate", "--trace", str(path), "--policy", policy, "--model", pipeline["model"],
+                   "--capacity", str(CAPACITY), "--report", str(report), "--latency-csv", str(latency)])
+        assert rc == 3
+        assert capsys.readouterr() == ("", f"error: {err.value}\n")
+        assert not report.exists() and not latency.exists()
+
+
+def test_simulate_memory_does_not_grow_with_trace_length(tmp_path):
+    # simulate streams its trace, so its peak RSS follows the distinct pages
+    # (synthetic_sizebias: at most 312), not the trace's length. Both traces
+    # span more than one 32768-record chunk. The one per-request record left,
+    # candidate_counts at 8 B per request, takes under 1 MB of the 4 MB margin
+    # (about 86k more requests); holding the trace took 18 MB more. The child
+    # reads its own VmHWM: ru_maxrss would also count this process, whose
+    # memory the child shares until it execs.
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads the peak RSS from Linux's /proc/self/status")
+    child = ("import sys; from learnedcache.cli import main; main(sys.argv[1:]); "
+             "print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')))")
+    src = str(Path(learnedcache.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    peaks_kib = []
+    for ops in (2200, 8800):
+        path = str(tmp_path / f"{ops}.bin")
+        assert main(["gen-trace", "--workload", "synthetic_sizebias", "--ops", str(ops),
+                     "--seed", "1", "--out", path]) == 0
+        out = subprocess.run(
+            [sys.executable, "-c", child, "simulate", "--trace", path, "--policy", "fifo",
+             "--capacity", "96"],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        peaks_kib.append(int(out.split()[-2]))  # "VmHWM:  34388 kB"
+    assert len(read_trace(path)) > 4 * 32768
+    assert peaks_kib[1] - peaks_kib[0] < 4096, peaks_kib
+
+
 def test_access_at_the_last_u64_offset_exits_3(tmp_path, capsys):
     # a well-formed record, but its file size offset + 1 would not fit a u64
     path = tmp_path / "edge.bin"
@@ -350,6 +411,7 @@ def test_corrupt_model_exits_3(pipeline, tmp_path, capsys, monkeypatch):
     # both commands load the model before any trace: simulate reads none
     reads = []
     monkeypatch.setattr(cli, "read_trace", lambda path: reads.append(path) or read_trace(path))
+    monkeypatch.setattr(cli, "iter_trace", lambda path: reads.append(path) or iter_trace(path))
     path = tmp_path / "m.json"
     # a valid pack but for its score bound, 2**63: one past int64's maximum
     past_bound = json.loads(open(pipeline["model"]).read())

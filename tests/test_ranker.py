@@ -1,6 +1,7 @@
 """Pairwise ranking model: encoding, loss, training, metrics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from learnedcache.ranker import (
     bin_offsets,
     bt_probability,
     default_pair_budget,
-    encode,
+    _encode_matrix,
     evaluate,
     f1_score,
     sample_pairs,
@@ -29,7 +30,7 @@ from learnedcache.ranker import (
 )
 from learnedcache.trace import PageKey
 
-from reference_impls import ref_discretize
+from reference_impls import ref_encode
 
 
 def make_row(features, reuse, i=0):
@@ -59,17 +60,10 @@ def test_bin_offsets_accumulate_bin_counts():
 
 def test_encode_places_each_feature_in_its_own_block():
     bins = (FeatureBins((10,)), FeatureBins((5, 50)), FeatureBins(()))
-    offs = bin_offsets(bins)
-    for vals in [(0, 0, 0), (10, 5, 7), (99, 60, 1), (3, 49, 2)]:
-        enc = encode(vals, bins)
-        assert enc == tuple(
-            offs[j] + ref_discretize(v, bins[j].edges) for j, v in enumerate(vals)
-        )
-
-
-def test_encode_rejects_wrong_arity():
-    with pytest.raises(ConfigurationError):
-        encode((1, 2), (FeatureBins(()),))
+    vals = [(0, 0, 0), (10, 5, 7), (99, 60, 1), (3, 49, 2)]
+    enc = _encode_matrix([SimpleNamespace(features=v) for v in vals], bins)
+    assert enc.dtype == np.int64
+    assert [tuple(row) for row in enc.tolist()] == [ref_encode(v, bins) for v in vals]
 
 
 def test_weights_shape_is_validated():
@@ -86,8 +80,8 @@ def test_pair_probability_is_antisymmetric():
     rng = np.random.default_rng(7)
     bins = (FeatureBins((10,)), FeatureBins((3, 9)))
     w = rng.normal(size=5)
-    xa = encode((0, 5), bins)
-    xb = encode((11, 10), bins)
+    xa = ref_encode((0, 5), bins)
+    xb = ref_encode((11, 10), bins)
     assert abs(_win_prob(w, xa, xb) + _win_prob(w, xb, xa) - 1.0) < 1e-15
 
 
@@ -96,8 +90,8 @@ def test_shifting_one_feature_block_leaves_probabilities_alone():
     w = np.array([0.5, -0.2, 1.0, 0.0, -1.0])
     shifted = w.copy()
     shifted[:2] += 7.0  # constant added to every bin of feature 0
-    xa = encode((0, 5), bins)
-    xb = encode((11, 10), bins)
+    xa = ref_encode((0, 5), bins)
+    xb = ref_encode((11, 10), bins)
     p1 = _win_prob(w, xa, xb)
     p2 = _win_prob(shifted, xa, xb)
     assert abs(p1 - p2) < 1e-12
@@ -116,7 +110,7 @@ def test_sampled_pairs_label_the_sooner_reused_row():
         make_row((200, 0, 0, 0, 0, 0, 0, 0, 0), reuse=MISSING, i=2),
     ]
     bins = fit_all([[r.features[j] for r in rows] for j in range(9)])
-    enc_to_reuse = {encode(tuple(r.features), bins): r.reuse_time_ns for r in rows}
+    enc_to_reuse = {ref_encode(tuple(r.features), bins): r.reuse_time_ns for r in rows}
     assert len(enc_to_reuse) == 3  # encodings must identify the rows
     pairs = sample_pairs(rows, bins, 200, seed=3)
     assert len(pairs) == 200
@@ -253,8 +247,8 @@ def test_training_separates_a_perfectly_predictive_feature():
     assert metrics.auc == 1.0
     assert metrics.f1 == 1.0
     # the fast group must get the higher strength score
-    fast_enc = encode((0, 0, 0, 0, 0, 0, 0, 0, 0), bins)
-    slow_enc = encode((100, 0, 0, 0, 0, 0, 0, 0, 0), bins)
+    fast_enc = ref_encode((0, 0, 0, 0, 0, 0, 0, 0, 0), bins)
+    slow_enc = ref_encode((100, 0, 0, 0, 0, 0, 0, 0, 0), bins)
     w = result.ranker.weights
     assert sigmoid(w[list(fast_enc)].sum() - w[list(slow_enc)].sum()) > 0.9
     # training loss should drop substantially from the indifferent start

@@ -2,6 +2,7 @@
 
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from learnedcache.features import FEATURE_NAMES, AccessTracker
 from learnedcache.modelpack import int_score
 from learnedcache.simcache import (
     BATCH_MAX,
+    LATENCY_BUCKETS,
     AccessResult,
     CacheState,
     FifoPolicy,
@@ -112,8 +114,28 @@ def test_request_above_the_resident_count_records_a_window_of_every_page(policy)
     assert _evict(cache, 9, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
     # a rejected request records nothing; the accepted one saw all 7 pages
     assert cache.report.candidate_counts == [7]
-    assert len(cache.report.eviction_latency_ns) == 1
+    assert sum(cache.report.latency_hist) == 1
     assert cache.report.evictions == 7
+
+
+@pytest.mark.parametrize("fill,evict", [("fifo", "learned"), ("learned", "fifo")])
+def test_a_cache_refuses_a_request_under_a_policy_that_tracks_otherwise(fill, evict):
+    # a FIFO cache's page columns hold no features and name column 0 as
+    # their file, so a learned request would score another page's cells
+    policies = {"fifo": FifoPolicy(), "learned": LearnedPolicy(random_pack(random.Random(5)))}
+    cache = CacheState(4)
+    for i in range(4):
+        access(cache, PageKey(1, 1, i), i, policies[fill])
+    assert cache.tracks is policies[fill].tracks
+    with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
+        _evict(cache, 1, policies[evict], 4)
+    # the miss that overflows the cache issues the same request
+    with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
+        access(cache, PageKey(1, 1, 4), 5, policies[evict])
+    assert cache.report.candidate_counts == [] and cache.report.evictions == 0
+    # the policy the cache was filled under still evicts
+    assert len(_evict(cache, 1, policies[fill], 5)) == 1
+    assert cache.report.candidate_counts == [policies[fill].oversample]
 
 
 @settings(deadline=None, max_examples=60)
@@ -129,10 +151,27 @@ def test_every_request_records_one_latency_and_its_window(rng, learned, capacity
     policy = LearnedPolicy(random_pack(rng), oversample=oversample) if learned else FifoPolicy()
     pairs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 5),
                           pages_per_inode=rng.randint(1, 12))
-    report = run_simulation(as_events(pairs), policy, capacity)
+    samples = []
+    report = run_simulation(as_events(pairs), policy, capacity, latency_sink=samples)
     window = min(oversample, capacity + 1) if learned else 1
-    assert len(report.eviction_latency_ns) == len(report.candidate_counts) == report.evictions
     assert report.candidate_counts == [window] * report.evictions
+    # the histogram counts every request in a size fixed whatever the run's
+    # length; the sink holds each request's exact wall time
+    hist = report.latency_hist
+    assert len(hist) == LATENCY_BUCKETS
+    assert sum(hist) == len(samples) == report.evictions
+    assert hist == [sum(1 for x in samples if x.bit_length() == b) for b in range(LATENCY_BUCKETS)]
+    lat = report_to_dict(report, "policy", capacity)["latency_ns"]
+    if samples:
+        # each percentile names the top of the bucket holding that nearest-rank sample
+        for q in (50, 90, 99):
+            exact = sorted(samples)[math.ceil(q * len(samples) / 100) - 1]
+            assert exact <= lat[f"p{q}"] < max(2 * exact, 1)
+            assert lat[f"p{q}"].bit_length() == exact.bit_length()
+        assert statistics.median_low(samples).bit_length() == lat["p50"].bit_length()
+        assert lat["buckets"] == hist[:max(samples).bit_length() + 1]
+    else:
+        assert lat == {"p50": None, "p90": None, "p99": None, "buckets": [], "samples_path": None}
 
 
 def test_policy_validation():
@@ -348,7 +387,7 @@ def test_run_simulation_counts_and_rate():
     report = run_simulation(as_events(pairs), FifoPolicy(), 2)
     assert counts(report) == (5, 4, 2, 1)
     assert report.insertion_rate == 0.8
-    assert len(report.eviction_latency_ns) == 2
+    assert sum(report.latency_hist) == 2
     assert report.candidate_counts == [1, 1]
 
 
@@ -382,7 +421,7 @@ def test_empty_trace_reports_nan_rate():
     obj = report_to_dict(report, "fifo", 4)
     assert obj["insertion_rate"] is None
     assert obj["latency_ns"]["p50"] is None
-    assert obj["latency_ns"]["mean"] is None
+    assert obj["latency_ns"]["buckets"] == []
 
 
 def test_report_dict_shape():
@@ -409,10 +448,12 @@ def test_report_dict_shape():
         assert obj["eviction_requests"] == len(report.candidate_counts) == report.evictions
         assert obj["candidates"] == sum(report.candidate_counts) == policy.oversample * report.evictions
         lat = obj["latency_ns"]
-        assert list(lat) == ["p50", "p90", "p99", "mean", "samples_path"]
+        assert list(lat) == ["p50", "p90", "p99", "buckets", "samples_path"]
         assert lat["samples_path"] == "lat.csv"
         assert lat["p50"] > 0
-        assert lat["p50"] <= lat["p90"] <= lat["p99"]
+        assert lat["p50"] <= lat["p90"] <= lat["p99"] < 2 ** len(lat["buckets"])
+        assert sum(lat["buckets"]) == obj["eviction_requests"]
+        assert lat["buckets"][-1] > 0
 
 
 def test_identical_runs_produce_identical_counters():

@@ -1,12 +1,15 @@
 """Workload generation and trace serialization."""
 
 import hashlib
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from learnedcache import trace
 from learnedcache.errors import ConfigurationError, TraceFormatError
 from learnedcache.trace import (
     FORMAT_VERSION,
@@ -19,6 +22,7 @@ from learnedcache.trace import (
     default_spec,
     export_csv,
     generate_workload,
+    iter_trace,
     read_trace,
     write_trace,
 )
@@ -387,6 +391,82 @@ def test_corrupted_trace_is_rejected_or_read_exactly(valid_trace_path, data):
     again = valid_trace_path.with_name("again.bin")
     write_trace(events, str(again))
     assert again.read_bytes() == bytes(corrupt)
+
+
+_KEY = st.builds(PageKey, st.sampled_from([0, 1, U64_MAX]), st.integers(0, 3),
+                 st.sampled_from([0, 1, 2, U64_MAX - 1]))
+
+
+def _traces(min_size=0):
+    """Valid traces with repeated pages: sorted times of at least 1, so any
+    record after the first can be made to go back in time, and offsets short
+    of the last u64, which only Insert/Evict may hold."""
+    rows = st.lists(st.tuples(st.sampled_from(list(EventKind)), st.integers(1, U64_MAX), _KEY),
+                    min_size=min_size, max_size=40)
+    return rows.map(lambda rows: [TraceEvent(kind, t, key) for (kind, _, key), t
+                                  in zip(rows, sorted(t for _, t, _ in rows))])
+
+
+@settings(deadline=None, max_examples=150)
+@given(events=_traces(), chunk=st.integers(1, 8))
+def test_streaming_reader_yields_the_trace_across_chunk_boundaries(io_dir, events, chunk):
+    path = io_dir / "stream.bin"
+    write_trace(events, str(path))
+    with mock.patch.object(trace, "_CHUNK_RECORDS", chunk):
+        streamed = list(iter_trace(str(path)))
+        assert streamed == read_trace(str(path)) == events
+    # one shared key per page, also across chunks
+    assert len({id(ev.key) for ev in streamed}) == len({ev.key for ev in streamed})
+
+
+# how a record is broken, and the message the trace rule gives for it
+_BREAKS = {
+    "kind": (lambda rec, prev_t: bytes([7]) + rec[1:], "invalid event kind 7"),
+    "unsorted": (lambda rec, prev_t: rec[:1] + (prev_t - 1).to_bytes(8, "little") + rec[9:],
+                 "timestamps not sorted"),
+    "last-offset": (lambda rec, prev_t: bytes([0]) + rec[1:25] + b"\xff" * 8,
+                    f"access offset above {U64_MAX - 1}"),
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(events=_traces(min_size=2), data=st.data(), chunk=st.integers(1, 8),
+       how=st.sampled_from(sorted(_BREAKS)))
+def test_a_bad_record_fails_at_its_byte_offset_in_any_chunk(io_dir, events, data, chunk, how):
+    i = data.draw(st.integers(1 if how == "unsorted" else 0, len(events) - 1), label="i")
+    path = io_dir / "broken.bin"
+    write_trace(events, str(path))
+    raw = bytearray(path.read_bytes())
+    at = 14 + 33 * i
+    brk, message = _BREAKS[how]
+    raw[at:at + 33] = brk(raw[at:at + 33], events[i - 1].t_ns if i else 0)
+    path.write_bytes(bytes(raw))
+    with mock.patch.object(trace, "_CHUNK_RECORDS", chunk):
+        with pytest.raises(TraceFormatError) as err:
+            read_trace(str(path))
+        assert (str(err.value), err.value.offset) == (f"{message} (byte offset {at})", at)
+        # the stream yields every record before the bad one, then fails the same way
+        stream = iter_trace(str(path))
+        assert [next(stream) for _ in range(i)] == events[:i]
+        with pytest.raises(TraceFormatError) as again:
+            next(stream)
+        assert str(again.value) == str(err.value)
+
+
+def test_a_trace_that_shrinks_while_it_streams_is_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "t.bin"
+    events = small_trace(ops=400)
+    write_trace(events, str(path))
+    monkeypatch.setattr(trace, "_CHUNK_RECORDS", 2)
+    stream = iter_trace(str(path))
+    assert next(stream) == events[0]  # the header checked, the first chunk read
+    # cut the file well past what the reader has buffered
+    size = 14 + 33 * (len(events) // 2) + 5
+    assert size > 3 * 8192
+    os.truncate(path, size)
+    with pytest.raises(TraceFormatError, match="truncated record data") as err:
+        list(stream)
+    assert err.value.offset == size
 
 
 def test_csv_round_trip(tmp_path):
