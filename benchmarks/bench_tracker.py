@@ -26,6 +26,10 @@ simulate consumes it; each also records its tracemalloc peak. The two largest
 stages of a train run, the FIFO label run (run_simulation with an
 event_sink) and build_dataset, are timed on one trace of train-sizebias'
 shape (synthetic_sizebias, 250 ops, capacity 96), in µs per trace event.
+The training stages are timed at train-sizebias' shape too (rows from four
+such traces, validation rows from a fifth, bins fitted on the training
+rows, 5000 pairs each): sample_pairs on the training rows, auc_score on
+5000 validation scores, and one ranker.train epoch.
 The file name does not match test_*.py, so the test run does not collect it.
 
 Raw wall times on a shared host move by tens of percent between runs of
@@ -47,8 +51,13 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+from learnedcache import ranker
+from learnedcache.discretizer import fit_all
 from learnedcache.features import AccessTracker, build_dataset
 from learnedcache.modelpack import PreparedScorer, load_json
+from learnedcache.ranker import TrainConfig, auc_score, sample_pairs
 from learnedcache.simcache import CacheState, FifoPolicy, LearnedPolicy, access, run_simulation
 from learnedcache.trace import (
     EventKind,
@@ -67,8 +76,9 @@ from run import REF_NOMINAL_S, reference_work  # noqa: E402
 # keys of the new-key round: 200 pages over 50 files, 250 columns, within the
 # tracker's initial table width (320), so no round pays for growing the table
 NEW_KEYS = [PageKey(1, 100 + i // 4, i % 4) for i in range(200)]
-# the capacity of train-sizebias' label runs
+# the capacity of train-sizebias' label runs, and its pairs per set
 LABEL_CAPACITY = 96
+TRAIN_PAIRS = 5000
 
 
 def reference_s() -> float:
@@ -192,6 +202,43 @@ def test_build_dataset(benchmark, label_trace):
     rows = benchmark.pedantic(build_dataset, args=(events, sink), rounds=30)
     benchmark.extra_info["rows"] = len(rows)
     per_event(benchmark, len(events))
+
+
+@pytest.fixture(scope="module")
+def train_shape():
+    """Training rows from four train-sizebias traces, validation rows from a
+    fifth, the bins fitted on the training rows, and both pair sets."""
+
+    def rows_for(seed):
+        events = generate_workload(default_spec("synthetic_sizebias", seed=seed, n_ops=250))
+        sink: list = []
+        run_simulation(events, FifoPolicy(), LABEL_CAPACITY, event_sink=sink)
+        return build_dataset(events, sink)
+
+    train_rows = [row for seed in range(1, 5) for row in rows_for(seed)]
+    val_rows = rows_for(5)
+    bins = fit_all(list(zip(*(row.features for row in train_rows))))
+    pairs = sample_pairs(train_rows, bins, TRAIN_PAIRS, 1)
+    val_pairs = sample_pairs(val_rows, bins, TRAIN_PAIRS, 2)
+    return train_rows, bins, pairs, val_pairs
+
+
+def test_sample_pairs(benchmark, train_shape):
+    train_rows, bins, _, _ = train_shape
+    benchmark.extra_info["rows"] = len(train_rows)
+    benchmark.pedantic(sample_pairs, args=(train_rows, bins, TRAIN_PAIRS, 1), rounds=30)
+
+
+def test_auc_score(benchmark, train_shape):
+    _, _, _, val_pairs = train_shape
+    scores = np.random.default_rng(0).normal(size=len(val_pairs))
+    benchmark(auc_score, scores, val_pairs.y)
+
+
+def test_train_epoch(benchmark, train_shape):
+    _, bins, pairs, val_pairs = train_shape
+    config = TrainConfig(max_epochs=1)
+    benchmark.pedantic(ranker.train, args=(pairs, val_pairs, bins, config), rounds=20)
 
 
 def test_write_trace(benchmark, tmp_path, mongo_events):

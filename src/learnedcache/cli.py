@@ -23,7 +23,7 @@ from .errors import (
     TraceFormatError,
 )
 from .discretizer import fit_all
-from .features import N_FEATURES, build_dataset
+from .features import build_dataset
 from .modelpack import export_json, load_json, quantize
 from .ranker import TrainConfig, default_pair_budget, evaluate, sample_pairs, write_history_csv
 from .simcache import FifoPolicy, LearnedPolicy, run_simulation
@@ -100,8 +100,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         )
     log.info("dataset: %d train rows, %d val rows", len(train_rows), len(val_rows))
 
-    columns = [[row.features[j] for row in train_rows] for j in range(N_FEATURES)]
-    bins = fit_all(columns)
+    bins = fit_all(list(zip(*(row.features for row in train_rows))))
 
     n_train_pairs = default_pair_budget(len(train_rows)) if args.pairs is None else args.pairs
     n_val_pairs = min(default_pair_budget(len(val_rows)), n_train_pairs)

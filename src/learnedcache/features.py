@@ -82,9 +82,10 @@ class AccessTracker:
     columns, and page_keys[c] is the key of column c; a new file's column is
     allocated before its first page's. _rows holds a memoryview of each
     field row; on_access and extract_features read and write single cells
-    through them. _column is the one place the table grows, and growing it
-    replaces the row views too. page_column only numbers pages: it allocates
-    a page's column through _column and updates nothing.
+    through them, and build_dataset reads them. _column is the one place the
+    table grows, and growing it replaces the row views too. page_column only
+    numbers pages: it allocates a page's column through _column and updates
+    nothing.
     """
 
     def __init__(self) -> None:
@@ -216,6 +217,13 @@ def build_dataset(
     p's latest access a <= e with access_to_eviction replaced by e - a, and
     reuse_time_ns is (first access of p after e) - e, or MISSING if p is never
     touched again. Evictions of never-accessed pages are dropped.
+
+    Only accesses are replayed, up to and including each eviction's time,
+    since evictions never touch the tracker. So at e, p's page cells (its
+    deltas and its ema, not yet decayed) still hold what a left them. Its
+    file's cells move with the file's other pages, so they are snapshotted
+    per page column right after each access. Offset distance is 0 right
+    after an access.
     """
     accesses = [ev for ev in access_events if ev.kind == _ACCESS]
     evictions = [ev for ev in eviction_events if ev.kind == _EVICT]
@@ -229,23 +237,31 @@ def build_dataset(
         times_by_key.setdefault(ev.key, []).append(ev.t_ns)
 
     tracker = AccessTracker()
-    latest: dict[PageKey, FeatureVector] = {}
+    on_access = tracker.on_access
+    # page column -> its file's (delta1, delta2, size, ema) right after its last access
+    file_at: dict[int, tuple[int, int, int, int]] = {}
     rows: list[DatasetRow] = []
     ai = 0
     n_acc = len(accesses)
     for ev in evictions:
-        # replay accesses up to and including the eviction timestamp
-        while ai < n_acc and accesses[ai].t_ns <= ev.t_ns:
-            acc = accesses[ai]
-            tracker.on_access(acc.key, acc.t_ns)
-            latest[acc.key] = tracker.extract_features(acc.key, acc.t_ns)
-            ai += 1
         e = ev.t_ns
+        while ai < n_acc and accesses[ai].t_ns <= e:
+            acc = accesses[ai]
+            slot = on_access(acc.key, acc.t_ns)
+            tab = tracker._rows  # replaced when the table grows
+            islot = tab[P_INODE][slot]
+            file_at[slot] = (tab[I_D1][islot], tab[I_D2][islot], tab[I_SIZE][islot], tab[I_EMA][islot])
+            ai += 1
         times = times_by_key.get(ev.key, ())
         idx = bisect_right(times, e)
         if idx == 0:  # no access at or before e
             continue
         reuse = times[idx] - e if idx < len(times) else MISSING
-        feat = _new_tuple(FeatureVector, (*latest[ev.key][:8], e - times[idx - 1]))
-        rows.append(DatasetRow(feat, e, reuse, ev.key))
+        slot = tracker.page_slot[ev.key]
+        tab = tracker._rows
+        fd1, fd2, fsize, fema = file_at[slot]
+        feat = _new_tuple(FeatureVector, (
+            tab[P_D1][slot], tab[P_D2][slot], fd1, fd2, 0, fsize, tab[P_EMA][slot], fema, e - times[idx - 1]
+        ))
+        rows.append(_new_tuple(DatasetRow, (feat, e, reuse, ev.key)))
     return rows

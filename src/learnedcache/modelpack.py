@@ -262,8 +262,10 @@ class PreparedScorer:
         binned = [pack.features[i] for i in idx]
         self.base = sum(fe.weights_int[0] for fe in pack.features if fe.n_bins == 1)
         # score_window always derives features 6-8, which every trained pack
-        # bins. No trained pack bins offset_distance: build_dataset reads it
-        # right after the access that zeroes it, so it is derived only if binned
+        # bins. No trained pack bins offset_distance: a training row holds a
+        # page's features as of its last access, which sets its file's last
+        # offset to the page's own, so the feature is 0 in every row and
+        # takes one bin. It is derived only if binned
         self._offset = 4 in idx
         # with no binned feature, one all-zero row (any block row) carries base
         self._rows = np.array([_ROW[i] for i in idx] or [0], dtype=np.intp)

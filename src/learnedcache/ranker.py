@@ -87,11 +87,13 @@ def _encode_matrix(rows: Sequence[DatasetRow], bins: Sequence[FeatureBins]) -> n
     """Flattened one-hot indices, one row per entry: feature j activates
     offset_j + its bin."""
     offs = bin_offsets(bins)
-    raw = np.array([r.features for r in rows], dtype=np.uint64)
     out = np.empty((len(rows), len(bins)), dtype=np.int64)
-    for j, b in enumerate(bins):
+    # one column at a time: far cheaper than numpy reading a list of row tuples
+    columns = zip(*(r.features for r in rows))
+    for j, (b, col) in enumerate(zip(bins, columns)):
+        raw = np.fromiter(col, dtype=np.uint64, count=len(rows))
         edges = np.asarray(b.edges, dtype=np.uint64)
-        out[:, j] = np.searchsorted(edges, raw[:, j], side="right") + offs[j]
+        out[:, j] = np.searchsorted(edges, raw, side="right") + offs[j]
     return out
 
 
@@ -291,7 +293,14 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("AUC undefined for a single-class sample")
-    order = np.argsort(scores, kind="stable")
+    # Members of a tie group share its average rank, so their order within
+    # the group changes no rank and the default (unstable) sort will do. NaN
+    # equals nothing, so each NaN is a group of its own: the trailing NaN
+    # block is sorted by index to rank NaNs in index order.
+    order = np.argsort(scores)
+    n_nan = int(np.count_nonzero(np.isnan(scores)))
+    if n_nan:  # argsort puts NaNs last
+        order[-n_nan:].sort()
     sorted_scores = scores[order]
     boundaries = np.nonzero(sorted_scores[1:] != sorted_scores[:-1])[0] + 1
     starts = np.concatenate(([0], boundaries))

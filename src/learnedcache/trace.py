@@ -421,17 +421,17 @@ def _record_error(kind: int, t_ns: int, dev: int, inode: int, offset: int, prev_
 def write_trace(events: Iterable[TraceEvent], path: str) -> None:
     """Write events in the binary trace format. Raises ValueError, before it
     opens the file, on the first event that breaks the trace rule."""
-    records = []
+    records = bytearray()  # every record packed into one buffer as it is checked
     prev_t = 0
     for kind, t_ns, (dev, inode, offset) in events:
         err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
         if err is not None:
-            raise ValueError(f"event {len(records)}: {err}")
+            raise ValueError(f"event {len(records) // _RECORD.size}: {err}")
         prev_t = t_ns
-        records.append(_RECORD.pack(kind, t_ns, dev, inode, offset))
+        records += _RECORD.pack(kind, t_ns, dev, inode, offset)
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(records)))
-        f.write(b"".join(records))
+        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(records) // _RECORD.size))
+        f.write(records)
 
 
 def iter_trace(path: str) -> Iterator[TraceEvent]:

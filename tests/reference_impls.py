@@ -95,6 +95,30 @@ def ref_dataset(accesses: list, evictions: list) -> list[tuple]:
     return rows
 
 
+def ref_auc(scores, labels) -> float:
+    """Rank-based ROC AUC with half credit for score ties, both classes present.
+
+    Ranks come from a stable argsort: tied scores take their group's average
+    1-based rank, and each NaN (equal to nothing) is a group of its own,
+    ranked after every number in index order.
+    """
+    import numpy as np
+
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = len(scores) - n_pos
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    boundaries = np.nonzero(sorted_scores[1:] != sorted_scores[:-1])[0] + 1
+    starts = np.concatenate(([0], boundaries))
+    ends = np.concatenate((boundaries, [len(scores)]))
+    avg_rank = (starts + ends + 1) / 2.0
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(avg_rank, ends - starts)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 def ref_discretize(value: int, edges) -> int:
     """Bin index = number of edges at or below the value."""
     return sum(1 for e in edges if value >= e)

@@ -295,6 +295,51 @@ def test_dataset_labels_match_quadratic_reference(seed):
     assert got == ref_dataset(access_events, evictions)
 
 
+# 30 files of 10 pages: with them a trace has more columns (300 pages plus 30
+# files) than the tracker's initial table holds (320), so the table grows
+_LABEL_FILL = [PageKey(1, 700 + i // 10, i % 10) for i in range(300)]
+
+
+@st.composite
+def _labeled_traces(draw):
+    """Sorted accesses over a few files, and sorted evictions of accessed,
+    never-accessed and not-yet-accessed pages, some at an access's own time."""
+    pool = [PageKey(1, 10 + f, o) for f in range(draw(st.integers(1, 4)))
+            for o in range(draw(st.integers(1, 4)))]
+    keys = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=40))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(keys)))
+        keys[at:at] = _LABEL_FILL
+    gaps = draw(st.lists(st.sampled_from([0, 1, HALF - 1, HALF]) | st.integers(0, 3 * HALF),
+                         min_size=1, max_size=8))
+    accesses = []
+    t = 0
+    for n, key in enumerate(keys):
+        t += gaps[n % len(gaps)]
+        accesses.append(TraceEvent(EventKind.ACCESS, t, key))
+    # the pool (some of it never accessed), a never-seen file's page, an
+    # unseen page of a seen file, and a fill page (accessed only with the fill)
+    victims = pool + [PageKey(1, 999, 0), pool[0]._replace(offset=9), _LABEL_FILL[0]]
+    evictions = sorted(
+        (TraceEvent(EventKind.EVICT, max(0, accesses[i].t_ns + dt), victims[v])
+         for i, dt, v in draw(st.lists(st.tuples(
+             st.integers(0, len(accesses) - 1),
+             st.sampled_from([0, 0, -1, 1, HALF]),
+             st.integers(0, len(victims) - 1)), max_size=25))),
+        key=lambda ev: ev.t_ns,
+    )
+    return accesses, evictions
+
+
+@settings(deadline=None, max_examples=120)
+@given(trace=_labeled_traces())
+def test_dataset_matches_quadratic_reference_on_any_trace(trace):
+    access_events, evictions = trace
+    rows = build_dataset(access_events, evictions)
+    got = [(tuple(r.features), r.eviction_t_ns, r.reuse_time_ns, r.key) for r in rows]
+    assert got == ref_dataset(access_events, evictions)
+
+
 def test_dataset_reuse_is_time_to_next_access():
     acc = [
         TraceEvent(EventKind.ACCESS, 10, K),

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from learnedcache.discretizer import FeatureBins, fit_all
 from learnedcache.errors import ConfigurationError, InternalError, SamplingError, SingleClassError
@@ -30,7 +32,7 @@ from learnedcache.ranker import (
 )
 from learnedcache.trace import PageKey
 
-from reference_impls import ref_encode
+from reference_impls import ref_auc, ref_encode
 
 
 def make_row(features, reuse, i=0):
@@ -362,6 +364,34 @@ def test_auc_extremes_and_tie_credit():
     assert auc_score(np.array([4.0, 3.0, 2.0, 1.0]), labels) == 0.0
     # one positive tied with the only negative: half credit for that pair
     assert auc_score(np.array([0.0, 0.0, 1.0]), np.array([0, 1, 1])) == 0.75
+
+
+# the tie-prone values: signed zeros (equal to each other), infinities and NaN
+_AUC_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    palette=st.lists(st.sampled_from(_AUC_SPECIALS) | st.floats(), min_size=1, max_size=6),
+    n=st.integers(2, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_auc_matches_the_stable_sort_reference_bit_for_bit(palette, n, seed):
+    # a few distinct values over up to 3000 scores: large tie groups, which an
+    # unstable sort leaves in any order (small arrays are sorted stably anyway)
+    rng = np.random.default_rng(seed)
+    scores = rng.choice(np.array(palette), size=n)
+    labels = rng.integers(0, 2, size=n)
+    labels[:2] = (0, 1)
+    got, want = auc_score(scores, labels), ref_auc(scores, labels)
+    assert got.hex() == want.hex()
+
+
+def test_auc_ranks_nans_in_index_order():
+    # NaN equals nothing, so each NaN is ranked alone; index order decides
+    scores = np.array([math.nan] * 40 + [0.0] * 40)
+    labels = np.arange(80) % 3 == 0
+    assert auc_score(scores, labels) == ref_auc(scores, labels)
 
 
 def test_auc_requires_both_classes():
