@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -25,7 +26,7 @@ from .errors import (
 from .discretizer import fit_all
 from .features import build_dataset
 from .modelpack import export_json, load_json, quantize
-from .ranker import TrainConfig, default_pair_budget, evaluate, sample_pairs, write_history_csv
+from .ranker import TrainConfig, default_pair_budget, sample_pairs, write_history_csv
 from .simcache import FifoPolicy, LearnedPolicy, run_simulation
 from .trace import default_spec, generate_workload, iter_trace, read_trace, write_trace
 
@@ -116,7 +117,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--pairs {n_train_pairs} is too large to allocate") from None
 
     result = ranker.train(train_pairs, val_pairs, bins, config)
-    metrics = evaluate(result.ranker, val_pairs)
+    # the best epoch scored the validation pairs with the returned weights
+    best = result.history[result.best_epoch - 1]
+    auc = None if math.isnan(best.val_auc) else best.val_auc
 
     try:
         pack = quantize(result.ranker)
@@ -128,8 +131,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     metrics_path = args.metrics or _stem(args.out, ".metrics.json")
     _write_json(
         {
-            "auc": metrics.auc,
-            "f1": metrics.f1,
+            "auc": auc,
+            "f1": best.val_f1,
             "best_epoch": result.best_epoch,
             "epochs_run": len(result.history),
             "n_train_rows": len(train_rows),
@@ -139,10 +142,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         },
         metrics_path,
     )
-    auc_txt = "n/a" if metrics.auc is None else f"{metrics.auc:.4f}"
+    auc_txt = "n/a" if auc is None else f"{auc:.4f}"
     print(
         f"train: {len(train_rows)} rows, best epoch {result.best_epoch}/{len(result.history)}, "
-        f"val auc {auc_txt}, val f1 {metrics.f1:.4f} -> {args.out}"
+        f"val auc {auc_txt}, val f1 {best.val_f1:.4f} -> {args.out}"
     )
     return 0
 

@@ -209,13 +209,10 @@ def _run_one_trial(args: tuple[WorkloadSpec, ModelPack, int, int, int]) -> Trial
     spec = replace(base, seed=trace_seed)
     trace = generate_workload(spec)
     order = "model_first" if random.Random(coin_seed).random() < 0.5 else "normal_first"
-    if order == "model_first":
-        model = run_simulation(trace, LearnedPolicy(pack), capacity).insertion_rate
-        normal = run_simulation(trace, FifoPolicy(), capacity).insertion_rate
-    else:
-        normal = run_simulation(trace, FifoPolicy(), capacity).insertion_rate
-        model = run_simulation(trace, LearnedPolicy(pack), capacity).insertion_rate
-    return TrialResult(trace_seed, order, normal, model)
+    runs = [("model", LearnedPolicy(pack)), ("normal", FifoPolicy())]
+    rate = {name: run_simulation(trace, policy, capacity).insertion_rate
+            for name, policy in (runs if order == "model_first" else runs[::-1])}
+    return TrialResult(trace_seed, order, rate["normal"], rate["model"])
 
 
 def run_paired_trials(

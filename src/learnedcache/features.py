@@ -7,16 +7,17 @@ adds EMA_SCALE, and the score halves for every whole half-life elapsed since
 the last update (lazy decay via a right shift).
 
 Tracker state lives in one flat uint64 table with one column per page and
-one per file (inode), and one row per field (six), so an eviction window of
-candidates can be scored by gathering whole columns with array operations.
-Page and file columns number their fields alike (offset, delta1, delta2,
-ema, last, then the page's file column or the file's size), so one take
-gathers a window's pages and their files side by side and each
-time-dependent feature comes from one contiguous row. This module owns that
-layout. The per-access update and extract_features read and write single
-cells through cached memoryviews of the field rows: one cell through a 1-D
-memoryview costs a small fraction of a numpy scalar index or a column
-tolist().
+one per file (inode), and one row per field (six). Page and file columns
+number their fields alike (offset, delta1, delta2, ema, last, then the
+page's file column or the file's size). This module owns that layout and
+the one derivation of a seen page's features: AccessTracker.window gathers
+a window's pages and their files side by side in one take and derives each
+time-dependent feature from one contiguous row, and FEATURE_ROW says which
+row of that block holds each feature. The eviction scorer and
+extract_features both read that block. The per-access update reads and
+writes single cells through cached memoryviews of the field rows: one cell
+through a 1-D memoryview costs a small fraction of a numpy scalar index or a
+column tolist().
 """
 
 from __future__ import annotations
@@ -59,6 +60,13 @@ I_LAST_OFF, I_D1, I_D2, I_EMA, I_LAST, I_SIZE = range(6)
 # their files' last offsets, emas and last-access times
 assert (I_LAST_OFF, I_EMA, I_LAST) == (P_OFF, P_EMA, P_LAST)
 
+# AccessTracker.window's (12, w) block holds field f of the pages in row
+# 2 * f and of their files in row 2 * f + 1; the row that holds each
+# feature, by FEATURE_NAMES index, once the window has derived it
+FEATURE_ROW = (2 * P_D1, 2 * P_D2, 2 * I_D1 + 1, 2 * I_D2 + 1, 2 * P_OFF, 2 * I_SIZE + 1,
+               2 * P_EMA, 2 * I_EMA + 1, 2 * P_LAST)
+_HALF_LIFE_U64 = np.uint64(HALF_LIFE_NS)
+
 
 def _row_views(tab: np.ndarray) -> tuple[memoryview, ...]:
     """One memoryview per field row of tab, in field order."""
@@ -77,12 +85,12 @@ class AccessTracker:
     previous access), which is exactly the last/second_last/third_last
     timestamp formulation.
 
-    tab is the field-major (6, n) table that eviction scoring gathers from.
-    page_slot and inode_slot map a page and a (dev, inode) file to their
-    columns, and page_keys[c] is the key of column c; a new file's column is
-    allocated before its first page's. _rows holds a memoryview of each
-    field row; on_access and extract_features read and write single cells
-    through them, and build_dataset reads them. _column is the one place the
+    tab is the field-major (6, n) table that window gathers from. page_slot
+    and inode_slot map a page and a (dev, inode) file to their columns, and
+    page_keys[c] is the key of column c; a new file's column is allocated
+    before its first page's. _rows holds a memoryview of each field row;
+    on_access reads and writes single cells through them, and
+    extract_features and build_dataset read them. _column is the one place the
     table grows, and growing it replaces the row views too. page_column only
     numbers pages: it allocates a page's column through _column and updates
     nothing.
@@ -109,8 +117,9 @@ class AccessTracker:
         """The page's column slot, allocated on first sight; sets no field.
 
         For a caller that only numbers pages (a FIFO cache) and never mixes
-        this with on_access: the column's features stay zero and name no
-        file column, so they are not features to score or extract.
+        this with on_access: the column's cells stay zero and name no file
+        column, so they are no features to score, and extract_features
+        refuses the page.
         """
         slot = self.page_slot.get(key)
         if slot is None:
@@ -167,38 +176,59 @@ class AccessTracker:
             last[slot] = t_ns
         return slot
 
+    def window(self, slots: np.ndarray, t_now: int, offset: bool) -> np.ndarray:
+        """The (12, w) feature block of the pages at column slots as of t_now.
+
+        Row FEATURE_ROW[j] holds feature j of every page; the rest are
+        scratch. offset_distance is derived only if offset is true. t_now
+        must not precede the pages' and their files' last accesses.
+        """
+        w = len(slots)
+        tab = self.tab
+        # the page columns, then each page's file column: one (6, 2w) copy
+        g = tab.take(np.concatenate((slots, tab[P_INODE].take(slots).view(np.int64))), axis=1)
+        # one subtract turns both halves of row P_LAST into elapsed times (the
+        # page half is the access gap), and one shift decays both emas by
+        # them; a shift by 64 or more whole half-lives gives 0, as Python's >>
+        d = g[P_LAST]
+        np.subtract(t_now, d, out=d)
+        e = g[P_EMA]
+        np.right_shift(e, d // _HALF_LIFE_U64, out=e)
+        if offset:
+            # |page offset - file's last offset| in the page half of row P_OFF
+            r, s = g[P_OFF, :w], g[P_OFF, w:]
+            np.subtract(np.maximum(r, s), np.minimum(r, s), out=r)
+        return g.reshape(12, w)
+
     def extract_features(self, key: PageKey, t_now: int) -> FeatureVector:
         """Feature vector for key as of t_now (>= the tracker's latest event).
 
-        Never-seen keys get MISSING deltas and access gap, zero EMAs, zero
-        offset distance and file size.
+        A seen page's features are its column of window(). A never-seen page
+        gets MISSING page deltas and access gap and a zero page EMA; its
+        file's context if the file was seen, else MISSING file deltas and
+        zero offset distance, file size and file EMA. Raises ValueError for a
+        page that page_column numbered but on_access never updated (a FIFO
+        cache's), whose column holds no features.
         """
         if t_now < self.last_t:
             raise ValueError(f"t_now={t_now} precedes tracker time {self.last_t}")
 
         slot = self.page_slot.get(key)
-        if slot is None:
-            f0 = f1 = f8 = MISSING
-            f6 = 0
-            islot = self.inode_slot.get((key.dev, key.inode))
-        else:
-            _, d1, d2, ema, last, inode = self._rows
-            f0, f1 = d1[slot], d2[slot]
-            f8 = t_now - last[slot]
-            f6 = ema[slot] >> (f8 // HALF_LIFE_NS)
-            islot = inode[slot]
+        if slot is not None:
+            # on_access leaves every ema cell at EMA_SCALE or more
+            if not self._rows[P_EMA][slot]:
+                raise ValueError(f"{key} has a column but no features: on_access never saw it")
+            block = self.window(np.array([slot], dtype=np.int64), t_now, True)
+            return FeatureVector._make(block[FEATURE_ROW, 0].tolist())
 
+        islot = self.inode_slot.get((key.dev, key.inode))
         if islot is None:
-            f2 = f3 = MISSING
-            f4 = f5 = f7 = 0
-        else:
-            last_off, d1, d2, ema, last, size = self._rows
-            f2, f3 = d1[islot], d2[islot]
-            f4 = abs(key.offset - last_off[islot])
-            f5 = size[islot]
-            f7 = ema[islot] >> ((t_now - last[islot]) // HALF_LIFE_NS)
-
-        return FeatureVector(f0, f1, f2, f3, f4, f5, f6, f7, f8)
+            return FeatureVector(MISSING, MISSING, MISSING, MISSING, 0, 0, 0, 0, MISSING)
+        last_off, d1, d2, ema, last, size = self._rows
+        return FeatureVector(
+            MISSING, MISSING, d1[islot], d2[islot], abs(key.offset - last_off[islot]), size[islot],
+            0, ema[islot] >> ((t_now - last[islot]) // HALF_LIFE_NS), MISSING,
+        )
 
 
 class DatasetRow(NamedTuple):

@@ -8,10 +8,10 @@ paper's eBPF scorer (no bignums): quantize and pack_from_dict refuse a pack
 whose score_bound passes 2**63 - 1.
 
 int_score is the plain reference for one feature vector. PreparedScorer
-scores a whole eviction window straight from the tracker table: it gathers
-each candidate's page and file columns in one take, derives the
-time-dependent features in place, and looks every binned feature's weight up
-in one merged rank table.
+scores a whole eviction window: it reads the binned features' rows of the
+tracker's window block (features.AccessTracker.window, which owns the table
+layout and the feature derivation) and looks every binned feature's weight
+up in one merged rank table.
 """
 
 from __future__ import annotations
@@ -25,15 +25,8 @@ import numpy as np
 
 from .discretizer import MAX_BINS
 from .errors import PackValidationError, QuantizationError
-from .features import (
-    FEATURE_NAMES,
-    HALF_LIFE_NS,
-    I_D1, I_D2, I_EMA, I_SIZE,
-    P_D1, P_D2, P_EMA, P_INODE, P_LAST, P_OFF,
-)
+from .features import FEATURE_NAMES, FEATURE_ROW
 from .ranker import LinearRanker
-
-_HALF_LIFE_U64 = np.uint64(HALF_LIFE_NS)
 
 DEFAULT_WEIGHT_SCALE = 10_000
 _I64_MAX = 2**63 - 1
@@ -226,21 +219,6 @@ def int_score(pack: ModelPack, raw_features: Sequence[int]) -> int:
     return total
 
 
-# score_window gathers one (6, 2w) block for a window of w pages in one take
-# from the tracker table: the page columns, then each page's file column
-# (its P_INODE cell). Page and file columns number their fields alike, so
-# each block row holds one field for pages and files side by side: one
-# subtract turns row P_LAST into both elapsed times (the page half is the
-# access gap, feature 8), one shift decays both ema scores in row P_EMA, and
-# row P_OFF holds the page offsets next to their files' last offsets. Viewed
-# as (12, w), row 2 * field + is_file holds one field.
-#
-# (12, w) row that holds each feature, by FEATURE_NAMES index, once
-# score_window has derived the access gap, ema decays and offset distance
-_ROW = (2 * P_D1, 2 * P_D2, 2 * I_D1 + 1, 2 * I_D2 + 1, 2 * P_OFF, 2 * I_SIZE + 1,
-        2 * P_EMA, 2 * I_EMA + 1, 2 * P_LAST)
-
-
 class PreparedScorer:
     """Precomputed tables for scoring an eviction window in one pass.
 
@@ -261,14 +239,14 @@ class PreparedScorer:
         idx = [i for i, fe in enumerate(pack.features) if fe.n_bins > 1]
         binned = [pack.features[i] for i in idx]
         self.base = sum(fe.weights_int[0] for fe in pack.features if fe.n_bins == 1)
-        # score_window always derives features 6-8, which every trained pack
+        # the window always derives features 6-8, which every trained pack
         # bins. No trained pack bins offset_distance: a training row holds a
         # page's features as of its last access, which sets its file's last
         # offset to the page's own, so the feature is 0 in every row and
-        # takes one bin. It is derived only if binned
+        # takes one bin. The window derives it only if binned
         self._offset = 4 in idx
         # with no binned feature, one all-zero row (any block row) carries base
-        self._rows = np.array([_ROW[i] for i in idx] or [0], dtype=np.intp)
+        self._rows = np.array([FEATURE_ROW[i] for i in idx] or [0], dtype=np.intp)
 
         union = sorted({e for fe in binned for e in fe.bin_edges})
         self._u_edges = np.array(union, dtype=np.uint64)
@@ -289,26 +267,11 @@ class PreparedScorer:
     def score_window(self, tracker, slots: np.ndarray, t_now_ns: int) -> np.ndarray:
         """Score resident pages given their tracker column slots.
 
-        Equivalent to int_score(pack, tracker.extract_features(key, t_now))
-        per candidate, but reads the tracker table directly.
+        Equals int_score(pack, tracker.extract_features(key, t_now_ns)) per
+        candidate: both read tracker.window's block.
         """
-        w = len(slots)
-        tab = tracker.tab
-        g = tab.take(np.concatenate((slots, tab[P_INODE].take(slots).view(np.int64))), axis=1)
-        # d holds both elapsed times; a shift by 64 or more whole half-lives
-        # gives 0, as Python's >> does
-        d = g[P_LAST]
-        np.subtract(t_now_ns, d, out=d)
-        e = g[P_EMA]
-        np.right_shift(e, d // _HALF_LIFE_U64, out=e)
-        if self._offset:
-            # |offset - last_offset|: of the two wrapped u64 differences
-            # the smaller one is the true distance
-            r, s = g[P_OFF, :w], g[P_OFF, w:]
-            np.subtract(r, s, out=r)
-            np.negative(r, out=s)
-            np.minimum(r, s, out=r)
-        ranks = self._u_edges.searchsorted(g.reshape(12, w).take(self._rows, axis=0), side="right")
+        block = tracker.window(slots, t_now_ns, self._offset)
+        ranks = self._u_edges.searchsorted(block.take(self._rows, axis=0), side="right")
         ranks += self._row_off
         # ranks are in range by construction; clip mode skips the bounds check
         return self._wflat.take(ranks, mode="clip").sum(axis=0)

@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
+import csv
 import hashlib
 import json
 import os
@@ -501,6 +502,37 @@ def test_single_epoch_run_writes_single_history_row(pipeline, tmp_path):
     metrics = json.load(open(out.replace(".json", ".metrics.json")))
     assert metrics["epochs_run"] == 1
     assert metrics["best_epoch"] == 1
+
+
+def test_train_metrics_are_the_best_epochs_validation_row(tmp_path):
+    # a rate this high stops early (best epoch 6 of 7), and the returned
+    # weights are the best epoch's, so its history row holds their AUC and F1
+    traces = [str(tmp_path / f"{seed}.bin") for seed in (100, 999)]
+    for seed, out in zip((100, 999), traces):
+        assert main(["gen-trace", "--workload", "synthetic_sizebias", "--ops", "200",
+                     "--files", "4", "--seed", str(seed), "--out", out]) == 0
+    out = str(tmp_path / "m.json")
+    assert main(["train", "--traces", traces[0], "--test", traces[1], "--out", out,
+                 "--capacity", "16", "--pairs", "500", "--epochs", "8", "--patience", "1",
+                 "--lr", "10", "--seed", "1"]) == 0
+    metrics = json.load(open(out.replace(".json", ".metrics.json")))
+    assert metrics["best_epoch"] < metrics["epochs_run"]
+    rows = list(csv.DictReader(open(out.replace(".json", ".history.csv"))))
+    best = rows[metrics["best_epoch"] - 1]
+    assert rows[-1]["val_auc"] != best["val_auc"]
+    assert (metrics["auc"], metrics["f1"]) == (float(best["val_auc"]), float(best["val_f1"]))
+
+
+def test_single_class_validation_pairs_give_a_null_auc(pipeline, tmp_path, capsys):
+    # one pair is one class: AUC is undefined, and NaN is not JSON
+    out = str(tmp_path / "one.json")
+    rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
+               "--out", out, "--capacity", str(CAPACITY), "--pairs", "1",
+               "--epochs", "2", "--seed", "1"])
+    assert rc == 0
+    metrics = json.load(open(out.replace(".json", ".metrics.json")))
+    assert metrics["auc"] is None and metrics["n_val_pairs"] == 1
+    assert "val auc n/a" in capsys.readouterr().out
 
 
 def test_train_rerun_is_byte_identical(pipeline, tmp_path):

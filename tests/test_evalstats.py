@@ -30,7 +30,7 @@ from learnedcache.evalstats import (
 )
 from learnedcache.trace import default_spec
 
-from packbuild import zero_pack
+from packbuild import random_pack, zero_pack
 
 DFS = (1, 2, 3, 4, 7, 10, 30, 120)
 
@@ -268,6 +268,28 @@ def test_run_paired_trials_seeds_and_coins():
         assert trial.order == ("model_first" if coin < 0.5 else "normal_first")
         assert 0.0 <= trial.normal_rate <= 1.0
         assert 0.0 <= trial.model_rate <= 1.0
+
+
+def test_each_trial_runs_its_policies_in_the_coins_order(monkeypatch):
+    spec, _ = small_setup()
+    pack = random_pack(random.Random(5))  # unlike a zero pack, not FIFO's rates
+    runs = []
+    simulate = evalstats.run_simulation
+
+    def recording(trace, policy, capacity):
+        report = simulate(trace, policy, capacity)
+        runs.append((type(policy).__name__, report.insertion_rate))
+        return report
+
+    monkeypatch.setattr(evalstats, "run_simulation", recording)
+    out = run_paired_trials(spec, pack, 8, 6, master_seed=77)
+    assert {t.order for t in out.trials} == {"model_first", "normal_first"}
+    assert any(t.model_rate != t.normal_rate for t in out.trials)
+    for trial, first, second in zip(out.trials, runs[::2], runs[1::2]):
+        names = ["LearnedPolicy", "FifoPolicy"]
+        assert [first[0], second[0]] == (names if trial.order == "model_first" else names[::-1])
+        rate = dict((first, second))
+        assert (trial.model_rate, trial.normal_rate) == (rate["LearnedPolicy"], rate["FifoPolicy"])
 
 
 def test_run_paired_trials_parallel_matches_serial():

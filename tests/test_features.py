@@ -17,6 +17,7 @@ from learnedcache.features import (
     build_dataset,
 )
 from learnedcache.modelpack import PreparedScorer, int_score
+from learnedcache.simcache import CacheState, FifoPolicy, access
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
 from packbuild import make_accesses, random_pack
@@ -61,6 +62,20 @@ def test_unseen_page_on_a_seen_inode_keeps_inode_context():
     assert f.offset_distance == 4  # |3 - 7|
     assert f.file_size == 8
     assert f.inode_ema == EMA_SCALE
+
+
+def test_extract_features_refuses_the_pages_of_a_fifo_cache():
+    # a FIFO cache only numbers its pages: their columns hold zeros, which
+    # would read as a zero page delta and column 0 as the page's file
+    cache = CacheState(2)
+    for t, off in enumerate((3, 5, 3, 7)):
+        access(cache, PageKey(1, 20, off), t, FifoPolicy())
+    tr = cache.tracker
+    for key in tr.page_slot:
+        with pytest.raises(ValueError, match="on_access never saw it"):
+            tr.extract_features(key, 3)
+    # a page it never held has no column and no file context
+    assert tr.extract_features(PageKey(1, 20, 4), 3) == (MISSING,) * 4 + (0,) * 4 + (MISSING,)
 
 
 def test_first_access_initializes_both_tables():
@@ -166,7 +181,8 @@ def test_extraction_matches_history_based_reference(seed):
             continue
         probes = [key, PageKey(1, 10, 99), PageKey(1, 98, 0)]
         probes += [rng.choice(accs)[0] for _ in range(3)]
-        for extra in (0, rng.randrange(3 * HALF)):
+        # 64 half-lives and more shift an ema out whole
+        for extra in (0, rng.randrange(3 * HALF), 64 * HALF, 2**62):
             for p in probes:
                 got = tuple(tr.extract_features(p, t + extra))
                 assert got == ref_features(history, p, t + extra), (i, p, extra)

@@ -28,7 +28,7 @@ from learnedcache.ranker import LinearRanker
 from learnedcache.trace import PageKey
 
 from packbuild import build_pack, make_accesses, random_pack, zero_pack
-from reference_impls import ref_pack_score
+from reference_impls import ref_features, ref_pack_score
 
 U64_MAX = 2**64 - 1
 
@@ -232,9 +232,18 @@ def test_integer_score_matches_serialized_form_reference(seed):
         assert int_score(pack, raw) == ref_pack_score(obj, raw)
 
 
-def _reference_scores(pack, tracker, slots, t_now):
+def _reference_scores(pack, accs, tracker, slots, t_now):
+    """int_score of each candidate's features, recomputed by ref_features from
+    accs, the (key, t) accesses that built tracker."""
     keys = tracker.page_keys
-    return [int_score(pack, tracker.extract_features(keys[s], t_now)) for s in slots.tolist()]
+    return [int_score(pack, ref_features(accs, keys[s], t_now)) for s in slots.tolist()]
+
+
+def _track(accs):
+    tracker = AccessTracker()
+    for key, t in accs:
+        tracker.on_access(key, t)
+    return tracker
 
 
 def _page_slots(tracker):
@@ -244,17 +253,14 @@ def _page_slots(tracker):
 
 def _tracker_with_traffic(seed, n=400):
     rng = random.Random(seed)
-    tracker = AccessTracker()
     accs = make_accesses(rng, n, n_inodes=6, pages_per_inode=8,
                          t_step_max=300_000_000)
-    for key, t in accs:
-        tracker.on_access(key, t)
-    return tracker, rng
+    return _track(accs), accs, rng
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batch_scoring_agrees_with_scalar_scoring(seed):
-    tracker, rng = _tracker_with_traffic(seed)
+    tracker, accs, rng = _tracker_with_traffic(seed)
     pack = random_pack(rng)
     scorer = PreparedScorer(pack)
     t_now = tracker.last_t + rng.randrange(2_500_000_000)
@@ -262,22 +268,22 @@ def test_batch_scoring_agrees_with_scalar_scoring(seed):
     slots = pages[[rng.randrange(len(pages)) for _ in range(64)]]
 
     window = scorer.score_window(tracker, slots, t_now)
-    assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
+    assert window.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
 
 
 def test_batch_scoring_handles_small_and_single_windows():
-    tracker, rng = _tracker_with_traffic(99, n=50)
+    tracker, accs, rng = _tracker_with_traffic(99, n=50)
     pack = random_pack(rng)
     scorer = PreparedScorer(pack)
     t_now = tracker.last_t
     for size in (1, 2, 3, 17):
         slots = _page_slots(tracker)[:size]
         got = scorer.score_window(tracker, slots, t_now)
-        assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
+        assert got.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
 
 
 def test_batch_scoring_agrees_across_changing_window_sizes():
-    tracker, rng = _tracker_with_traffic(3, n=120)
+    tracker, accs, rng = _tracker_with_traffic(3, n=120)
     pack = random_pack(rng)
     scorer = PreparedScorer(pack)
     pages = _page_slots(tracker)
@@ -286,7 +292,7 @@ def test_batch_scoring_agrees_across_changing_window_sizes():
         for size in (40, 8, 40, 25):
             slots = pages[[rng.randrange(len(pages)) for _ in range(size)]]
             got = scorer.score_window(tracker, slots, t_now)
-            assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
+            assert got.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
 
 
 def test_constant_pack_scores_every_candidate_with_the_base():
@@ -294,7 +300,7 @@ def test_constant_pack_scores_every_candidate_with_the_base():
     scorer = PreparedScorer(pack)
     assert scorer.base == 9 * 2500
     assert int_score(pack, [0] * 9) == 22500
-    tracker, _ = _tracker_with_traffic(1, n=30)
+    tracker, _, _ = _tracker_with_traffic(1, n=30)
     for size in (1, 10):
         window = scorer.score_window(tracker, _page_slots(tracker)[:size], tracker.last_t)
         assert window.tolist() == [22500] * size
@@ -304,7 +310,7 @@ def test_zero_pack_scores_are_all_zero():
     pack = zero_pack()
     scorer = PreparedScorer(pack)
     assert int_score(pack, [MISSING] * 9) == 0
-    tracker, _ = _tracker_with_traffic(5, n=30)
+    tracker, _, _ = _tracker_with_traffic(5, n=30)
     # far in the future every delta and decay saturates
     for t_now in (tracker.last_t, tracker.last_t + 2**62):
         window = scorer.score_window(tracker, _page_slots(tracker)[:4], t_now)
@@ -330,21 +336,20 @@ def test_table_dtype_follows_the_score_bound(small, dtype):
         assert err.value.field == "features"
         return
     pack = build_pack(per_feature, scale=1)
-    tracker = AccessTracker()
-    for key, n in ((PageKey(1, 1, 0), 3), (PageKey(1, 1, 1), 2), (PageKey(1, 1, 2), 1)):
-        for _ in range(n):
-            tracker.on_access(key, 0)  # equal timestamps: zero deltas, else MISSING
+    # equal timestamps: zero deltas, else MISSING
+    accs = [(PageKey(1, 1, off), 0) for off, n in ((0, 3), (1, 2), (2, 1)) for _ in range(n)]
+    tracker = _track(accs)
     slots = _page_slots(tracker)
     window = PreparedScorer(pack).score_window(tracker, slots, 0)
     assert window.dtype == dtype
     assert window.tolist() == [2**63 - 1024 + small, 2**63 - 1024, 0]
-    assert window.tolist() == _reference_scores(pack, tracker, slots, 0)
+    assert window.tolist() == _reference_scores(pack, accs, tracker, slots, 0)
 
 
 def test_scoring_never_writes_to_the_tracker():
     # offset distance, both emas and the access gap are derived in place on
     # the gathered block, which must be a copy of the tracker table
-    tracker, rng = _tracker_with_traffic(4, n=200)
+    tracker, accs, rng = _tracker_with_traffic(4, n=200)
     per_feature = [([], [0.5])] * 9
     for j in (4, 6, 7, 8):
         per_feature[j] = ([1, 1000, 10**9], [rng.uniform(-3.0, 3.0) for _ in range(4)])
@@ -355,7 +360,7 @@ def test_scoring_never_writes_to_the_tracker():
     t_now = tracker.last_t + 3_000_000_000
     for slots in (pages, pages[[rng.randrange(len(pages)) for _ in range(5)]]):
         window = scorer.score_window(tracker, slots, t_now)
-        assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
+        assert window.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
     assert np.array_equal(tracker.tab, tab)
 
 
@@ -365,16 +370,36 @@ def test_edges_near_the_u64_limit_bin_correctly():
     pack = build_pack(
         [([], [0.0])] * 5 + [([U64_MAX - 1, U64_MAX], [1.0, 2.0, 3.0])] + [([], [0.0])] * 3
     )
-    tracker = AccessTracker()
-    for inode, size in enumerate((U64_MAX - 2, U64_MAX - 1, U64_MAX)):
-        tracker.on_access(PageKey(1, inode, size - 1), inode)
+    accs = [(PageKey(1, inode, size - 1), inode)
+            for inode, size in enumerate((U64_MAX - 2, U64_MAX - 1, U64_MAX))]
+    tracker = _track(accs)
     slots = _page_slots(tracker)
     assert [tracker.extract_features(k, 2).file_size for k in tracker.page_slot] == [
         U64_MAX - 2, U64_MAX - 1, U64_MAX
     ]
     window = PreparedScorer(pack).score_window(tracker, slots, 2)
     assert window.tolist() == [10000, 20000, 30000]
-    assert window.tolist() == _reference_scores(pack, tracker, slots, 2)
+    assert window.tolist() == _reference_scores(pack, accs, tracker, slots, 2)
+
+
+def test_offset_distance_is_exact_across_the_u64_range():
+    # the binned feature is offset_distance (index 4). The file's last
+    # offset is 0, so the page at the largest offset an access may carry is
+    # 2**64 - 2 away: past 2**63, where the smaller of the two wrapped u64
+    # differences (2) is not the distance
+    far = U64_MAX - 1
+    pack = build_pack(
+        [([], [0.0])] * 4 + [([2**62, 2**63 + 1, far], [1.0, 2.0, 3.0, 4.0])] + [([], [0.0])] * 4
+    )
+    accs = [(PageKey(1, 1, 2**63), 0), (PageKey(1, 1, far), 1), (PageKey(1, 1, 0), 2)]
+    tracker = _track(accs)
+    slots = _page_slots(tracker)
+    assert [tracker.extract_features(k, 2).offset_distance for k in tracker.page_slot] == [
+        2**63, far, 0
+    ]
+    window = PreparedScorer(pack).score_window(tracker, slots, 2)
+    assert window.tolist() == [20000, 40000, 10000]
+    assert window.tolist() == _reference_scores(pack, accs, tracker, slots, 2)
 
 
 @settings(deadline=None)
@@ -393,11 +418,9 @@ def test_window_scores_equal_the_integer_reference(rng, window, wide):
         pack = build_pack(
             [(fe.bin_edges, fe.weights_float) for fe in pack.features], scale=10**17
         )
-    tracker = AccessTracker()
     accs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 6),
                          pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
-    for key, t in accs:
-        tracker.on_access(key, t)
+    tracker = _track(accs)
     # elapsed times of 64 half-lives and more shift the ema scores out whole
     t_now = tracker.last_t + rng.choice(
         [0, 1, rng.randrange(5_000_000_000), 64 * HALF_LIFE_NS, 2**62]
@@ -405,7 +428,7 @@ def test_window_scores_equal_the_integer_reference(rng, window, wide):
     pages = _page_slots(tracker)
     slots = pages[[rng.randrange(len(pages)) for _ in range(window)]]
     got = PreparedScorer(pack).score_window(tracker, slots, t_now)
-    assert got.tolist() == _reference_scores(pack, tracker, slots, t_now)
+    assert got.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
 
 
 def test_golden_pack_round_trips_byte_for_byte(tmp_path):
@@ -419,12 +442,10 @@ def test_golden_pack_scores_known_vectors():
     pack = load_json(str(GOLDEN))
     scorer = PreparedScorer(pack)
     # two fresh pages (MISSING deltas) and pages with small, repeated gaps
-    tracker = AccessTracker()
-    tracker.on_access(PageKey(1, 1, 0), 0)
-    tracker.on_access(PageKey(1, 2, 4), 0)
-    for t in range(5, 30, 5):
-        tracker.on_access(PageKey(1, 3, t % 3), t)
+    accs = [(PageKey(1, 1, 0), 0), (PageKey(1, 2, 4), 0)]
+    accs += [(PageKey(1, 3, t % 3), t) for t in range(5, 30, 5)]
+    tracker = _track(accs)
     slots = _page_slots(tracker)
     for t_now in (tracker.last_t, tracker.last_t + 5):
         window = scorer.score_window(tracker, slots, t_now)
-        assert window.tolist() == _reference_scores(pack, tracker, slots, t_now)
+        assert window.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)

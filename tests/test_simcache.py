@@ -27,7 +27,7 @@ from learnedcache.simcache import (
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
 from packbuild import build_pack, make_accesses, random_pack, zero_pack
-from reference_impls import ref_fifo_sim, ref_learned_sim
+from reference_impls import ref_features, ref_fifo_sim, ref_learned_sim
 
 A, B, C, D = (PageKey(1, 10, i) for i in range(4))
 
@@ -368,9 +368,7 @@ def test_batch_eviction_takes_the_lowest_scores_in_order(n, oversample):
 
     window = min(oversample * n, len(resident_before))
     cands = resident_before[:window]
-    scores = [
-        int_score(pack, list(cache.tracker.extract_features(k, t_now))) for k in cands
-    ]
+    scores = [int_score(pack, ref_features(pairs, k, t_now)) for k in cands]
     order = sorted(range(window), key=lambda i: (scores[i], i))
     victim_idx = order[: min(n, window)]
     expect_victims = [cands[i] for i in victim_idx]
