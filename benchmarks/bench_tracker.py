@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python -m pytest benchmarks/bench_tracker.py --benchmark-only
 
-Covers AccessTracker.on_access on a hit and on new keys, extract_features,
-PreparedScorer.score_window at windows 5 (what simulations score: one
-page per eviction request, oversample 5) and 160 (what the latency gate
+Covers AccessTracker.on_access on a hit and on new keys, AccessTracker.window
+at window 5 (the tracker's feature derivation without score_window's rank
+lookup), PreparedScorer.score_window at windows 5 (what simulations score:
+one page per eviction request, oversample 5) and 160 (what the latency gate
 times), on the committed perfbench models, and whole learned simulations
 in the shapes of both perfbench simulate workloads, each with its committed
 model: sizebias-evict (synthetic_sizebias, 1000 ops, capacity 96; mostly
@@ -131,9 +132,12 @@ def test_on_access_new_keys(benchmark):
     benchmark.pedantic(replay, setup=lambda: ((AccessTracker(),), {}), rounds=300)
 
 
-def test_extract_features(benchmark, mongo_events, mongo_tracker):
-    key = mongo_events[len(mongo_events) // 2].key
-    benchmark(mongo_tracker.extract_features, key, mongo_tracker.last_t)
+def test_window(benchmark, mongo_events, mongo_tracker):
+    # the pages of five mid-trace accesses; offset_distance is not derived,
+    # as no committed model bins it
+    mid = len(mongo_events) // 2
+    slots = np.array([mongo_tracker.page_slot[ev.key] for ev in mongo_events[mid:mid + 5]])
+    benchmark(mongo_tracker.window, slots, mongo_tracker.last_t, False)
 
 
 @pytest.mark.parametrize("window", [5, 160])

@@ -204,12 +204,12 @@ class PairedTrialSet:
         return sum(t.normal_rate for t in self.trials) / len(self.trials)
 
 
-def _run_one_trial(args: tuple[WorkloadSpec, ModelPack, int, int, int]) -> TrialResult:
-    base, pack, capacity, trace_seed, coin_seed = args
+def _run_one_trial(args: tuple[WorkloadSpec, LearnedPolicy, int, int, int]) -> TrialResult:
+    base, learned, capacity, trace_seed, coin_seed = args
     spec = replace(base, seed=trace_seed)
     trace = generate_workload(spec)
     order = "model_first" if random.Random(coin_seed).random() < 0.5 else "normal_first"
-    runs = [("model", LearnedPolicy(pack)), ("normal", FifoPolicy())]
+    runs = [("model", learned), ("normal", FifoPolicy())]
     rate = {name: run_simulation(trace, policy, capacity).insertion_rate
             for name, policy in (runs if order == "model_first" else runs[::-1])}
     return TrialResult(trace_seed, order, rate["normal"], rate["model"])
@@ -227,15 +227,17 @@ def run_paired_trials(
 
     Trial i uses a derived seed, and a derived coin decides which policy runs
     first. Results are deterministic and independent of jobs, which is capped
-    at n_trials and the CPU count.
+    at n_trials and the CPU count. A pack the simulator cannot serve is
+    refused before any trace is generated.
     """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
+    learned = LearnedPolicy(pack)
     workers = min(jobs, n_trials, os.cpu_count() or 1)
     work = [
-        (base_spec, pack, capacity, derive_seed(master_seed, 2 * i), derive_seed(master_seed, 2 * i + 1))
+        (base_spec, learned, capacity, derive_seed(master_seed, 2 * i), derive_seed(master_seed, 2 * i + 1))
         for i in range(n_trials)
     ]
     if workers > 1:

@@ -13,11 +13,10 @@ page's file column or the file's size). This module owns that layout and
 the one derivation of a seen page's features: AccessTracker.window gathers
 a window's pages and their files side by side in one take and derives each
 time-dependent feature from one contiguous row, and FEATURE_ROW says which
-row of that block holds each feature. The eviction scorer and
-extract_features both read that block. The per-access update reads and
-writes single cells through cached memoryviews of the field rows: one cell
-through a 1-D memoryview costs a small fraction of a numpy scalar index or a
-column tolist().
+row of that block holds each feature; the eviction scorer reads it. The
+per-access update reads and writes single cells through cached memoryviews
+of the field rows: one cell through a 1-D memoryview costs a small fraction
+of a numpy scalar index or a column tolist().
 """
 
 from __future__ import annotations
@@ -89,11 +88,10 @@ class AccessTracker:
     and inode_slot map a page and a (dev, inode) file to their columns, and
     page_keys[c] is the key of column c; a new file's column is allocated
     before its first page's. _rows holds a memoryview of each field row;
-    on_access reads and writes single cells through them, and
-    extract_features and build_dataset read them. _column is the one place the
-    table grows, and growing it replaces the row views too. page_column only
-    numbers pages: it allocates a page's column through _column and updates
-    nothing.
+    on_access reads and writes single cells through them, and build_dataset
+    reads them. _column is the one place the table grows, and growing it
+    replaces the row views too. page_column only numbers pages: it allocates
+    a page's column through _column and updates nothing.
     """
 
     def __init__(self) -> None:
@@ -116,10 +114,9 @@ class AccessTracker:
     def page_column(self, key: PageKey) -> int:
         """The page's column slot, allocated on first sight; sets no field.
 
-        For a caller that only numbers pages (a FIFO cache) and never mixes
-        this with on_access: the column's cells stay zero and name no file
-        column, so they are no features to score, and extract_features
-        refuses the page.
+        For a caller that only numbers pages and never mixes this with
+        on_access: the column's cells stay zero and name no file column, so
+        they hold no features to score.
         """
         slot = self.page_slot.get(key)
         if slot is None:
@@ -180,8 +177,9 @@ class AccessTracker:
         """The (12, w) feature block of the pages at column slots as of t_now.
 
         Row FEATURE_ROW[j] holds feature j of every page; the rest are
-        scratch. offset_distance is derived only if offset is true. t_now
-        must not precede the pages' and their files' last accesses.
+        scratch. offset_distance is derived only if offset is true. The
+        slots must be page columns that on_access updated, and t_now must
+        not precede the pages' and their files' last accesses.
         """
         w = len(slots)
         tab = self.tab
@@ -199,36 +197,6 @@ class AccessTracker:
             r, s = g[P_OFF, :w], g[P_OFF, w:]
             np.subtract(np.maximum(r, s), np.minimum(r, s), out=r)
         return g.reshape(12, w)
-
-    def extract_features(self, key: PageKey, t_now: int) -> FeatureVector:
-        """Feature vector for key as of t_now (>= the tracker's latest event).
-
-        A seen page's features are its column of window(). A never-seen page
-        gets MISSING page deltas and access gap and a zero page EMA; its
-        file's context if the file was seen, else MISSING file deltas and
-        zero offset distance, file size and file EMA. Raises ValueError for a
-        page that page_column numbered but on_access never updated (a FIFO
-        cache's), whose column holds no features.
-        """
-        if t_now < self.last_t:
-            raise ValueError(f"t_now={t_now} precedes tracker time {self.last_t}")
-
-        slot = self.page_slot.get(key)
-        if slot is not None:
-            # on_access leaves every ema cell at EMA_SCALE or more
-            if not self._rows[P_EMA][slot]:
-                raise ValueError(f"{key} has a column but no features: on_access never saw it")
-            block = self.window(np.array([slot], dtype=np.int64), t_now, True)
-            return FeatureVector._make(block[FEATURE_ROW, 0].tolist())
-
-        islot = self.inode_slot.get((key.dev, key.inode))
-        if islot is None:
-            return FeatureVector(MISSING, MISSING, MISSING, MISSING, 0, 0, 0, 0, MISSING)
-        last_off, d1, d2, ema, last, size = self._rows
-        return FeatureVector(
-            MISSING, MISSING, d1[islot], d2[islot], abs(key.offset - last_off[islot]), size[islot],
-            0, ema[islot] >> ((t_now - last[islot]) // HALF_LIFE_NS), MISSING,
-        )
 
 
 class DatasetRow(NamedTuple):

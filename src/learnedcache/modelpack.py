@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .discretizer import MAX_BINS
-from .errors import PackValidationError, QuantizationError
-from .features import FEATURE_NAMES, FEATURE_ROW
+from .errors import ConfigurationError, PackValidationError, QuantizationError
+from .features import FEATURE_NAMES, FEATURE_ROW, N_FEATURES
 from .ranker import LinearRanker
 
 DEFAULT_WEIGHT_SCALE = 10_000
@@ -231,11 +231,24 @@ class PreparedScorer:
     each value its rank in the merged list, and a per-feature table maps that
     rank straight to the feature's integer weight (the base score is folded
     into the first table row). The tables are int64, which score_bound fits.
+
+    Pack feature i is scored on the block row of FEATURE_NAMES[i], so a
+    pack whose names are not the first n of FEATURE_NAMES is refused.
     """
 
     __slots__ = ("base", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
 
     def __init__(self, pack: ModelPack):
+        n = pack.n_features
+        if n > N_FEATURES:
+            raise ConfigurationError(
+                f"model pack has {n} features; the simulator computes {N_FEATURES}"
+            )
+        if pack.feature_names != FEATURE_NAMES[:n]:
+            raise ConfigurationError(
+                f"model pack features {list(pack.feature_names)} are not the "
+                f"simulator's first {n} features {list(FEATURE_NAMES[:n])}"
+            )
         idx = [i for i, fe in enumerate(pack.features) if fe.n_bins > 1]
         binned = [pack.features[i] for i in idx]
         self.base = sum(fe.weights_int[0] for fe in pack.features if fe.n_bins == 1)
@@ -267,8 +280,8 @@ class PreparedScorer:
     def score_window(self, tracker, slots: np.ndarray, t_now_ns: int) -> np.ndarray:
         """Score resident pages given their tracker column slots.
 
-        Equals int_score(pack, tracker.extract_features(key, t_now_ns)) per
-        candidate: both read tracker.window's block.
+        Element k equals int_score(pack, features), where features is
+        column k of the FEATURE_ROW rows of tracker.window's block.
         """
         block = tracker.window(slots, t_now_ns, self._offset)
         ranks = self._u_edges.searchsorted(block.take(self._rows, axis=0), side="right")

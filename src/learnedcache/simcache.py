@@ -29,7 +29,7 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .features import FEATURE_NAMES, N_FEATURES, AccessTracker
+from .features import AccessTracker
 from .modelpack import ModelPack, PreparedScorer
 from .trace import EventKind, PageKey, TraceEvent, _new_tuple
 
@@ -58,16 +58,7 @@ class LearnedPolicy:
     def __post_init__(self) -> None:
         if self.oversample < 1:
             raise ConfigurationError("oversample must be >= 1")
-        n = self.pack.n_features
-        if n > N_FEATURES:
-            raise ConfigurationError(
-                f"model pack has {n} features; the simulator computes {N_FEATURES}"
-            )
-        if self.pack.feature_names != FEATURE_NAMES[:n]:
-            raise ConfigurationError(
-                f"model pack features {list(self.pack.feature_names)} are not the "
-                f"simulator's first {n} features {list(FEATURE_NAMES[:n])}"
-            )
+        # refuses a pack whose features are not the simulator's
         self._scorer = PreparedScorer(self.pack)
 
 

@@ -1,10 +1,13 @@
-"""Shared builders for model packs and synthetic access streams."""
+"""Shared builders for model packs and synthetic access streams, and the
+feature reader the tests share."""
 
 from __future__ import annotations
 
 import random
 
-from learnedcache.features import FEATURE_NAMES, N_FEATURES
+import numpy as np
+
+from learnedcache.features import FEATURE_NAMES, FEATURE_ROW, N_FEATURES, FeatureVector
 from learnedcache.modelpack import DEFAULT_WEIGHT_SCALE, ModelPack, pack_from_dict
 from learnedcache.trace import PageKey
 
@@ -87,3 +90,11 @@ def make_accesses(
         key = PageKey(1, 10 + rng.randrange(n_inodes), rng.randrange(pages_per_inode))
         out.append((key, t))
     return out
+
+
+def window_features(tracker, keys, t_now: int) -> list[FeatureVector]:
+    """The features of each seen page in keys as of t_now: its column of the
+    FEATURE_ROW rows of tracker.window's block, offset_distance included."""
+    slots = np.array([tracker.page_slot[k] for k in keys], dtype=np.int64)
+    block = tracker.window(slots, t_now, True)
+    return [FeatureVector._make(col) for col in block[list(FEATURE_ROW)].T.tolist()]

@@ -3,10 +3,7 @@
 Everything here favors the most literal possible formulation (full timestamp
 histories, python lists, quadratic scans) so that agreement with the package
 is evidence of correctness rather than shared structure. Only plain data
-types are imported from the package; the one exception is ref_learned_sim,
-which reuses the package's feature extractor and integer scorer (each checked
-against its own oracle elsewhere) while making every windowing and ordering
-decision with plain lists.
+types are imported from the package.
 """
 
 from __future__ import annotations
@@ -52,6 +49,14 @@ def ref_features(history: list, key, t_now: int) -> tuple[int, ...]:
     """
     page_ts = [t for k, t in history if k == key]
     inode_accs = [(k.offset, t) for k, t in history if (k.dev, k.inode) == (key.dev, key.inode)]
+    return ref_features_of(key, page_ts, inode_accs, t_now)
+
+
+def ref_features_of(
+    key, page_ts: list[int], inode_accs: list[tuple[int, int]], t_now: int
+) -> tuple[int, ...]:
+    """The nine features of `key` at t_now from its own access times and
+    its file's (offset, t) accesses, each in time order and all <= t_now."""
     inode_ts = [t for _, t in inode_accs]
 
     def delta(ts: list[int], back: int) -> int:
@@ -187,17 +192,24 @@ def ref_learned_sim(accesses: list, capacity: int, pack, oversample: int = 5):
     On overflow of n pages, the candidates are the oldest min(oversample * n,
     resident) pages; the n lowest-scoring are evicted (older position wins
     ties), survivors keep their relative order. Victim lists come out in
-    ascending score order.
+    ascending score order. A candidate's features come from per-page and
+    per-file access histories kept here, and its score is the sum over the
+    pack's features of the weight of the bin its value falls in.
     """
-    from learnedcache.features import AccessTracker
-    from learnedcache.modelpack import int_score
+    page_ts: dict = {}
+    file_accs: dict = {}
 
-    tracker = AccessTracker()
+    def score(key, t_now):
+        feats = ref_features_of(key, page_ts[key], file_accs[(key.dev, key.inode)], t_now)
+        return sum(fe.weights_int[bisect_right(fe.bin_edges, feats[j])]
+                   for j, fe in enumerate(pack.features))
+
     resident: list = []
     hits: list[bool] = []
     batches: list[list] = []
     for key, t in accesses:
-        tracker.on_access(key, t)
+        page_ts.setdefault(key, []).append(t)
+        file_accs.setdefault((key.dev, key.inode), []).append((key.offset, t))
         if key in resident:
             hits.append(True)
             continue
@@ -208,10 +220,7 @@ def ref_learned_sim(accesses: list, capacity: int, pack, oversample: int = 5):
             n = min(BATCH_MAX, overflow)
             window = min(oversample * n, len(resident))
             cands = resident[:window]
-            scored = sorted(
-                (int_score(pack, list(tracker.extract_features(k, t))), i)
-                for i, k in enumerate(cands)
-            )
+            scored = sorted((score(k, t), i) for i, k in enumerate(cands))
             chosen = [i for _, i in scored[:n]]
             batches.append([cands[i] for i in chosen])
             gone = set(chosen)

@@ -12,6 +12,7 @@ import pytest
 import scipy.stats
 
 from learnedcache import evalstats
+from learnedcache.cli import main
 from learnedcache.errors import ConfigurationError
 from learnedcache.evalstats import (
     PairedTrialSet,
@@ -28,9 +29,11 @@ from learnedcache.evalstats import (
     trial_set_to_dict,
     write_summary_csv,
 )
+from learnedcache.features import FEATURE_NAMES
+from learnedcache.modelpack import export_json
 from learnedcache.trace import default_spec
 
-from packbuild import random_pack, zero_pack
+from packbuild import build_pack, random_pack, zero_pack
 
 DFS = (1, 2, 3, 4, 7, 10, 30, 120)
 
@@ -310,6 +313,24 @@ def test_run_paired_trials_rejects_jobs_below_one(jobs):
     spec, pack = small_setup()
     with pytest.raises(ConfigurationError):
         run_paired_trials(spec, pack, 8, 2, master_seed=1, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_paired_eval_refuses_a_reordered_pack_before_any_trace(monkeypatch, tmp_path, capsys, jobs):
+    names = list(FEATURE_NAMES[::-1])
+    model = tmp_path / "reversed.json"
+    export_json(build_pack([([], [0.0]) for _ in names], names=names), str(model))
+
+    def no_trace(spec):
+        raise AssertionError("a trace was generated before the pack was checked")
+
+    monkeypatch.setattr(evalstats, "generate_workload", no_trace)
+    out = tmp_path / "eval.json"
+    rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", str(model),
+               "--capacity", "8", "--trials", "4", "--jobs", jobs, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: model pack features ")
+    assert not out.exists()
 
 
 class _InlinePool:

@@ -1,4 +1,4 @@
-"""Access tracking, feature extraction, and dataset labeling."""
+"""Access tracking, the window feature derivation, and dataset labeling."""
 
 import random
 
@@ -17,14 +17,17 @@ from learnedcache.features import (
     build_dataset,
 )
 from learnedcache.modelpack import PreparedScorer, int_score
-from learnedcache.simcache import CacheState, FifoPolicy, access
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
-from packbuild import make_accesses, random_pack
+from packbuild import make_accesses, random_pack, window_features
 from reference_impls import ref_dataset, ref_features
 
 HALF = 1_000_000_000
 K = PageKey(1, 10, 3)
+
+
+def features(tr, key, t_now):
+    return window_features(tr, [key], t_now)[0]
 
 
 def test_feature_vector_has_nine_named_fields():
@@ -42,46 +45,10 @@ def test_feature_vector_has_nine_named_fields():
     )
 
 
-def test_unseen_key_gets_missing_and_zero_defaults():
-    tr = AccessTracker()
-    f = tr.extract_features(K, 0)
-    assert (f.page_delta1, f.page_delta2, f.access_to_eviction) == (MISSING, MISSING, MISSING)
-    assert (f.inode_delta1, f.inode_delta2) == (MISSING, MISSING)
-    assert (f.offset_distance, f.file_size, f.page_ema, f.inode_ema) == (0, 0, 0, 0)
-
-
-def test_unseen_page_on_a_seen_inode_keeps_inode_context():
-    tr = AccessTracker()
-    tr.on_access(PageKey(1, 10, 7), 100)
-    f = tr.extract_features(K, 100)  # same inode, different offset
-    assert f.page_delta1 == MISSING
-    assert f.page_delta2 == MISSING
-    assert f.access_to_eviction == MISSING
-    assert f.page_ema == 0
-    assert f.inode_delta1 == MISSING  # one inode access so far
-    assert f.offset_distance == 4  # |3 - 7|
-    assert f.file_size == 8
-    assert f.inode_ema == EMA_SCALE
-
-
-def test_extract_features_refuses_the_pages_of_a_fifo_cache():
-    # a FIFO cache only numbers its pages: their columns hold zeros, which
-    # would read as a zero page delta and column 0 as the page's file
-    cache = CacheState(2)
-    for t, off in enumerate((3, 5, 3, 7)):
-        access(cache, PageKey(1, 20, off), t, FifoPolicy())
-    tr = cache.tracker
-    for key in tr.page_slot:
-        with pytest.raises(ValueError, match="on_access never saw it"):
-            tr.extract_features(key, 3)
-    # a page it never held has no column and no file context
-    assert tr.extract_features(PageKey(1, 20, 4), 3) == (MISSING,) * 4 + (0,) * 4 + (MISSING,)
-
-
 def test_first_access_initializes_both_tables():
     tr = AccessTracker()
     tr.on_access(K, 50)
-    f = tr.extract_features(K, 50)
+    f = features(tr, K, 50)
     assert f.page_delta1 == MISSING
     assert f.page_delta2 == MISSING
     assert f.access_to_eviction == 0
@@ -95,12 +62,12 @@ def test_delta_chain_follows_last_three_timestamps():
     tr = AccessTracker()
     for t in (0, 5, 12):
         tr.on_access(K, t)
-    f = tr.extract_features(K, 12)
+    f = features(tr, K, 12)
     assert f.page_delta1 == 7  # 12 - 5
     assert f.page_delta2 == 5  # 5 - 0
     assert f.access_to_eviction == 0
     tr.on_access(K, 20)
-    f = tr.extract_features(K, 23)
+    f = features(tr, K, 23)
     assert f.page_delta1 == 8
     assert f.page_delta2 == 7
     assert f.access_to_eviction == 3
@@ -111,20 +78,20 @@ def test_ema_accumulates_and_halves_per_half_life():
     tr.on_access(K, 0)
     tr.on_access(K, HALF)
     # 1024 halved once plus a fresh 1024
-    assert tr.extract_features(K, HALF).page_ema == 1536
+    assert features(tr, K, HALF).page_ema == 1536
     # two more half-lives quarter it
-    assert tr.extract_features(K, 3 * HALF).page_ema == 384
+    assert features(tr, K, 3 * HALF).page_ema == 384
     # fractions of a half-life do nothing (integer half-life count)
-    assert tr.extract_features(K, HALF + HALF - 1).page_ema == 1536
+    assert features(tr, K, HALF + HALF - 1).page_ema == 1536
 
 
 def test_ema_decays_to_zero_beyond_the_shift_range():
     tr = AccessTracker()
     tr.on_access(K, 0)
-    assert tr.extract_features(K, 10 * HALF).page_ema == 1
-    assert tr.extract_features(K, 11 * HALF).page_ema == 0
+    assert features(tr, K, 10 * HALF).page_ema == 1
+    assert features(tr, K, 11 * HALF).page_ema == 0
     # enormous gaps must not overflow the shift amount
-    assert tr.extract_features(K, 200 * HALF).page_ema == 0
+    assert features(tr, K, 200 * HALF).page_ema == 0
 
 
 def test_inode_state_is_shared_across_pages():
@@ -132,7 +99,7 @@ def test_inode_state_is_shared_across_pages():
     a, b = PageKey(1, 10, 0), PageKey(1, 10, 5)
     tr.on_access(a, 10)
     tr.on_access(b, 30)
-    fa = tr.extract_features(a, 30)
+    fa = features(tr, a, 30)
     assert fa.inode_delta1 == 20
     assert fa.inode_ema == EMA_SCALE * 2  # two recent accesses, no decay yet
     assert fa.offset_distance == 5  # a's offset 0 vs last inode offset 5
@@ -142,8 +109,8 @@ def test_inode_state_is_shared_across_pages():
 def test_file_size_tracks_the_largest_offset_seen():
     tr = AccessTracker()
     tr.on_access(PageKey(1, 10, 9), 1)
-    tr.on_access(PageKey(1, 10, 2), 2)
-    assert tr.extract_features(K, 2).file_size == 10
+    tr.on_access(K, 2)
+    assert features(tr, K, 2).file_size == 10
 
 
 def test_time_regression_is_rejected():
@@ -151,8 +118,6 @@ def test_time_regression_is_rejected():
     tr.on_access(K, 100)
     with pytest.raises(ValueError):
         tr.on_access(K, 99)
-    with pytest.raises(ValueError):
-        tr.extract_features(K, 99)
     tr.on_access(K, 100)  # equal timestamps are fine
 
 
@@ -162,8 +127,7 @@ def test_tracker_grows_past_initial_table_sizes():
     for t, k in enumerate(keys):
         tr.on_access(k, t * 10)
     t_now = (len(keys) - 1) * 10
-    for k in keys[::37]:
-        assert tr.extract_features(k, t_now).file_size == 5
+    assert [f.file_size for f in window_features(tr, keys[::37], t_now)] == [5] * 10
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -179,13 +143,11 @@ def test_extraction_matches_history_based_reference(seed):
         history.append((key, t))
         if i % 23 != 0:
             continue
-        probes = [key, PageKey(1, 10, 99), PageKey(1, 98, 0)]
-        probes += [rng.choice(accs)[0] for _ in range(3)]
+        probes = [key] + [rng.choice(history)[0] for _ in range(3)]
         # 64 half-lives and more shift an ema out whole
         for extra in (0, rng.randrange(3 * HALF), 64 * HALF, 2**62):
-            for p in probes:
-                got = tuple(tr.extract_features(p, t + extra))
-                assert got == ref_features(history, p, t + extra), (i, p, extra)
+            got = window_features(tr, probes, t + extra)
+            assert got == [ref_features(history, p, t + extra) for p in probes], (i, extra)
 
 
 # 70 files of 5 pages: more columns (350 pages plus 70 files) than the
@@ -222,8 +184,10 @@ def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed)
         tr.on_access(key, t)
         history.append((key, t))
         if n in probes or n == len(stream) - 1:
-            for p in (key, order[0], order[len(order) // 2]):
-                assert tuple(tr.extract_features(p, t + HALF)) == ref_features(history, p, t + HALF)
+            pages = [p for p in (key, order[0], order[len(order) // 2]) if p in tr.page_slot]
+            assert window_features(tr, pages, t + HALF) == [
+                ref_features(history, p, t + HALF) for p in pages
+            ]
     assert len(tr.page_slot) == 350 and len(tr.inode_slot) == 70
     # the scorer gathers from the public table, which must hold the same state
     slots = np.array([tr.page_slot[k] for k in order[::7]])
@@ -286,9 +250,10 @@ def test_page_first_lookup_keeps_inode_slots_and_features(steps, gaps, probes):
             assert all(tr.page_keys[s] == f for f, s in tr.inode_slot.items())
             inode_col = tr.tab[P_INODE].take(list(tr.page_slot.values())).tolist()
             assert inode_col == [tr.inode_slot[(k.dev, k.inode)] for k in tr.page_slot]
-            # a seen page, an unseen page of a seen file, an unseen file
-            for p in (key, seen[0], key._replace(offset=_FILE_PAGES), PageKey(1, 10, 0)):
-                assert tuple(tr.extract_features(p, t + HALF)) == ref_features(history, p, t + HALF)
+            # the page just seen and the first page seen
+            assert window_features(tr, [key, seen[0]], t + HALF) == [
+                ref_features(history, p, t + HALF) for p in (key, seen[0])
+            ]
     assert len(tr.page_slot) == _N_FILES * _FILE_PAGES and len(tr.inode_slot) == _N_FILES
 
 

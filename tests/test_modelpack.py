@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 GOLDEN = Path(__file__).parent / "data" / "golden_model.json"
 
 from learnedcache.discretizer import FeatureBins
-from learnedcache.errors import PackValidationError, QuantizationError
+from learnedcache.errors import ConfigurationError, PackValidationError, QuantizationError
 from learnedcache.features import FEATURE_NAMES, HALF_LIFE_NS, MISSING, AccessTracker
 from learnedcache.modelpack import (
     DEFAULT_WEIGHT_SCALE,
@@ -27,7 +27,7 @@ from learnedcache.modelpack import (
 from learnedcache.ranker import LinearRanker
 from learnedcache.trace import PageKey
 
-from packbuild import build_pack, make_accesses, random_pack, zero_pack
+from packbuild import build_pack, make_accesses, random_pack, window_features, zero_pack
 from reference_impls import ref_features, ref_pack_score
 
 U64_MAX = 2**64 - 1
@@ -324,6 +324,25 @@ def test_pack_whose_score_bound_passes_int64_is_rejected():
     assert err.value.field.startswith("features")
 
 
+def test_scorer_refuses_a_pack_that_is_not_a_prefix_of_the_features():
+    # pack feature i is scored on the block row of FEATURE_NAMES[i], so a
+    # reordered pack would be scored on other features' rows
+    names = list(FEATURE_NAMES[::-1])
+    reversed_pack = build_pack([([1], [0.0, 1.0]) for _ in names], names=names)
+    with pytest.raises(ConfigurationError) as err:
+        PreparedScorer(reversed_pack)
+    assert str(err.value) == (
+        f"model pack features {names} are not the simulator's first 9 features "
+        f"{list(FEATURE_NAMES)}"
+    )
+    wide = build_pack([([], [0.0]) for _ in range(10)], names=[f"f{i}" for i in range(10)])
+    with pytest.raises(ConfigurationError) as err:
+        PreparedScorer(wide)
+    assert str(err.value) == "model pack has 10 features; the simulator computes 9"
+    # a prefix of the features, in order, is served
+    assert PreparedScorer(zero_pack(3)).base == 0
+
+
 @pytest.mark.parametrize("small, dtype", [(1023, np.int64), (1024, object)])
 def test_table_dtype_follows_the_score_bound(small, dtype):
     # scale 1 and weights 2**63 - 1024 and `small` put the score bound at
@@ -374,7 +393,7 @@ def test_edges_near_the_u64_limit_bin_correctly():
             for inode, size in enumerate((U64_MAX - 2, U64_MAX - 1, U64_MAX))]
     tracker = _track(accs)
     slots = _page_slots(tracker)
-    assert [tracker.extract_features(k, 2).file_size for k in tracker.page_slot] == [
+    assert [f.file_size for f in window_features(tracker, tracker.page_slot, 2)] == [
         U64_MAX - 2, U64_MAX - 1, U64_MAX
     ]
     window = PreparedScorer(pack).score_window(tracker, slots, 2)
@@ -394,7 +413,7 @@ def test_offset_distance_is_exact_across_the_u64_range():
     accs = [(PageKey(1, 1, 2**63), 0), (PageKey(1, 1, far), 1), (PageKey(1, 1, 0), 2)]
     tracker = _track(accs)
     slots = _page_slots(tracker)
-    assert [tracker.extract_features(k, 2).offset_distance for k in tracker.page_slot] == [
+    assert [f.offset_distance for f in window_features(tracker, tracker.page_slot, 2)] == [
         2**63, far, 0
     ]
     window = PreparedScorer(pack).score_window(tracker, slots, 2)
