@@ -182,13 +182,17 @@ def test_generate_workload(benchmark, kind, ops):
     per_event(benchmark, len(events))
 
 
-@pytest.fixture(scope="module")
-def label_trace():
-    """One train-sizebias trace and its FIFO label run's Evict events."""
-    events = generate_workload(default_spec("synthetic_sizebias", seed=7, n_ops=250))
+def label_run(seed: int) -> tuple[list, list]:
+    """A train-sizebias trace of this seed and its FIFO label run's Evict events."""
+    events = generate_workload(default_spec("synthetic_sizebias", seed=seed, n_ops=250))
     sink: list = []
     run_simulation(events, FifoPolicy(), LABEL_CAPACITY, event_sink=sink)
     return events, sink
+
+
+@pytest.fixture(scope="module")
+def label_trace():
+    return label_run(7)
 
 
 def test_label_run(benchmark, label_trace):
@@ -212,15 +216,8 @@ def test_build_dataset(benchmark, label_trace):
 def train_shape():
     """Training rows from four train-sizebias traces, validation rows from a
     fifth, the bins fitted on the training rows, and both pair sets."""
-
-    def rows_for(seed):
-        events = generate_workload(default_spec("synthetic_sizebias", seed=seed, n_ops=250))
-        sink: list = []
-        run_simulation(events, FifoPolicy(), LABEL_CAPACITY, event_sink=sink)
-        return build_dataset(events, sink)
-
-    train_rows = [row for seed in range(1, 5) for row in rows_for(seed)]
-    val_rows = rows_for(5)
+    train_rows = [row for seed in range(1, 5) for row in build_dataset(*label_run(seed))]
+    val_rows = build_dataset(*label_run(5))
     bins = fit_all(list(zip(*(row.features for row in train_rows))))
     pairs = sample_pairs(train_rows, bins, TRAIN_PAIRS, 1)
     val_pairs = sample_pairs(val_rows, bins, TRAIN_PAIRS, 2)

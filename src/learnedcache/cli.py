@@ -52,8 +52,7 @@ def _write_json(obj: dict, path: str) -> None:
 
 
 def _stem(path: str, suffix: str) -> str:
-    base, ext = os.path.splitext(path)
-    return base + suffix
+    return os.path.splitext(path)[0] + suffix
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:

@@ -260,12 +260,9 @@ def train(
 
         s_val = _logits(w, xa_v, xb_v)
         val_loss = _bce(s_val, y_v)
-        try:
-            val_auc = auc_score(s_val, y_v)
-        except SingleClassError:
-            val_auc = math.nan
-        val_f1 = f1_score(s_val >= 0.0, y_v)
-        history.append(EpochStats(epoch, loss_sum / n, val_loss, val_auc, val_f1))
+        val_auc, val_f1 = _metrics(s_val, y_v)
+        history.append(EpochStats(epoch, loss_sum / n, val_loss,
+                                  math.nan if val_auc is None else val_auc, val_f1))
 
         if val_loss < best_loss:
             best_loss = val_loss
@@ -326,15 +323,18 @@ class EvalMetrics(NamedTuple):
     f1: float
 
 
+def _metrics(logits: np.ndarray, y: np.ndarray) -> EvalMetrics:
+    try:
+        auc = auc_score(logits, y)
+    except SingleClassError:
+        auc = None
+    return EvalMetrics(auc, f1_score(logits >= 0.0, y))
+
+
 def evaluate(ranker: LinearRanker, pairs: PairSet) -> EvalMetrics:
     if not pairs:
         raise ConfigurationError("cannot evaluate on an empty pair set")
-    s = _logits(ranker.weights, pairs.xa, pairs.xb)
-    try:
-        auc = auc_score(s, pairs.y)
-    except SingleClassError:
-        auc = None
-    return EvalMetrics(auc, f1_score(s >= 0.0, pairs.y))
+    return _metrics(_logits(ranker.weights, pairs.xa, pairs.xb), pairs.y)
 
 
 def write_history_csv(history: Sequence[EpochStats], path: str) -> None:

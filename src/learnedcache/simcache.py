@@ -144,9 +144,6 @@ class CacheState:
     def __len__(self) -> int:
         return len(self.residency)
 
-    def __contains__(self, key: PageKey) -> bool:
-        return key in self.residency
-
     def resident_keys(self) -> list[PageKey]:
         """Resident pages in FIFO order, oldest first."""
         keys = self.tracker.page_keys

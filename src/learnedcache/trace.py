@@ -20,6 +20,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, InternalError, TraceFormatError
@@ -123,19 +124,21 @@ class WorkloadSpec:
 _DEV = 1
 
 
-def default_spec(kind: str, seed: int = 0, n_ops: int = 50_000, n_files: int | None = None) -> WorkloadSpec:
+def _catalog_entry(kind: str) -> tuple:
     if kind not in _CATALOG:
         raise ConfigurationError(
             f"unknown workload kind {kind!r}; valid kinds: {', '.join(WORKLOAD_KINDS)}"
         )
-    return WorkloadSpec(kind, seed, n_ops, n_files if n_files is not None else _CATALOG[kind][0])
+    return _CATALOG[kind]
+
+
+def default_spec(kind: str, seed: int = 0, n_ops: int = 50_000, n_files: int | None = None) -> WorkloadSpec:
+    default_files = _catalog_entry(kind)[0]
+    return WorkloadSpec(kind, seed, n_ops, default_files if n_files is None else n_files)
 
 
 def _validate_spec(spec: WorkloadSpec) -> None:
-    if spec.kind not in _CATALOG:
-        raise ConfigurationError(
-            f"unknown workload kind {spec.kind!r}; valid kinds: {', '.join(WORKLOAD_KINDS)}"
-        )
+    _catalog_entry(spec.kind)
     if spec.n_ops < 0:
         raise ConfigurationError("n_ops must be >= 0")
     if spec.n_files < 1 and spec.n_ops > 0:
@@ -177,22 +180,12 @@ class _Emitter:
 
 
 class _Picker:
-    """Samples a file index from the workload's popularity distribution."""
+    """Samples one of n >= 1 file indices with zipf(s) popularity over file rank."""
 
     def __init__(self, pop: PopularityDist, n: int):
-        self.n = n
-        self.cum: list[float] | None = None
-        if pop.kind == "zipf" and n > 0:
-            total = 0.0
-            cum = []
-            for i in range(n):
-                total += (i + 1) ** -pop.s
-                cum.append(total)
-            self.cum = cum
+        self.cum = list(accumulate((i + 1) ** -pop.s for i in range(n)))
 
     def pick(self, rng: random.Random) -> int:
-        if self.cum is None:
-            return rng.randrange(self.n)
         return bisect_right(self.cum, rng.random() * self.cum[-1])
 
 
@@ -344,12 +337,10 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
         slots.append(t)
         t += size * page_dt + slot_gap
     round_ns = t
-    periods = [i + 1 for i in range(spec.n_files)]
-    phases = [rng.randrange(p) for p in periods]
+    phases = [rng.randrange(i + 1) for i in range(spec.n_files)]
 
-    # one shared PageKey per page
-    keys = [[_new_tuple(PageKey, (_DEV, 100 + i, page)) for page in range(size)]
-            for i, size in enumerate(sizes)]
+    # one shared PageKey per page, built on its file's first sweep
+    keys: list[list[PageKey] | None] = [None] * spec.n_files
 
     events: list[TraceEvent] = []
     ops = 0
@@ -359,10 +350,14 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
         for i in range(spec.n_files):
             if ops >= spec.n_ops:
                 break
-            if (r + phases[i]) % periods[i] != 0:
+            if (r + phases[i]) % (i + 1) != 0:
                 continue
+            file_keys = keys[i]
+            if file_keys is None:
+                file_keys = keys[i] = [_new_tuple(PageKey, (_DEV, 100 + i, page))
+                                       for page in range(sizes[i])]
             t = base + slots[i]
-            for key in keys[i]:
+            for key in file_keys:
                 events.append(_new_tuple(TraceEvent, (_ACCESS, t, key)))
                 t += page_dt
             ops += 1

@@ -89,9 +89,9 @@ def test_trained_model_loads_and_covers_all_features(pipeline):
 def test_train_writes_default_sibling_artifacts(pipeline):
     history = pipeline["model"].replace(".json", ".history.csv")
     metrics_path = pipeline["model"].replace(".json", ".metrics.json")
-    lines = open(history).read().splitlines()
+    lines = Path(history).read_text().splitlines()
     assert lines[0] == "epoch,train_loss,val_loss,val_auc,val_f1"
-    metrics = json.load(open(metrics_path))
+    metrics = json.loads(Path(metrics_path).read_text())
     assert list(metrics) == [
         "auc", "f1", "best_epoch", "epochs_run",
         "n_train_rows", "n_val_rows", "n_train_pairs", "n_val_pairs",
@@ -106,7 +106,7 @@ def test_train_writes_default_sibling_artifacts(pipeline):
 def test_simulation_reports_match_a_direct_replay(pipeline):
     from learnedcache.simcache import FifoPolicy, LearnedPolicy, run_simulation
 
-    report = json.load(open(pipeline["report_fifo"]))
+    report = json.loads(Path(pipeline["report_fifo"]).read_text())
     events = read_trace(pipeline["test"])
     direct = run_simulation(events, FifoPolicy(), CAPACITY)
     assert report["policy"] == "fifo"
@@ -122,7 +122,7 @@ def test_simulation_reports_match_a_direct_replay(pipeline):
     assert sum(report["latency_ns"]["buckets"]) == report["eviction_requests"]
     assert report["latency_ns"]["samples_path"] is None
 
-    learned = json.load(open(pipeline["report_learned"]))
+    learned = json.loads(Path(pipeline["report_learned"]).read_text())
     model = LearnedPolicy(load_json(pipeline["model"]))
     direct = run_simulation(events, model, CAPACITY)
     assert learned["policy"] == "learned"
@@ -134,9 +134,9 @@ def test_simulation_reports_match_a_direct_replay(pipeline):
 
 
 def test_latency_csv_has_one_row_per_eviction_batch(pipeline):
-    lines = open(pipeline["latency"]).read().splitlines()
+    lines = Path(pipeline["latency"]).read_text().splitlines()
     assert lines[0] == "eviction_latency_ns"
-    learned = json.load(open(pipeline["report_learned"]))
+    learned = json.loads(Path(pipeline["report_learned"]).read_text())
     samples = [int(x) for x in lines[1:]]
     assert len(samples) == learned["eviction_requests"] > 0
     assert all(x >= 0 for x in samples)
@@ -146,7 +146,7 @@ def test_latency_csv_has_one_row_per_eviction_batch(pipeline):
 
 
 def test_paired_eval_artifacts(pipeline):
-    obj = json.load(open(pipeline["eval"]))
+    obj = json.loads(Path(pipeline["eval"]).read_text())
     assert obj["workload"]["kind"] == "synthetic_sizebias"
     assert obj["workload"]["n_ops"] == 30
     assert obj["capacity"] == 16
@@ -157,7 +157,7 @@ def test_paired_eval_artifacts(pipeline):
         assert 0.0 <= trial["normal_rate"] <= 1.0
     assert "p" in obj["test"] and "degenerate" in obj["test"]
 
-    summary = open(pipeline["eval"].replace(".json", ".summary.csv")).read().splitlines()
+    summary = Path(pipeline["eval"].replace(".json", ".summary.csv")).read_text().splitlines()
     assert summary[0] == "workload,pct_vs_baseline,raw_change,significant"
     assert len(summary) == 2
     assert summary[1].startswith("synthetic_sizebias,")
@@ -171,8 +171,8 @@ def test_gen_trace_is_deterministic_per_seed(tmp_path):
                  "--seed", "5", "--out", b]) == 0
     assert main(["gen-trace", "--workload", "webserver", "--ops", "200",
                  "--seed", "6", "--out", c]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert open(a, "rb").read() != open(c, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert Path(a).read_bytes() != Path(c).read_bytes()
 
 
 def test_seed_env_fallback_matches_explicit_flag(tmp_path, monkeypatch):
@@ -192,9 +192,9 @@ def test_seed_env_fallback_matches_explicit_flag(tmp_path, monkeypatch):
     assert main(["gen-trace", "--workload", "varmail", "--ops", "150",
                  "--out", from_env]) == 0
 
-    assert open(from_env, "rb").read() == open(flagged, "rb").read()
-    assert open(defaulted, "rb").read() == open(zero, "rb").read()
-    assert open(defaulted, "rb").read() != open(flagged, "rb").read()
+    assert Path(from_env).read_bytes() == Path(flagged).read_bytes()
+    assert Path(defaulted).read_bytes() == Path(zero).read_bytes()
+    assert Path(defaulted).read_bytes() != Path(flagged).read_bytes()
 
 
 def test_malformed_seed_env_is_a_usage_error(tmp_path, monkeypatch):
@@ -348,7 +348,7 @@ def test_corrupt_trace_exits_3(tmp_path):
 def test_bad_record_late_in_the_trace_exits_3_and_writes_nothing(pipeline, tmp_path, capsys, monkeypatch):
     # simulate streams the trace, so it has simulated every record before
     # the bad one when it meets it; it must still fail as read_trace does
-    data = bytearray(open(pipeline["test"], "rb").read())
+    data = bytearray(Path(pipeline["test"]).read_bytes())
     at = len(data) - 33
     data[at] = 9  # the last record's kind
     path = tmp_path / "late.bin"
@@ -415,7 +415,7 @@ def test_corrupt_model_exits_3(pipeline, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "iter_trace", lambda path: reads.append(path) or iter_trace(path))
     path = tmp_path / "m.json"
     # a valid pack but for its score bound, 2**63: one past int64's maximum
-    past_bound = json.loads(open(pipeline["model"]).read())
+    past_bound = json.loads(Path(pipeline["model"]).read_text())
     past_bound["weight_scale"] = 1
     for fe in past_bound["features"]:
         fe["weights_float"] = [0.0] * fe["n_bins"]
@@ -444,7 +444,7 @@ def test_corrupt_model_exits_3(pipeline, tmp_path, capsys, monkeypatch):
 
 def test_pack_whose_scaled_weight_overflows_exits_3(pipeline, tmp_path):
     # 1e308 is finite, but 1e308 * weight_scale is not
-    obj = json.loads(open(pipeline["model"]).read())
+    obj = json.loads(Path(pipeline["model"]).read_text())
     obj["features"][0]["weights_float"][0] = 1e308
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(obj))
@@ -455,7 +455,7 @@ def test_pack_whose_scaled_weight_overflows_exits_3(pipeline, tmp_path):
 
 def test_pack_with_reordered_feature_names_exits_2(pipeline, tmp_path):
     # a well-formed pack whose features are not the simulator's, in order
-    obj = json.loads(open(pipeline["model"]).read())
+    obj = json.loads(Path(pipeline["model"]).read_text())
     obj["feature_names"].reverse()
     for fe, name in zip(obj["features"], obj["feature_names"]):
         fe["name"] = name
@@ -497,9 +497,9 @@ def test_single_epoch_run_writes_single_history_row(pipeline, tmp_path):
                "--out", out, "--capacity", str(CAPACITY), "--pairs", "500",
                "--epochs", "1", "--history", hist, "--seed", "1"])
     assert rc == 0
-    lines = open(hist).read().splitlines()
+    lines = Path(hist).read_text().splitlines()
     assert len(lines) == 2
-    metrics = json.load(open(out.replace(".json", ".metrics.json")))
+    metrics = json.loads(Path(out.replace(".json", ".metrics.json")).read_text())
     assert metrics["epochs_run"] == 1
     assert metrics["best_epoch"] == 1
 
@@ -515,9 +515,9 @@ def test_train_metrics_are_the_best_epochs_validation_row(tmp_path):
     assert main(["train", "--traces", traces[0], "--test", traces[1], "--out", out,
                  "--capacity", "16", "--pairs", "500", "--epochs", "8", "--patience", "1",
                  "--lr", "10", "--seed", "1"]) == 0
-    metrics = json.load(open(out.replace(".json", ".metrics.json")))
+    metrics = json.loads(Path(out.replace(".json", ".metrics.json")).read_text())
     assert metrics["best_epoch"] < metrics["epochs_run"]
-    rows = list(csv.DictReader(open(out.replace(".json", ".history.csv"))))
+    rows = list(csv.DictReader(Path(out.replace(".json", ".history.csv")).read_text().splitlines()))
     best = rows[metrics["best_epoch"] - 1]
     assert rows[-1]["val_auc"] != best["val_auc"]
     assert (metrics["auc"], metrics["f1"]) == (float(best["val_auc"]), float(best["val_f1"]))
@@ -530,7 +530,7 @@ def test_single_class_validation_pairs_give_a_null_auc(pipeline, tmp_path, capsy
                "--out", out, "--capacity", str(CAPACITY), "--pairs", "1",
                "--epochs", "2", "--seed", "1"])
     assert rc == 0
-    metrics = json.load(open(out.replace(".json", ".metrics.json")))
+    metrics = json.loads(Path(out.replace(".json", ".metrics.json")).read_text())
     assert metrics["auc"] is None and metrics["n_val_pairs"] == 1
     assert "val auc n/a" in capsys.readouterr().out
 
@@ -544,10 +544,10 @@ def test_train_rerun_is_byte_identical(pipeline, tmp_path):
                    "--epochs", "2", "--seed", "3"])
         assert rc == 0
         outs.append(out)
-    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
     assert (
-        open(outs[0].replace(".json", ".metrics.json"), "rb").read()
-        == open(outs[1].replace(".json", ".metrics.json"), "rb").read()
+        Path(outs[0].replace(".json", ".metrics.json")).read_bytes()
+        == Path(outs[1].replace(".json", ".metrics.json")).read_bytes()
     )
 
 
@@ -583,7 +583,7 @@ def test_pipeline_outputs_match_their_golden_digest(tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in GOLDEN_OUTPUT_SHA256 if name != "report"
     }
-    obj = json.load(open(report))
+    obj = json.loads(Path(report).read_text())
     obj.pop("latency_ns")
     digests["report"] = hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
     assert digests == GOLDEN_OUTPUT_SHA256

@@ -414,6 +414,7 @@ def test_evaluate_reports_none_auc_on_single_class_pairs():
     assert math.isnan(result.history[0].val_auc)
     metrics = evaluate(result.ranker, pairs)
     assert metrics.auc is None
+    assert metrics.f1 == result.history[result.best_epoch - 1].val_f1
     with pytest.raises(ConfigurationError):
         evaluate(result.ranker, _no_pairs())
 

@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -18,6 +20,7 @@ from learnedcache.trace import (
     EventKind,
     PageKey,
     TraceEvent,
+    WorkloadSpec,
     _Emitter,
     default_spec,
     export_csv,
@@ -49,8 +52,12 @@ def test_catalog_lists_the_seven_workloads():
 
 
 def test_unknown_workload_kind_is_rejected():
-    with pytest.raises(ConfigurationError):
-        default_spec("nosuchthing")
+    message = re.escape(f"unknown workload kind 'nosuchthing'; valid kinds: {', '.join(WORKLOAD_KINDS)}")
+    for make in (lambda: default_spec("nosuchthing"),
+                 lambda: default_spec("nosuchthing", n_files=3),
+                 lambda: generate_workload(WorkloadSpec("nosuchthing", 0, 5, 3))):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            make()
 
 
 @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
@@ -158,6 +165,19 @@ def test_sizebias_pages_repeat_on_fixed_per_file_periods():
     gap_list = [next(iter(gaps_by_inode[i])) for i in inodes]
     assert gap_list == sorted(gap_list)
     assert len(set(gap_list)) == len(gap_list)
+
+
+def test_sizebias_builds_only_the_page_keys_of_the_files_it_sweeps():
+    # one op sweeps file 0's 4 pages; building every file's keys up front
+    # would hold about 320k keys for 400 files
+    tracemalloc.start()
+    try:
+        events = generate_workload(default_spec("synthetic_sizebias", n_ops=1, n_files=400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 4
+    assert peak < 1 << 20
 
 
 def test_sizebias_file_sizes_grow_linearly():
