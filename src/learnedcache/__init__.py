@@ -34,7 +34,6 @@ from .evalstats import (
 from .features import (
     EMA_SCALE,
     FEATURE_NAMES,
-    HALF_LIFE_NS,
     MISSING,
     N_FEATURES,
     AccessTracker,

@@ -2,17 +2,17 @@
 
 All nine features are unsigned 64-bit integers. Timestamp slots that were
 never populated read as MISSING (2**64 - 1), and any delta involving such a
-slot is MISSING as well. Recency scores are fixed-point EMAs: each access
-adds EMA_SCALE, and the score halves for every whole half-life elapsed since
-the last update (lazy decay via a right shift).
+slot is MISSING as well. page_ema and inode_ema are scaled access counts:
+each access to the page or to its file adds EMA_SCALE, and nothing decays.
+They keep their names because packs carry them.
 
 Tracker state lives in one flat uint64 table with one column per page and
 one per file (inode), and one row per field (six). Page and file columns
 number their fields alike (offset, delta1, delta2, ema, last, then the
 page's file column or the file's size). This module owns that layout and
 the one derivation of a seen page's features: AccessTracker.window gathers
-a window's pages and their files side by side in one take and derives each
-time-dependent feature from one contiguous row, and FEATURE_ROW says which
+a window's pages and their files side by side in one take and derives
+access_to_eviction and offset_distance in place, and FEATURE_ROW says which
 row of that block holds each feature; the eviction scorer reads it. The
 per-access update reads and writes single cells through cached memoryviews
 of the field rows: one cell through a 1-D memoryview costs a small fraction
@@ -30,7 +30,6 @@ from .trace import EventKind, PageKey, TraceEvent, _new_tuple
 
 MISSING = 2**64 - 1
 EMA_SCALE = 1024
-HALF_LIFE_NS = 1_000_000_000
 _ACCESS, _EVICT = EventKind.ACCESS, EventKind.EVICT  # cheaper to read than members
 
 
@@ -55,16 +54,14 @@ N_FEATURES = len(FEATURE_NAMES)
 P_OFF, P_D1, P_D2, P_EMA, P_LAST, P_INODE = range(6)
 # the same rows at a file column, numbered like the page fields they pair with
 I_LAST_OFF, I_D1, I_D2, I_EMA, I_LAST, I_SIZE = range(6)
-# a window's page offsets, emas and last-access times share a row with
-# their files' last offsets, emas and last-access times
-assert (I_LAST_OFF, I_EMA, I_LAST) == (P_OFF, P_EMA, P_LAST)
+# a window's page offsets share a row with their files' last offsets
+assert I_LAST_OFF == P_OFF
 
 # AccessTracker.window's (12, w) block holds field f of the pages in row
 # 2 * f and of their files in row 2 * f + 1; the row that holds each
 # feature, by FEATURE_NAMES index, once the window has derived it
 FEATURE_ROW = (2 * P_D1, 2 * P_D2, 2 * I_D1 + 1, 2 * I_D2 + 1, 2 * P_OFF, 2 * I_SIZE + 1,
                2 * P_EMA, 2 * I_EMA + 1, 2 * P_LAST)
-_HALF_LIFE_U64 = np.uint64(HALF_LIFE_NS)
 
 
 def _row_views(tab: np.ndarray) -> tuple[memoryview, ...]:
@@ -77,12 +74,11 @@ class AccessTracker:
 
     Page columns hold (offset, delta1, delta2, ema, last, file column); file
     columns hold (last_offset, delta1, delta2, ema, last, file_size) in the
-    same rows. An ema score was last updated at the column's last access, so
-    `last` is also the start of its lazy decay. The deltas are maintained
-    incrementally: on each access the previous delta1 becomes delta2 and the
-    new delta1 is the gap to the previous access (MISSING when there is no
-    previous access), which is exactly the last/second_last/third_last
-    timestamp formulation.
+    same rows. An ema is the column's access count times EMA_SCALE. The
+    deltas are maintained incrementally: on each access the previous delta1
+    becomes delta2 and the new delta1 is the gap to the previous access
+    (MISSING when there is no previous access), which is exactly the
+    last/second_last/third_last timestamp formulation.
 
     tab is the field-major (6, n) table that window gathers from. page_slot
     and inode_slot map a page and a (dev, inode) file to their columns, and
@@ -147,10 +143,9 @@ class AccessTracker:
             size[islot] = off + 1
         else:
             last_off, d1, d2, ema, last, size = self._rows
-            gap = t_ns - last[islot]
             d2[islot] = d1[islot]
-            d1[islot] = gap
-            ema[islot] = (ema[islot] >> (gap // HALF_LIFE_NS)) + EMA_SCALE
+            d1[islot] = t_ns - last[islot]
+            ema[islot] += EMA_SCALE
             last[islot] = t_ns
             last_off[islot] = off
             if off >= size[islot]:
@@ -166,10 +161,9 @@ class AccessTracker:
             inode[slot] = islot
         else:
             # no column was added, so the row views unpacked above still hold
-            gap = t_ns - last[slot]
             d2[slot] = d1[slot]
-            d1[slot] = gap
-            ema[slot] = (ema[slot] >> (gap // HALF_LIFE_NS)) + EMA_SCALE
+            d1[slot] = t_ns - last[slot]
+            ema[slot] += EMA_SCALE
             last[slot] = t_ns
         return slot
 
@@ -179,19 +173,15 @@ class AccessTracker:
         Row FEATURE_ROW[j] holds feature j of every page; the rest are
         scratch. offset_distance is derived only if offset is true. The
         slots must be page columns that on_access updated, and t_now must
-        not precede the pages' and their files' last accesses.
+        not precede the pages' last accesses.
         """
         w = len(slots)
         tab = self.tab
         # the page columns, then each page's file column: one (6, 2w) copy
         g = tab.take(np.concatenate((slots, tab[P_INODE].take(slots).view(np.int64))), axis=1)
-        # one subtract turns both halves of row P_LAST into elapsed times (the
-        # page half is the access gap), and one shift decays both emas by
-        # them; a shift by 64 or more whole half-lives gives 0, as Python's >>
-        d = g[P_LAST]
+        # the page half of row P_LAST becomes the time since each page's last access
+        d = g[P_LAST, :w]
         np.subtract(t_now, d, out=d)
-        e = g[P_EMA]
-        np.right_shift(e, d // _HALF_LIFE_U64, out=e)
         if offset:
             # |page offset - file's last offset| in the page half of row P_OFF
             r, s = g[P_OFF, :w], g[P_OFF, w:]
@@ -218,10 +208,9 @@ def build_dataset(
 
     Only accesses are replayed, up to and including each eviction's time,
     since evictions never touch the tracker. So at e, p's page cells (its
-    deltas and its ema, not yet decayed) still hold what a left them. Its
-    file's cells move with the file's other pages, so they are snapshotted
-    per page column right after each access. Offset distance is 0 right
-    after an access.
+    deltas and its ema) still hold what a left them. Its file's cells move
+    with the file's other pages, so they are snapshotted per page column
+    right after each access. Offset distance is 0 right after an access.
     """
     accesses = [ev for ev in access_events if ev.kind == _ACCESS]
     evictions = [ev for ev in eviction_events if ev.kind == _EVICT]

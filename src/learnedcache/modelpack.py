@@ -252,11 +252,11 @@ class PreparedScorer:
         idx = [i for i, fe in enumerate(pack.features) if fe.n_bins > 1]
         binned = [pack.features[i] for i in idx]
         self.base = sum(fe.weights_int[0] for fe in pack.features if fe.n_bins == 1)
-        # the window always derives the emas and access_to_eviction, which
-        # every trained pack bins. No trained pack bins offset_distance: a
-        # training row holds a page's features as of its last access, which
-        # sets its file's last offset to the page's own, so the feature is 0
-        # in every row and takes one bin. The window derives it only if binned
+        # the window always derives access_to_eviction, which every trained
+        # pack bins. No trained pack bins offset_distance: a training row
+        # holds a page's features as of its last access, which sets its
+        # file's last offset to the page's own, so the feature is 0 in every
+        # row and takes one bin. The window derives it only if binned
         self._offset = FEATURE_NAMES.index("offset_distance") in idx
         # with no binned feature, one all-zero row (any block row) carries base
         self._rows = np.array([FEATURE_ROW[i] for i in idx] or [0], dtype=np.intp)

@@ -15,30 +15,12 @@ from learnedcache.trace import EventKind, PageKey, TraceEvent
 
 MISSING = 2**64 - 1
 EMA_STEP = 1024
-HALF_LIFE_NS = 1_000_000_000
 BATCH_MAX = 32
 
 
-def ref_decay(score: int, t_from: int, t_to: int) -> int:
-    halves = (t_to - t_from) // HALF_LIFE_NS
-    if halves >= 64:
-        return 0
-    return score >> halves
-
-
-def ref_ema(timestamps: list[int], t_now: int) -> int:
-    """Hotness from the full access history: +1024 per access, halved per
-    elapsed half-life, decay applied lazily between consecutive updates."""
-    ema = 0
-    prev = None
-    for t in timestamps:
-        if prev is not None:
-            ema = ref_decay(ema, prev, t)
-        ema += EMA_STEP
-        prev = t
-    if prev is None:
-        return 0
-    return ref_decay(ema, prev, t_now)
+def ref_ema(timestamps: list[int]) -> int:
+    """Hotness from the full access history: EMA_STEP per access, never decayed."""
+    return EMA_STEP * len(timestamps)
 
 
 def ref_features(history: list, key, t_now: int) -> tuple[int, ...]:
@@ -75,8 +57,8 @@ def ref_features_of(
     else:
         f4 = 0
         f5 = 0
-    f6 = ref_ema(page_ts, t_now)
-    f7 = ref_ema(inode_ts, t_now)
+    f6 = ref_ema(page_ts)
+    f7 = ref_ema(inode_ts)
     f8 = t_now - page_ts[-1] if page_ts else MISSING
     return (f0, f1, f2, f3, f4, f5, f6, f7, f8)
 

@@ -22,7 +22,7 @@ from learnedcache.trace import EventKind, PageKey, TraceEvent
 from packbuild import make_accesses, random_pack, window_features
 from reference_impls import ref_dataset, ref_features
 
-HALF = 1_000_000_000
+SECOND = 1_000_000_000
 K = PageKey(1, 10, 3)
 
 
@@ -73,25 +73,32 @@ def test_delta_chain_follows_last_three_timestamps():
     assert f.access_to_eviction == 3
 
 
-def test_ema_accumulates_and_halves_per_half_life():
-    tr = AccessTracker()
-    tr.on_access(K, 0)
-    tr.on_access(K, HALF)
-    # 1024 halved once plus a fresh 1024
-    assert features(tr, K, HALF).page_ema == 1536
-    # two more half-lives quarter it
-    assert features(tr, K, 3 * HALF).page_ema == 384
-    # fractions of a half-life do nothing (integer half-life count)
-    assert features(tr, K, HALF + HALF - 1).page_ema == 1536
+SMALL_SPANS = (0, 10**9 - 1, 10**9)  # on both sides of one second
+LARGE_SPANS = (64 * 10**9, 2**62)  # far past 64 seconds and near the top of uint64
 
 
-def test_ema_decays_to_zero_beyond_the_shift_range():
+def check_emas_count_accesses(gap, extra):
+    # K is accessed twice and another page of its file once, gap apart
+    other = PageKey(K.dev, K.inode, K.offset + 1)
     tr = AccessTracker()
-    tr.on_access(K, 0)
-    assert features(tr, K, 10 * HALF).page_ema == 1
-    assert features(tr, K, 11 * HALF).page_ema == 0
-    # enormous gaps must not overflow the shift amount
-    assert features(tr, K, 200 * HALF).page_ema == 0
+    for i, key in enumerate((K, other, K)):
+        tr.on_access(key, i * gap)
+    fk, fo = window_features(tr, [K, other], 2 * gap + extra)
+    assert (fk.page_ema, fk.inode_ema) == (2 * EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
+    assert (fo.page_ema, fo.inode_ema) == (EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
+
+
+def test_emas_are_scaled_access_counts():
+    for gap in SMALL_SPANS:
+        for extra in SMALL_SPANS:
+            check_emas_count_accesses(gap, extra)
+
+
+def test_emas_do_not_decay_at_large_gaps():
+    # every pairing of gap and probe time in which at least one is large
+    for gap in SMALL_SPANS + LARGE_SPANS:
+        for extra in LARGE_SPANS if gap in SMALL_SPANS else SMALL_SPANS + LARGE_SPANS:
+            check_emas_count_accesses(gap, extra)
 
 
 def test_inode_state_is_shared_across_pages():
@@ -101,7 +108,7 @@ def test_inode_state_is_shared_across_pages():
     tr.on_access(b, 30)
     fa = features(tr, a, 30)
     assert fa.inode_delta1 == 20
-    assert fa.inode_ema == EMA_SCALE * 2  # two recent accesses, no decay yet
+    assert fa.inode_ema == EMA_SCALE * 2  # two accesses to the file
     assert fa.offset_distance == 5  # a's offset 0 vs last inode offset 5
     assert fa.file_size == 6
 
@@ -133,7 +140,8 @@ def test_tracker_grows_past_initial_table_sizes():
 @pytest.mark.parametrize("seed", range(5))
 def test_extraction_matches_history_based_reference(seed):
     rng = random.Random(seed)
-    # odd seeds space accesses widely enough that decay kicks in between them
+    # odd seeds space accesses up to 0.9 s apart, so emas of pages idle for
+    # more than a second check that nothing decays
     step = 2_000_000 if seed % 2 == 0 else 900_000_000
     accs = make_accesses(rng, 300, n_inodes=4, pages_per_inode=6, t_step_max=step)
     tr = AccessTracker()
@@ -144,8 +152,8 @@ def test_extraction_matches_history_based_reference(seed):
         if i % 23 != 0:
             continue
         probes = [key] + [rng.choice(history)[0] for _ in range(3)]
-        # 64 half-lives and more shift an ema out whole
-        for extra in (0, rng.randrange(3 * HALF), 64 * HALF, 2**62):
+        # probes up to 3 s, 64 s and 2**62 ns after the last access
+        for extra in (0, rng.randrange(3 * SECOND), 64 * SECOND, 2**62):
             got = window_features(tr, probes, t + extra)
             assert got == [ref_features(history, p, t + extra) for p in probes], (i, extra)
 
@@ -159,7 +167,7 @@ _GROW_KEYS = [PageKey(1, 500 + i // 5, i % 5) for i in range(350)]
 @given(
     order=st.permutations(_GROW_KEYS),
     revisits=st.lists(st.tuples(st.integers(0, 349), st.integers(0, 349)), max_size=120),
-    gaps=st.lists(st.integers(0, 3 * HALF), min_size=1, max_size=16),
+    gaps=st.lists(st.integers(0, 3 * SECOND), min_size=1, max_size=16),
     probes=st.sets(st.integers(0, 469), max_size=6),
     pack_seed=st.integers(0, 2**32),
 )
@@ -185,8 +193,8 @@ def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed)
         history.append((key, t))
         if n in probes or n == len(stream) - 1:
             pages = [p for p in (key, order[0], order[len(order) // 2]) if p in tr.page_slot]
-            assert window_features(tr, pages, t + HALF) == [
-                ref_features(history, p, t + HALF) for p in pages
+            assert window_features(tr, pages, t + SECOND) == [
+                ref_features(history, p, t + SECOND) for p in pages
             ]
     assert len(tr.page_slot) == 350 and len(tr.inode_slot) == 70
     # the scorer gathers from the public table, which must hold the same state
@@ -208,7 +216,7 @@ _N_FILES, _FILE_PAGES = 90, 4
         min_size=1,
         max_size=40,
     ),
-    gaps=st.lists(st.integers(0, 3 * HALF), min_size=1, max_size=8),
+    gaps=st.lists(st.integers(0, 3 * SECOND), min_size=1, max_size=8),
     probes=st.sets(st.integers(0, 359), max_size=4),
 )
 def test_page_first_lookup_keeps_inode_slots_and_features(steps, gaps, probes):
@@ -251,8 +259,8 @@ def test_page_first_lookup_keeps_inode_slots_and_features(steps, gaps, probes):
             inode_col = tr.tab[P_INODE].take(list(tr.page_slot.values())).tolist()
             assert inode_col == [tr.inode_slot[(k.dev, k.inode)] for k in tr.page_slot]
             # the page just seen and the first page seen
-            assert window_features(tr, [key, seen[0]], t + HALF) == [
-                ref_features(history, p, t + HALF) for p in (key, seen[0])
+            assert window_features(tr, [key, seen[0]], t + SECOND) == [
+                ref_features(history, p, t + SECOND) for p in (key, seen[0])
             ]
     assert len(tr.page_slot) == _N_FILES * _FILE_PAGES and len(tr.inode_slot) == _N_FILES
 
@@ -263,7 +271,7 @@ def _random_labeled_trace(seed):
     access_events = [TraceEvent(EventKind.ACCESS, t, k) for k, t in accs]
     universe = sorted({k for k, _ in accs}) + [PageKey(1, 999, 0)]  # one never accessed
     t_end = accs[-1][1]
-    times = sorted(rng.randrange(t_end + 2 * HALF) for _ in range(60))
+    times = sorted(rng.randrange(t_end + 2 * SECOND) for _ in range(60))
     evictions = [TraceEvent(EventKind.EVICT, t, rng.choice(universe)) for t in times]
     return access_events, evictions
 
@@ -291,7 +299,7 @@ def _labeled_traces(draw):
     if draw(st.booleans()):
         at = draw(st.integers(0, len(keys)))
         keys[at:at] = _LABEL_FILL
-    gaps = draw(st.lists(st.sampled_from([0, 1, HALF - 1, HALF]) | st.integers(0, 3 * HALF),
+    gaps = draw(st.lists(st.sampled_from([0, 1, SECOND - 1, SECOND]) | st.integers(0, 3 * SECOND),
                          min_size=1, max_size=8))
     accesses = []
     t = 0
@@ -305,7 +313,7 @@ def _labeled_traces(draw):
         (TraceEvent(EventKind.EVICT, max(0, accesses[i].t_ns + dt), victims[v])
          for i, dt, v in draw(st.lists(st.tuples(
              st.integers(0, len(accesses) - 1),
-             st.sampled_from([0, 0, -1, 1, HALF]),
+             st.sampled_from([0, 0, -1, 1, SECOND]),
              st.integers(0, len(victims) - 1)), max_size=25))),
         key=lambda ev: ev.t_ns,
     )

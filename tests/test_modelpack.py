@@ -13,7 +13,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden_model.json"
 
 from learnedcache.discretizer import FeatureBins
 from learnedcache.errors import ConfigurationError, PackValidationError, QuantizationError
-from learnedcache.features import FEATURE_NAMES, HALF_LIFE_NS, MISSING, AccessTracker
+from learnedcache.features import FEATURE_NAMES, MISSING, AccessTracker
 from learnedcache.modelpack import (
     DEFAULT_WEIGHT_SCALE,
     PreparedScorer,
@@ -311,7 +311,7 @@ def test_zero_pack_scores_are_all_zero():
     scorer = PreparedScorer(pack)
     assert int_score(pack, [MISSING] * 9) == 0
     tracker, _, _ = _tracker_with_traffic(5, n=30)
-    # far in the future every delta and decay saturates
+    # far in the future access_to_eviction is huge and still scores 0
     for t_now in (tracker.last_t, tracker.last_t + 2**62):
         window = scorer.score_window(tracker, _page_slots(tracker)[:4], t_now)
         assert window.tolist() == [0] * 4
@@ -440,9 +440,9 @@ def test_window_scores_equal_the_integer_reference(rng, window, wide):
     accs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 6),
                          pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
     tracker = _track(accs)
-    # elapsed times of 64 half-lives and more shift the ema scores out whole
+    # elapsed times from none up to 64 s and 2**62 ns
     t_now = tracker.last_t + rng.choice(
-        [0, 1, rng.randrange(5_000_000_000), 64 * HALF_LIFE_NS, 2**62]
+        [0, 1, rng.randrange(5_000_000_000), 64_000_000_000, 2**62]
     )
     pages = _page_slots(tracker)
     slots = pages[[rng.randrange(len(pages)) for _ in range(window)]]

@@ -337,8 +337,8 @@ def test_learned_policy_matches_listwise_reference(seed, oversample):
     # oversample 3 keeps candidate windows small (3 for a one-page request),
     # oversample 40 makes them wider than the cache. Even seeds draw from 120
     # pages for a 48-page cache, odd seeds from 40 pages for a 4-page cache;
-    # steps of up to 2 s leave candidates a few half-lives old, where their
-    # decayed emas still differ
+    # steps of up to 2 s leave candidates idle for seconds, where their emas
+    # must still count every access
     rng = random.Random(200 + seed)
     even = seed % 2 == 0
     pairs = make_accesses(rng, 400, n_inodes=4, pages_per_inode=30 if even else 10,
