@@ -47,7 +47,6 @@ from .modelpack import (
     PackFeature,
     PreparedScorer,
     export_json,
-    int_score,
     load_json,
     quantize,
 )

@@ -8,15 +8,20 @@ They keep their names because packs carry them.
 
 Tracker state lives in one flat uint64 table with one column per page and
 one per file (inode), and one row per field (six). Page and file columns
-number their fields alike (offset, delta1, delta2, ema, last, then the
-page's file column or the file's size). This module owns that layout and
-the one derivation of a seen page's features: AccessTracker.window gathers
-a window's pages and their files side by side in one take and derives
-access_to_eviction and offset_distance in place, and FEATURE_ROW says which
-row of that block holds each feature; the eviction scorer reads it. The
-per-access update reads and writes single cells through cached memoryviews
-of the field rows: one cell through a 1-D memoryview costs a small fraction
-of a numpy scalar index or a column tolist().
+number their fields alike (offset, delta1, delta2, ema, then a page's
+unused row or the file's size, then last), so the five fields they share
+sit in the same rows. Beside the table, an int64 (2, n) gather index holds
+each column's own number in row 0 and, at a page column, its file's column
+in row 1: the one copy of the page-to-file map. This module owns that layout
+and the one derivation of a seen page's features: AccessTracker.window
+gathers a window's pages and their files side by side in one take through
+the index and derives access_to_eviction and offset_distance in place, and
+FEATURE_ROW says which row of that block holds each feature. Every feature
+but offset_distance sits in block rows [2, 11), so the eviction scorer reads
+one contiguous slice. The per-access update reads and writes single cells
+through cached memoryviews of the field rows: one cell through a 1-D
+memoryview costs a small fraction of a numpy scalar index or a column
+tolist().
 """
 
 from __future__ import annotations
@@ -49,13 +54,14 @@ FEATURE_NAMES = FeatureVector._fields
 
 N_FEATURES = len(FEATURE_NAMES)
 
-# tracker table field rows at a page column (AccessTracker unpacks its row
-# views in this order)
-P_OFF, P_D1, P_D2, P_EMA, P_LAST, P_INODE = range(6)
+# tracker table field rows at a page column, whose row 4 is unused: a page's
+# file column is in AccessTracker.index (AccessTracker unpacks its row views
+# in this order)
+P_OFF, P_D1, P_D2, P_EMA, P_LAST = 0, 1, 2, 3, 5
 # the same rows at a file column, numbered like the page fields they pair with
-I_LAST_OFF, I_D1, I_D2, I_EMA, I_LAST, I_SIZE = range(6)
-# a window's page offsets share a row with their files' last offsets
-assert I_LAST_OFF == P_OFF
+I_LAST_OFF, I_D1, I_D2, I_EMA, I_SIZE, I_LAST = range(6)
+# on_access updates a known page through the row views it unpacked for the file
+assert (P_D1, P_D2, P_EMA, P_LAST) == (I_D1, I_D2, I_EMA, I_LAST)
 
 # AccessTracker.window's (12, w) block holds field f of the pages in row
 # 2 * f and of their files in row 2 * f + 1; the row that holds each
@@ -72,22 +78,25 @@ def _row_views(tab: np.ndarray) -> tuple[memoryview, ...]:
 class AccessTracker:
     """Observes a time-ordered access stream and answers feature queries.
 
-    Page columns hold (offset, delta1, delta2, ema, last, file column); file
-    columns hold (last_offset, delta1, delta2, ema, last, file_size) in the
-    same rows. An ema is the column's access count times EMA_SCALE. The
+    Page columns hold (offset, delta1, delta2, ema, -, last); file columns
+    hold (last_offset, delta1, delta2, ema, file_size, last) in the same
+    rows. An ema is the column's access count times EMA_SCALE. The
     deltas are maintained incrementally: on each access the previous delta1
     becomes delta2 and the new delta1 is the gap to the previous access
     (MISSING when there is no previous access), which is exactly the
     last/second_last/third_last timestamp formulation.
 
-    tab is the field-major (6, n) table that window gathers from. page_slot
+    tab is the field-major (6, n) table that window gathers from, and index
+    the int64 (2, n) gather index: row 0 is arange(n), row 1 a page
+    column's file column, set when on_access creates the page. page_slot
     and inode_slot map a page and a (dev, inode) file to their columns, and
     page_keys[c] is the key of column c; a new file's column is allocated
-    before its first page's. _rows holds a memoryview of each field row;
-    on_access reads and writes single cells through them, and build_dataset
-    reads them. _column is the one place the table grows, and growing it
-    replaces the row views too. page_column only numbers pages: it allocates
-    a page's column through _column and updates nothing.
+    before its first page's. _rows holds a memoryview of each field row and
+    _file_of one of index row 1; on_access reads and writes single cells
+    through them, and build_dataset reads them. _column is the one place the
+    table and the index grow, and growing them replaces the views too.
+    page_column only numbers pages: it allocates a page's column through
+    _column and updates nothing.
     """
 
     def __init__(self) -> None:
@@ -95,7 +104,10 @@ class AccessTracker:
         self.inode_slot: dict[tuple[int, int], int] = {}
         self.page_keys: list[PageKey | tuple[int, int]] = []
         self.tab = np.zeros((6, 320), dtype=np.uint64)
+        self.index = np.zeros((2, 320), dtype=np.int64)
+        self.index[0] = np.arange(320)
         self._rows = _row_views(self.tab)
+        self._file_of = memoryview(self.index[1])
         self.last_t = 0
 
     def _column(self, key: PageKey | tuple[int, int]) -> int:
@@ -104,7 +116,10 @@ class AccessTracker:
         self.page_keys.append(key)
         if c == self.tab.shape[1]:
             self.tab = np.concatenate((self.tab, np.zeros_like(self.tab)), axis=1)
+            self.index = np.concatenate((self.index, np.zeros_like(self.index)), axis=1)
+            self.index[0] = np.arange(2 * c)
             self._rows = _row_views(self.tab)
+            self._file_of = memoryview(self.index[1])
         return c
 
     def page_column(self, key: PageKey) -> int:
@@ -126,23 +141,23 @@ class AccessTracker:
         self.last_t = t_ns
         off = key.offset
 
-        # a known page holds its file's column; a new page resolves its file first
+        # a known page's file column is in the index; a new page resolves its file first
         slot = self.page_slot.get(key)
         if slot is not None:
-            islot = self._rows[P_INODE][slot]
+            islot = self._file_of[slot]
         else:
             ikey = (key.dev, key.inode)
             islot = self.inode_slot.get(ikey)
         if islot is None:
             islot = self.inode_slot[ikey] = self._column(ikey)
-            last_off, d1, d2, ema, last, size = self._rows
+            last_off, d1, d2, ema, size, last = self._rows
             d1[islot] = d2[islot] = MISSING
             ema[islot] = EMA_SCALE
             last[islot] = t_ns
             last_off[islot] = off
             size[islot] = off + 1
         else:
-            last_off, d1, d2, ema, last, size = self._rows
+            last_off, d1, d2, ema, size, last = self._rows
             d2[islot] = d1[islot]
             d1[islot] = t_ns - last[islot]
             ema[islot] += EMA_SCALE
@@ -153,12 +168,12 @@ class AccessTracker:
 
         if slot is None:
             slot = self.page_slot[key] = self._column(key)
-            poff, d1, d2, ema, last, inode = self._rows
+            poff, d1, d2, ema, _, last = self._rows
             poff[slot] = off
             d1[slot] = d2[slot] = MISSING
             ema[slot] = EMA_SCALE
             last[slot] = t_ns
-            inode[slot] = islot
+            self._file_of[slot] = islot
         else:
             # no column was added, so the row views unpacked above still hold
             d2[slot] = d1[slot]
@@ -175,18 +190,17 @@ class AccessTracker:
         slots must be page columns that on_access updated, and t_now must
         not precede the pages' last accesses.
         """
-        w = len(slots)
-        tab = self.tab
-        # the page columns, then each page's file column: one (6, 2w) copy
-        g = tab.take(np.concatenate((slots, tab[P_INODE].take(slots).view(np.int64))), axis=1)
-        # the page half of row P_LAST becomes the time since each page's last access
-        d = g[P_LAST, :w]
+        # index columns (slot, file column) of each page, then one (6, 2, w)
+        # copy of the pages' and their files' table columns
+        g = self.tab.take(self.index.take(slots, axis=1), axis=1).reshape(12, len(slots))
+        # the pages' last access times become the time since each
+        d = g[2 * P_LAST]
         np.subtract(t_now, d, out=d)
         if offset:
-            # |page offset - file's last offset| in the page half of row P_OFF
-            r, s = g[P_OFF, :w], g[P_OFF, w:]
+            # |page offset - file's last offset| in the pages' offset row
+            r, s = g[2 * P_OFF], g[2 * I_LAST_OFF + 1]
             np.subtract(np.maximum(r, s), np.minimum(r, s), out=r)
-        return g.reshape(12, w)
+        return g
 
 
 class DatasetRow(NamedTuple):
@@ -236,7 +250,7 @@ def build_dataset(
             acc = accesses[ai]
             slot = on_access(acc.key, acc.t_ns)
             tab = tracker._rows  # replaced when the table grows
-            islot = tab[P_INODE][slot]
+            islot = tracker._file_of[slot]
             file_at[slot] = (tab[I_D1][islot], tab[I_D2][islot], tab[I_SIZE][islot], tab[I_EMA][islot])
             ai += 1
         times = times_by_key.get(ev.key, ())

@@ -7,11 +7,13 @@ selected by [start, end) bin lookup. Scores stay in int64, as in the
 paper's eBPF scorer (no bignums): quantize and pack_from_dict refuse a pack
 whose score_bound passes 2**63 - 1.
 
-int_score is the plain reference for one feature vector. PreparedScorer
-scores a whole eviction window: it reads the binned features' rows of the
-tracker's window block (features.AccessTracker.window, which owns the table
-layout and the feature derivation) and looks every binned feature's weight
-up in one merged rank table.
+PreparedScorer scores a whole eviction window: it reads one contiguous
+slice of the tracker's window block (features.AccessTracker.window, which
+owns the table layout and the feature derivation), the block rows from the
+lowest to the highest binned feature's, and looks every row's weight up in
+one merged rank table, where the rows in that slice that hold no binned
+feature weigh 0. The tests check it against int_score in
+tests/reference_impls.py, the plain reference for one feature vector.
 """
 
 from __future__ import annotations
@@ -205,38 +207,27 @@ def load_json(path: str) -> ModelPack:
     return pack_from_dict(obj)
 
 
-def int_score(pack: ModelPack, raw_features: Sequence[int]) -> int:
-    """Integer-only candidate score: sum of selected weights_int per feature."""
-    total = 0
-    for i, fe in enumerate(pack.features):
-        v = raw_features[i]
-        b = 0
-        for edge in fe.bin_edges:
-            if v < edge:
-                break
-            b += 1
-        total += fe.weights_int[b]
-    return total
-
-
 class PreparedScorer:
     """Precomputed tables for scoring an eviction window in one pass.
 
     score_window is the only scorer the simulator uses; tests verify it
-    agrees element-for-element with the int_score() reference. Features
-    whose pack entry has a single bin contribute a constant folded into a
-    precomputed base score.
+    agrees element-for-element with the int_score reference in
+    tests/reference_impls.py. Features whose pack entry has a single bin
+    contribute a constant folded into a precomputed base score.
 
     Binned features share one merged edge list: a single binary search gives
-    each value its rank in the merged list, and a per-feature table maps that
+    each value its rank in the merged list, and a per-row table maps that
     rank straight to the feature's integer weight (the base score is folded
-    into the first table row). The tables are int64, which score_bound fits.
+    into the first table row). The search covers the block rows lo..hi-1
+    from the lowest to the highest binned feature's row, one contiguous
+    slice; a row in between that holds no binned feature has an all-zero
+    table. The tables are int64, which score_bound fits.
 
     Pack feature i is scored on the block row of FEATURE_NAMES[i], so a
     pack whose names are not the first n of FEATURE_NAMES is refused.
     """
 
-    __slots__ = ("base", "_offset", "_rows", "_u_edges", "_wflat", "_row_off")
+    __slots__ = ("base", "_offset", "_slice", "_u_edges", "_wflat", "_row_off")
 
     def __init__(self, pack: ModelPack):
         n = pack.n_features
@@ -258,13 +249,15 @@ class PreparedScorer:
         # file's last offset to the page's own, so the feature is 0 in every
         # row and takes one bin. The window derives it only if binned
         self._offset = FEATURE_NAMES.index("offset_distance") in idx
+        rows = [FEATURE_ROW[i] for i in idx]
         # with no binned feature, one all-zero row (any block row) carries base
-        self._rows = np.array([FEATURE_ROW[i] for i in idx] or [0], dtype=np.intp)
+        lo, hi = (min(rows), max(rows) + 1) if rows else (0, 1)
+        self._slice = slice(lo, hi)
 
         union = sorted({e for fe in binned for e in fe.bin_edges})
         self._u_edges = np.array(union, dtype=np.uint64)
-        wtab = np.zeros((len(self._rows), len(union) + 1), dtype=np.int64)
-        for a, fe in enumerate(binned):
+        wtab = np.zeros((hi - lo, len(union) + 1), dtype=np.int64)
+        for row, fe in zip(rows, binned):
             # weight for merged-list rank r: rank r means the value sits at or
             # above union[r-1], so this feature's bin is the number of its own
             # edges <= union[r-1] (rank 0 sits below every edge: bin 0)
@@ -272,19 +265,21 @@ class PreparedScorer:
                 ([0], np.searchsorted(np.array(fe.bin_edges, dtype=np.uint64),
                                       self._u_edges, side="right"))
             )
-            wtab[a] = np.array(fe.weights_int, dtype=np.int64)[lut]
+            wtab[row - lo] = np.array(fe.weights_int, dtype=np.int64)[lut]
         wtab[0] += self.base
         self._wflat = wtab.reshape(-1)
-        self._row_off = (np.arange(len(self._rows)) * (len(union) + 1)).reshape(-1, 1)
+        self._row_off = (np.arange(hi - lo) * (len(union) + 1)).reshape(-1, 1)
 
     def score_window(self, tracker, slots: np.ndarray, t_now_ns: int) -> np.ndarray:
         """Score resident pages given their tracker column slots.
 
-        Element k equals int_score(pack, features), where features is
-        column k of the FEATURE_ROW rows of tracker.window's block.
+        Element k is the pack's score of column k of the FEATURE_ROW rows of
+        tracker.window's block, as int_score in tests/reference_impls.py
+        computes it.
         """
         block = tracker.window(slots, t_now_ns, self._offset)
-        ranks = self._u_edges.searchsorted(block.take(self._rows, axis=0), side="right")
+        ranks = self._u_edges.searchsorted(block[self._slice], side="right")
         ranks += self._row_off
-        # ranks are in range by construction; clip mode skips the bounds check
-        return self._wflat.take(ranks, mode="clip").sum(axis=0)
+        # ranks are in range by construction; clip mode skips the bounds
+        # check, and the ufunc's reduce skips ndarray.sum's Python wrapper
+        return np.add.reduce(self._wflat.take(ranks, mode="clip"), 0)

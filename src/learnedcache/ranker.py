@@ -175,6 +175,34 @@ def _logits(w: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return w[xa].sum(axis=1) - w[xb].sum(axis=1)
 
 
+def _pair_logits(xa: np.ndarray, xb: np.ndarray, bins: Sequence[FeatureBins]):
+    """_logits(w, xa, xb) as a function of w, bit for bit, summing each
+    distinct row of xa and xb once.
+
+    A row's key is its joint bin number: the mixed-radix number whose digit
+    j is feature j's bin, in base n_bins. One 1-D unique over the keys finds
+    the distinct rows; np.unique(axis=0) would cost many times more.
+    """
+    radix = []
+    place = 1
+    for fb in reversed(bins):
+        radix.append(place)
+        place *= fb.n_bins
+    if place >= 2**63:
+        raise InternalError(f"{place} joint bins do not fit an int64 key")
+    x = np.concatenate((xa, xb))
+    keys = (x - np.array(bin_offsets(bins))) @ np.array(radix[::-1], dtype=np.int64)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows, a, b = x[first], inverse[:len(xa)], inverse[len(xa):]
+
+    def logits(w: np.ndarray) -> np.ndarray:
+        # per row the same sum as _logits, so the same logits bit for bit
+        s = w[rows].sum(axis=1)
+        return s.take(a) - s.take(b)
+
+    return logits
+
+
 def _bce(logits: np.ndarray, y: np.ndarray) -> float:
     # -y*log(p) - (1-y)*log(1-p) in the overflow-safe logit form
     return float(np.mean(np.logaddexp(0.0, logits) - y * logits))
@@ -224,9 +252,16 @@ def train(
     dim = sum(b.n_bins for b in bins)
     xa, xb, y = train_pairs.xa, train_pairs.xb, train_pairs.y
     xa_v, xb_v, y_v = val_pairs.xa, val_pairs.xb, val_pairs.y
+    # column j must hold feature j's bins, which also keeps the validation
+    # rows' joint bin numbers distinct
+    starts = np.array(bin_offsets(bins))
+    ends = starts + [b.n_bins for b in bins]
     for arr in (xa, xb, xa_v, xb_v):
-        if arr.size and (arr.min() < 0 or arr.max() >= dim):
+        if arr.size and (arr.shape[1] != len(bins) or (arr.min(axis=0) < starts).any()
+                         or (arr.max(axis=0) >= ends).any()):
             raise InternalError("pair encoding outside the bin index space")
+
+    val_logits = _pair_logits(xa_v, xb_v, bins)
 
     w = np.zeros(dim)
     m = np.zeros(dim)
@@ -258,7 +293,7 @@ def train(
             v_hat = v / (1.0 - ADAM_BETA2**step)
             w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-        s_val = _logits(w, xa_v, xb_v)
+        s_val = val_logits(w)
         val_loss = _bce(s_val, y_v)
         val_auc, val_f1 = _metrics(s_val, y_v)
         history.append(EpochStats(epoch, loss_sum / n, val_loss,

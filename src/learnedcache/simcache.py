@@ -184,22 +184,19 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     window = policy.oversample * n
     if window > live:
         window = live
+    order = cache.order
     if tracks:  # the learned policy: score the window
-        wslots = cache.order[tail:tail + window]
+        wslots = order[tail:tail + window]
         scores = policy._scorer.score_window(cache.tracker, wslots, t_now_ns)
-        # lowest score first, FIFO position (oldest) breaking ties
+        # lowest score first, FIFO position (oldest) breaking ties; the
+        # survivors keep FIFO order: sort the kept positions
         ranked = scores.argsort(kind="stable")
-        victim_slots = wslots[ranked[:k]].tolist()
-        if k < window:
-            # survivors keep FIFO order: sort the kept positions
-            kept = ranked[k:]
-            kept.sort()
-            cache.order[tail + k:tail + window] = wslots[kept]
-    else:
-        victim_slots = cache.order[tail:tail + k].tolist()
+        ranked[k:].sort()
+        # victims first, then the survivors, written back over the window
+        order[tail:tail + window] = wslots[ranked]
     cache.tail = tail + k
     keys = cache.tracker.page_keys
-    victims = [keys[s] for s in victim_slots]
+    victims = [keys[s] for s in order[tail:tail + k].tolist()]
     residency = cache.residency
     for key in victims:
         del residency[key]

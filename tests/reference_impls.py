@@ -123,6 +123,20 @@ def ref_encode(features, bins) -> tuple[int, ...]:
     return tuple(out)
 
 
+def int_score(pack, raw_features) -> int:
+    """Integer-only candidate score: sum of selected weights_int per feature."""
+    total = 0
+    for i, fe in enumerate(pack.features):
+        v = raw_features[i]
+        b = 0
+        for edge in fe.bin_edges:
+            if v < edge:
+                break
+            b += 1
+        total += fe.weights_int[b]
+    return total
+
+
 def ref_pack_score(pack_dict: dict, raw: list[int], weights: str = "weights_int"):
     """Score straight off the serialized form, via bisect, over one weights list."""
     total = 0

@@ -1,23 +1,38 @@
-"""The microbenchmark script runs against the library as it is.
+"""The benchmark scripts run against the library as they are.
 
 The test run does not collect benchmarks/, so a library call that a
 benchmark makes and the library no longer has would otherwise go unnoticed.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
 
 
 def test_tracker_benchmarks_run_without_timing():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
-        str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "benchmarks/bench_tracker.py", "--benchmark-disable"],
-        cwd=ROOT, env=env, capture_output=True, text=True,
+        cwd=ROOT, env=ENV, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+
+
+def test_work_counts_cover_both_policies_on_both_simulate_shapes():
+    proc = subprocess.run([sys.executable, "benchmarks/workcount.py"],
+                          cwd=ROOT, env=ENV, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    counts = json.loads(proc.stdout)
+    for workload in ("sizebias-evict", "mongo-hits"):
+        fifo, learned = counts[workload]["fifo"], counts[workload]["learned"]
+        assert fifo["events"] == learned["events"] > 0
+        # only the learned policy scores, so only it calls argsort
+        assert "ndarray.argsort" in learned["c_calls_by_name_per_event"]
+        assert "ndarray.argsort" not in fifo["c_calls_by_name_per_event"]
+        assert learned["opcodes_per_event"] > fifo["opcodes_per_event"] > 0

@@ -12,15 +12,14 @@ from learnedcache.features import (
     FEATURE_NAMES,
     MISSING,
     N_FEATURES,
-    P_INODE,
     AccessTracker,
     build_dataset,
 )
-from learnedcache.modelpack import PreparedScorer, int_score
+from learnedcache.modelpack import PreparedScorer
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
 from packbuild import make_accesses, random_pack, window_features
-from reference_impls import ref_dataset, ref_features
+from reference_impls import int_score, ref_dataset, ref_features
 
 SECOND = 1_000_000_000
 K = PageKey(1, 10, 3)
@@ -252,12 +251,14 @@ def test_page_first_lookup_keeps_inode_slots_and_features(steps, gaps, probes):
         history.append((key, t))
         if probe or i == len(stream) - 1:
             # one table: every page and every file has its own column, keyed
-            # in page_keys, and a page's P_INODE cell is its file's column
+            # in page_keys, and a page's gather index column holds its own
+            # column and its file's
             assert len(tr.page_keys) == len(tr.page_slot) + len(tr.inode_slot)
             assert all(tr.page_keys[s] == k for k, s in tr.page_slot.items())
             assert all(tr.page_keys[s] == f for f, s in tr.inode_slot.items())
-            inode_col = tr.tab[P_INODE].take(list(tr.page_slot.values())).tolist()
-            assert inode_col == [tr.inode_slot[(k.dev, k.inode)] for k in tr.page_slot]
+            index = tr.index.take(list(tr.page_slot.values()), axis=1).tolist()
+            assert index == [list(tr.page_slot.values()),
+                             [tr.inode_slot[(k.dev, k.inode)] for k in tr.page_slot]]
             # the page just seen and the first page seen
             assert window_features(tr, [key, seen[0]], t + SECOND) == [
                 ref_features(history, p, t + SECOND) for p in (key, seen[0])

@@ -18,7 +18,6 @@ from learnedcache.modelpack import (
     DEFAULT_WEIGHT_SCALE,
     PreparedScorer,
     export_json,
-    int_score,
     load_json,
     pack_from_dict,
     pack_to_dict,
@@ -28,7 +27,7 @@ from learnedcache.ranker import LinearRanker
 from learnedcache.trace import PageKey
 
 from packbuild import build_pack, make_accesses, random_pack, window_features, zero_pack
-from reference_impls import ref_features, ref_pack_score
+from reference_impls import int_score, ref_features, ref_pack_score
 
 U64_MAX = 2**64 - 1
 
@@ -374,13 +373,13 @@ def test_scoring_never_writes_to_the_tracker():
         per_feature[j] = ([1, 1000, 10**9], [rng.uniform(-3.0, 3.0) for _ in range(4)])
     pack = build_pack(per_feature)
     scorer = PreparedScorer(pack)
-    tab = tracker.tab.copy()
+    tab, index = tracker.tab.copy(), tracker.index.copy()
     pages = _page_slots(tracker)
     t_now = tracker.last_t + 3_000_000_000
     for slots in (pages, pages[[rng.randrange(len(pages)) for _ in range(5)]]):
         window = scorer.score_window(tracker, slots, t_now)
         assert window.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
-    assert np.array_equal(tracker.tab, tab)
+    assert np.array_equal(tracker.tab, tab) and np.array_equal(tracker.index, index)
 
 
 def test_edges_near_the_u64_limit_bin_correctly():

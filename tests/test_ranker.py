@@ -22,6 +22,8 @@ from learnedcache.ranker import (
     bt_probability,
     default_pair_budget,
     _encode_matrix,
+    _logits,
+    _pair_logits,
     evaluate,
     f1_score,
     sample_pairs,
@@ -294,6 +296,46 @@ def test_returned_weights_are_the_best_validation_epoch():
     assert abs(bce_loss(result.ranker.weights, va.xa, va.xb, va.y) - best) < 1e-12
 
 
+def test_pair_logits_sum_each_distinct_row_as_logits_do():
+    # rows of 9 features in 6 values each: 1800 pair sides, at most 300
+    # distinct rows, and normal weights, so a sum in another order rounds
+    # differently
+    rng = np.random.default_rng(5)
+    rows = [make_row(tuple(int(v) for v in rng.integers(0, 6, 9)), int(rng.integers(1, 50)), i)
+            for i in range(300)]
+    bins = fit_all([[r.features[j] for r in rows] for j in range(9)])
+    va = sample_pairs(rows, bins, 900, seed=2)
+    logits = _pair_logits(va.xa, va.xb, bins)
+    for seed in range(3):
+        w = np.random.default_rng(seed).normal(size=sum(b.n_bins for b in bins))
+        assert np.array_equal(logits(w), _logits(w, va.xa, va.xb))
+
+
+def test_pair_logits_refuse_joint_bin_numbers_past_int64():
+    x = np.arange(0, 126, 2).reshape(1, 63)  # bin 0 of each of 63 two-bin features
+    _pair_logits(x[:, :62], x[:, :62], (FeatureBins((1,)),) * 62)  # 2**62 joint bins
+    with pytest.raises(InternalError):
+        _pair_logits(x, x, (FeatureBins((1,)),) * 63)
+
+
+def test_validation_history_is_what_scoring_every_pair_gives():
+    # the epoch loop scores each distinct validation row once and
+    # differences the pairs; its history must hold, bit for bit, what
+    # scoring every pair side with bce_loss and evaluate gives
+    rng = np.random.default_rng(5)
+    rows = [make_row(tuple(int(v) for v in rng.integers(0, 6, 9)), int(rng.integers(1, 50)), i)
+            for i in range(300)]
+    bins = fit_all([[r.features[j] for r in rows] for j in range(9)])
+    tr = sample_pairs(rows, bins, 2000, seed=1)
+    va = sample_pairs(rows, bins, 900, seed=2)
+    for epochs in (1, 2, 4):
+        result = train(tr, va, bins, TrainConfig(max_epochs=epochs, learning_rate=0.01, seed=epochs))
+        best = result.history[result.best_epoch - 1]
+        metrics = evaluate(result.ranker, va)
+        assert best.val_loss == bce_loss(result.ranker.weights, va.xa, va.xb, va.y)
+        assert (best.val_auc, best.val_f1) == (metrics.auc, metrics.f1)
+
+
 def test_early_stopping_waits_for_patience():
     # with a huge learning rate validation loss deteriorates immediately,
     # so training should stop after exactly patience epochs past the best
@@ -335,6 +377,13 @@ def test_train_rejects_out_of_range_encodings():
     bins = (FeatureBins((1,)),)
     with pytest.raises(InternalError):
         train(_pairs([[5]], [[0]], [1]), _pairs([[0]], [[1]], [1]), bins)
+    # in the bin index space, but column 0 holds feature 1's bin
+    bins = (FeatureBins((1,)), FeatureBins((1,)))
+    good = _pairs([[0, 2]], [[1, 3]], [1])
+    with pytest.raises(InternalError):
+        train(good, _pairs([[2, 2]], [[1, 3]], [1]), bins)
+    with pytest.raises(InternalError):
+        train(_pairs([[0, 2, 3]], [[1, 3, 3]], [1]), good, bins)
 
 
 def test_config_validation():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from learnedcache.errors import ConfigurationError
 from learnedcache.features import FEATURE_NAMES, AccessTracker
-from learnedcache.modelpack import int_score
 from learnedcache.simcache import (
     BATCH_MAX,
     LATENCY_BUCKETS,
@@ -26,8 +25,8 @@ from learnedcache.simcache import (
 )
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
-from packbuild import build_pack, make_accesses, random_pack, zero_pack
-from reference_impls import ref_features, ref_fifo_sim, ref_learned_sim
+from packbuild import U64_MAX, build_pack, make_accesses, random_pack, zero_pack
+from reference_impls import int_score, ref_features, ref_fifo_sim, ref_learned_sim
 
 A, B, C, D = (PageKey(1, 10, i) for i in range(4))
 
@@ -383,6 +382,66 @@ def test_batch_eviction_takes_the_lowest_scores_in_order(n, oversample):
     victims = _evict(cache, n, policy, t_now)
     assert victims == expect_victims
     assert cache.resident_keys() == expect_resident
+
+
+def _tie_pack(rng):
+    """A pack whose every feature has 2-4 bins weighted from only 2-3
+    distinct values, so many candidates tie."""
+    pools = (
+        lambda: rng.randint(0, 40),  # offsets, file sizes
+        lambda: rng.randint(1, 12) * 1024,  # emas: scaled access counts
+        lambda: rng.randint(0, 10**7),  # gaps of a few steps
+        lambda: rng.randint(U64_MAX - 10**9, U64_MAX),  # MISSING's side
+    )
+    per_feature = []
+    for _ in FEATURE_NAMES:
+        values = rng.sample([-2.0, -0.5, 0.0, 1.0, 3.0], rng.randint(2, 3))
+        pool, n_edges = rng.choice(pools), rng.randint(1, 3)
+        edges: set[int] = set()
+        while len(edges) < n_edges:
+            edges.add(pool())
+        per_feature.append((sorted(edges), [rng.choice(values) for _ in range(len(edges) + 1)]))
+    return build_pack(per_feature)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    pack_rng=st.randoms(use_true_random=False),
+    stream_seed=st.integers(0, 2**32),
+    n=st.integers(1, BATCH_MAX),
+    oversample=st.integers(1, 8),
+    capacity=st.integers(1, 64),
+)
+def test_one_request_evicts_the_lowest_scores_and_keeps_survivors_in_fifo_order(
+    pack_rng, stream_seed, n, oversample, capacity
+):
+    # the request comes after the order buffer has wrapped, so the window
+    # sits wherever compaction left the live span
+    pack = _tie_pack(pack_rng)
+    policy = LearnedPolicy(pack, oversample)
+    cache = CacheState(capacity)
+    rng = random.Random(stream_seed)
+    pairs = []
+    while cache.report.insertions <= len(cache.order):
+        more = make_accesses(rng, 200, n_inodes=rng.randint(2, 6), pages_per_inode=40)
+        t0 = pairs[-1][1] if pairs else 0
+        more = [(k, t0 + t) for k, t in more]
+        drive(cache, more, policy)
+        pairs += more
+    resident_before = cache.resident_keys()
+    t_now = cache.tracker.last_t + rng.randint(0, 10**7)
+
+    window = min(oversample * n, len(resident_before))
+    cands = resident_before[:window]
+    scores = [int_score(pack, ref_features(pairs, k, t_now)) for k in cands]
+    # the k lowest by (score, FIFO position), lowest first
+    chosen = sorted(range(window), key=lambda i: (scores[i], i))[:min(n, window)]
+    gone = set(chosen)
+    victims = _evict(cache, n, policy, t_now)
+    assert victims == [cands[i] for i in chosen]
+    assert cache.resident_keys() == (
+        [c for i, c in enumerate(cands) if i not in gone] + resident_before[window:]
+    )
 
 
 def test_run_simulation_counts_and_rate():
