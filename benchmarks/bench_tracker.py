@@ -18,12 +18,14 @@ simulation of mongo-hits' shape, which updates no features (only the learned
 policy tracks them), and generate_workload on the same spec also report µs
 per event; so does generate_workload on sizebias-evict's spec
 (synthetic_sizebias, 1000 ops), whose generator builds its events without
-the _Emitter the other kinds share. write_trace and read_trace time
-the binary trace codec, each record checked by the trace rule, on a
-mongo trace; their extra_info also holds µs per event. The read case runs
-twice, for read_trace, which builds the event list, and for iter_trace,
-which streams the same events and is consumed one event at a time as
-simulate consumes it; each also records its tracemalloc peak. The two largest
+the _Emitter the other kinds share, and on webserver (1000 ops) and varmail
+(2000 ops), whose ops mix runs of many pages with single-page touches.
+write_trace and read_trace time the binary trace codec, each record checked
+by the trace rule, on a mongo trace; their extra_info also holds µs per
+event. The read case runs twice, for read_trace, which builds the event
+list, and for iter_trace, which streams the same events and is consumed one
+event at a time as simulate consumes it; each also records its tracemalloc
+peak. The two largest
 stages of a train run, the FIFO label run (run_simulation with an
 event_sink) and build_dataset, are timed on one trace of train-sizebias'
 shape (synthetic_sizebias, 250 ops, capacity 96), in µs per trace event.
@@ -175,7 +177,8 @@ def test_fifo_simulation(benchmark):
     per_event(benchmark, len(events))
 
 
-@pytest.mark.parametrize("kind,ops", [("mongo", 8000), ("synthetic_sizebias", 1000)])
+@pytest.mark.parametrize("kind,ops", [("mongo", 8000), ("synthetic_sizebias", 1000),
+                                      ("webserver", 1000), ("varmail", 2000)])
 def test_generate_workload(benchmark, kind, ops):
     spec = default_spec(kind, seed=7, n_ops=ops)
     events = benchmark.pedantic(generate_workload, args=(spec,), rounds=5)

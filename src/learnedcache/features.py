@@ -94,9 +94,9 @@ class AccessTracker:
     before its first page's. _rows holds a memoryview of each field row and
     _file_of one of index row 1; on_access reads and writes single cells
     through them, and build_dataset reads them. _column is the one place the
-    table and the index grow, and growing them replaces the views too.
-    page_column only numbers pages: it allocates a page's column through
-    _column and updates nothing.
+    table and the index grow, to fit any column number, and growing them
+    replaces the views too. page_column only numbers pages: it appends to
+    page_keys and page_slot, and grows and updates nothing else.
     """
 
     def __init__(self) -> None:
@@ -114,24 +114,27 @@ class AccessTracker:
         """Allocate the next table column for key; returns its slot."""
         c = len(self.page_keys)
         self.page_keys.append(key)
-        if c == self.tab.shape[1]:
-            self.tab = np.concatenate((self.tab, np.zeros_like(self.tab)), axis=1)
-            self.index = np.concatenate((self.index, np.zeros_like(self.index)), axis=1)
-            self.index[0] = np.arange(2 * c)
+        width = self.tab.shape[1]
+        if c >= width:
+            extra = max(width, c + 1 - width)  # at least double, and past c
+            self.tab = np.concatenate((self.tab, np.zeros((6, extra), np.uint64)), axis=1)
+            self.index = np.concatenate((self.index, np.zeros((2, extra), np.int64)), axis=1)
+            self.index[0] = np.arange(width + extra)
             self._rows = _row_views(self.tab)
             self._file_of = memoryview(self.index[1])
         return c
 
     def page_column(self, key: PageKey) -> int:
-        """The page's column slot, allocated on first sight; sets no field.
+        """The page's column slot, numbered on first sight; sets no field.
 
         For a caller that only numbers pages and never mixes this with
-        on_access: the column's cells stay zero and name no file column, so
-        they hold no features to score.
+        on_access: the slot has no table column, so it holds no features to
+        score, and numbering pages never grows the table or the index.
         """
         slot = self.page_slot.get(key)
         if slot is None:
-            slot = self.page_slot[key] = self._column(key)
+            slot = self.page_slot[key] = len(self.page_keys)
+            self.page_keys.append(key)
         return slot
 
     def on_access(self, key: PageKey, t_ns: int) -> int:

@@ -113,13 +113,13 @@ class CacheState:
 
     A cache serves one policy for its lifetime. Only a tracking (learned)
     policy updates the tracker's features; a FIFO cache's tracker holds
-    page columns with no features and no file columns, and is there only to
+    page slots with no features and no file columns, and is there only to
     number the pages the order buffer holds. tracks records which of the two
     the tracker holds, from the policy of the first access (None before
-    it); an eviction request under a policy that tracks otherwise is
-    refused. The cache counts every access and eviction request into
-    report, the SimReport that run_simulation returns, and appends each
-    request's wall time to latency_sink when one is set.
+    it); access and _evict refuse a policy that tracks otherwise. The cache
+    counts every access and eviction request into report, the SimReport
+    that run_simulation returns, and appends each request's wall time to
+    latency_sink when one is set.
     """
 
     def __init__(self, capacity: int):
@@ -159,6 +159,17 @@ class CacheState:
         self.head += 1
 
 
+def _serve(cache: CacheState, tracks: bool) -> None:
+    """Bind a cache that has served no policy yet to one that tracks as
+    tracks says; refuse a policy that tracks otherwise than the cache's."""
+    if cache.tracks is not None:
+        raise ConfigurationError(
+            f"the cache was filled under a policy that {'tracks' if cache.tracks else 'tracks no'} "
+            "features; a cache serves one policy for its lifetime"
+        )
+    cache.tracks = tracks
+
+
 def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[PageKey]:
     """One eviction request of n pages, as both simulation and benchmark issue it.
 
@@ -171,11 +182,8 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     if not 1 <= n <= BATCH_MAX:
         raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
     tracks = policy.tracks
-    if tracks is not cache.tracks and cache.tracks is not None:
-        raise ConfigurationError(
-            f"the cache was filled under a policy that {'tracks' if cache.tracks else 'tracks no'} "
-            "features; a cache serves one policy for its lifetime"
-        )
+    if tracks is not cache.tracks:
+        _serve(cache, tracks)
     t0 = time.perf_counter_ns()
     tail = cache.tail
     live = cache.head - tail
@@ -208,31 +216,39 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     report.candidate_counts.append(window)
     report.evictions += k
     if cache.event_sink is not None:
-        cache.event_sink.extend(_new_tuple(TraceEvent, (_EVICT, t_now_ns, v)) for v in victims)
+        append = cache.event_sink.append
+        for key in victims:
+            append(_new_tuple(TraceEvent, (_EVICT, t_now_ns, key)))
     return victims
 
 
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:
     """Count a hit, or insert on miss and evict on overflow.
 
-    cache must serve this policy for its whole lifetime. A policy that
+    cache must serve this policy for its whole lifetime: a miss or a
+    learned hit under a policy that tracks otherwise than the cache's first
+    one is refused (ConfigurationError) before it touches the tracker; a
+    FIFO hit reads no tracker state and is not checked. A policy that
     tracks (learned) updates the page's and its file's features on every
     access. FIFO reads no feature: a FIFO hit touches no tracker state, and
-    a FIFO miss only gets or allocates the page's column, which the order
+    a FIFO miss only numbers the page's slot (page_column), which the order
     buffer holds.
     """
     if key in cache.residency:
         if policy.tracks:
+            if not cache.tracks:  # a FIFO cache, as a hit follows a first access
+                _serve(cache, True)  # raises
             cache.tracker.on_access(key, t_ns)
         cache.report.hits += 1
         return _HIT
 
-    if policy.tracks:
+    tracks = policy.tracks
+    if tracks is not cache.tracks:  # the first access, or a refused policy
+        _serve(cache, tracks)
+    if tracks:
         slot = cache.tracker.on_access(key, t_ns)
     else:
         slot = cache.tracker.page_column(key)
-    if cache.tracks is None:  # the first access, always a miss
-        cache.tracks = policy.tracks
     cache.residency[key] = None
     cache._append(slot)
     cache.report.insertions += 1

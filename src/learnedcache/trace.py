@@ -21,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import accumulate
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, InternalError, TraceFormatError
@@ -148,15 +149,20 @@ def _validate_spec(spec: WorkloadSpec) -> None:
 class _Emitter:
     """Accumulates Access events on a monotone virtual clock.
 
-    Every touch of a page shares one PageKey, and events are built with
-    _new_tuple; draw takes randint's draws without its randrange layers.
+    run emits a run of consecutive pages of one file, one event per page,
+    each after a clock step of draw's getrandbits calls taken inline; a
+    single page is a run of one. Every touch of a page shares one
+    PageKey, from its file's key list, which grows up to the highest page
+    touched so far; events are built with _new_tuple. draw takes randint's
+    draws without its randrange layers.
     """
 
     def __init__(self, rng: random.Random, t0: int = 1_000_000):
         self.getrandbits = rng.getrandbits
         self.t = t0
         self.events: list[TraceEvent] = []
-        self.keys: dict[tuple[int, int], PageKey] = {}
+        # inode -> its pages' keys, by offset
+        self.keys: dict[int, list[PageKey]] = {}
 
     def draw(self, lo: int, hi: int) -> int:
         """rng.randint(lo, hi) for 0 <= lo <= hi, from the same getrandbits
@@ -168,12 +174,34 @@ class _Emitter:
             r = self.getrandbits(k)
         return lo + r
 
-    def touch(self, inode: int, offset: int, dt_lo: int = 3_000, dt_hi: int = 9_000) -> None:
-        self.t += self.draw(dt_lo, dt_hi)
-        key = self.keys.get((inode, offset))
-        if key is None:
-            key = self.keys[inode, offset] = _new_tuple(PageKey, (_DEV, inode, offset))
-        self.events.append(_new_tuple(TraceEvent, (_ACCESS, self.t, key)))
+    def run(self, inode: int, first: int, stop: int, dt_lo: int = 3_000, dt_hi: int = 9_000) -> None:
+        """Touch pages [first, stop) of the file in order, each one
+        draw(dt_lo, dt_hi) ns after the previous event."""
+        keys = self.keys.get(inode)
+        if keys is None or len(keys) < stop:
+            keys = self._grow(inode, keys, stop)
+        # draw's rejection loop, inline
+        n = dt_hi - dt_lo + 1
+        k = n.bit_length()
+        getrandbits = self.getrandbits
+        append = self.events.append
+        t = self.t
+        for key in keys[first:stop]:
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            t += dt_lo + r
+            append(_new_tuple(TraceEvent, (_ACCESS, t, key)))
+        self.t = t
+
+    def _grow(self, inode: int, keys: list[PageKey] | None, stop: int) -> list[PageKey]:
+        """The file's key list keys (None for a file not seen yet), extended
+        to hold pages [0, stop)."""
+        if keys is None:
+            keys = self.keys[inode] = []
+        for page in range(len(keys), stop):
+            keys.append(_new_tuple(PageKey, (_DEV, inode, page)))
+        return keys
 
     def gap(self, lo: int = 20_000, hi: int = 60_000) -> None:
         self.t += self.draw(lo, hi)
@@ -204,67 +232,72 @@ def _file_sizes(spec: WorkloadSpec, rng: random.Random) -> list[int]:
     return sizes
 
 
+# The op loops below bind the methods they call per op to locals, which
+# are cheaper to read than attributes.
+
+
 def _gen_webserver(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     sizes = _file_sizes(spec, rng)
-    pick = _Picker(spec.popularity, spec.n_files)
+    pick = _Picker(spec.popularity, spec.n_files).pick
     em = _Emitter(rng)
+    run, gap, rand = em.run, em.gap, rng.random
     log_inode = spec.n_files + 1_000_000
     log_page = 0
     for _ in range(spec.n_ops):
-        em.gap()
-        if rng.random() < 0.95:
-            f = pick.pick(rng)
-            for page in range(min(sizes[f], 256)):
-                em.touch(100 + f, page)
+        gap()
+        if rand() < 0.95:
+            f = pick(rng)
+            run(100 + f, 0, min(sizes[f], 256))
         else:
-            em.touch(log_inode, log_page)
+            run(log_inode, log_page, log_page + 1)
             log_page += 1
     return em.events
 
 
 def _gen_webproxy(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     sizes = _file_sizes(spec, rng)
-    pick = _Picker(spec.popularity, spec.n_files)
+    pick = _Picker(spec.popularity, spec.n_files).pick
+    sample = spec.file_sizes.sample
     em = _Emitter(rng)
+    run, gap, rand = em.run, em.gap, rng.random
     next_cold = spec.n_files + 1_000_000
     for _ in range(spec.n_ops):
-        em.gap()
-        if rng.random() < 0.85:
-            f = pick.pick(rng)
+        gap()
+        if rand() < 0.85:
+            f = pick(rng)
             inode, n_pages = 100 + f, sizes[f]
         else:
             # cache-miss fetch of a fresh object, touched once and never again
             inode = next_cold
             next_cold += 1
-            n_pages = spec.file_sizes.sample(0, rng)
-        for page in range(min(n_pages, 256)):
-            em.touch(inode, page)
+            n_pages = sample(0, rng)
+        run(inode, 0, min(n_pages, 256))
     return em.events
 
 
 def _gen_varmail(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     sizes = _file_sizes(spec, rng)
-    pick = _Picker(spec.popularity, spec.n_files)
+    pick = _Picker(spec.popularity, spec.n_files).pick
+    sample = spec.file_sizes.sample
     em = _Emitter(rng)
+    run, gap, rand = em.run, em.gap, rng.random
     next_new = spec.n_files + 1_000_000
     for _ in range(spec.n_ops):
-        em.gap(10_000, 30_000)
-        r = rng.random()
+        gap(10_000, 30_000)
+        r = rand()
         if r < 0.40:
-            f = pick.pick(rng)
-            for page in range(min(sizes[f], 64)):
-                em.touch(100 + f, page)
+            f = pick(rng)
+            run(100 + f, 0, min(sizes[f], 64))
         elif r < 0.80:
-            f = pick.pick(rng)
+            f = pick(rng)
             if sizes[f] < 64:
-                em.touch(100 + f, sizes[f])
+                run(100 + f, sizes[f], sizes[f] + 1)
                 sizes[f] += 1
             else:
-                em.touch(100 + f, rng.randrange(sizes[f]))
+                page = rng.randrange(sizes[f])
+                run(100 + f, page, page + 1)
         else:
-            n_pages = spec.file_sizes.sample(0, rng)
-            for page in range(min(n_pages, 64)):
-                em.touch(next_new, page)
+            run(next_new, 0, min(sample(0, rng), 64))
             next_new += 1
     return em.events
 
@@ -272,6 +305,7 @@ def _gen_varmail(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
 def _gen_copyfiles(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     sizes = _file_sizes(spec, rng)
     em = _Emitter(rng)
+    run = em.run
     order: list[int] = []
     for _ in range(spec.n_ops):
         em.gap()
@@ -280,42 +314,45 @@ def _gen_copyfiles(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
             rng.shuffle(order)
         f = order.pop()
         for page in range(min(sizes[f], 256)):
-            em.touch(100 + f, page, 2_000, 5_000)
-            em.touch(10_000_100 + f, page, 2_000, 5_000)
+            run(100 + f, page, page + 1, 2_000, 5_000)
+            run(10_000_100 + f, page, page + 1, 2_000, 5_000)
     return em.events
 
 
 def _gen_openfiles(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     sizes = _file_sizes(spec, rng)
-    pick = _Picker(spec.popularity, spec.n_files)
+    pick = _Picker(spec.popularity, spec.n_files).pick
     em = _Emitter(rng)
+    run, gap, rand = em.run, em.gap, rng.random
     for _ in range(spec.n_ops):
-        em.gap(5_000, 15_000)
-        f = pick.pick(rng)
-        page = 0 if rng.random() < 0.8 else rng.randrange(sizes[f])
-        em.touch(100 + f, page)
+        gap(5_000, 15_000)
+        f = pick(rng)
+        page = 0 if rand() < 0.8 else rng.randrange(sizes[f])
+        run(100 + f, page, page + 1)
     return em.events
 
 
 def _gen_mongo(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     sizes = _file_sizes(spec, rng)
-    pick = _Picker(spec.popularity, spec.n_files)
+    pick = _Picker(spec.popularity, spec.n_files).pick
     em = _Emitter(rng)
+    run, gap = em.run, em.gap
+    rand, paretovariate = rng.random, rng.paretovariate
     extent = 8
     journal_inode = spec.n_files + 1_000_000
     journal_page = 0
     # per-file extent popularity, hotter at low extent indices
     for _ in range(spec.n_ops):
-        em.gap(10_000, 40_000)
-        if rng.random() < 0.8:
-            f = pick.pick(rng)
-            n_extents = max(1, sizes[f] // extent)
-            e = min(n_extents - 1, int(rng.paretovariate(1.2)) - 1)
+        gap(10_000, 40_000)
+        if rand() < 0.8:
+            f = pick(rng)
+            size = sizes[f]
+            n_extents = max(1, size // extent)
+            e = min(n_extents - 1, int(paretovariate(1.2)) - 1)
             base = e * extent
-            for page in range(base, min(base + extent, sizes[f])):
-                em.touch(100 + f, page, 1_500, 4_000)
+            run(100 + f, base, min(base + extent, size), 1_500, 4_000)
         else:
-            em.touch(journal_inode, journal_page)
+            run(journal_inode, journal_page, journal_page + 1)
             journal_page += 1
     return em.events
 
@@ -389,9 +426,10 @@ def generate_workload(spec: WorkloadSpec) -> list[TraceEvent]:
         return []
     rng = random.Random(spec.seed)
     events = _CATALOG[spec.kind][3](spec, rng)
-    for prev, cur in zip(events, events[1:]):
-        if cur.t_ns < prev.t_ns:
-            raise InternalError("generator emitted unsorted timestamps")  # pragma: no cover
+    # sorted() checks an already sorted list in one pass of C-level compares
+    times = list(map(itemgetter(1), events))  # each event's t_ns
+    if sorted(times) != times:
+        raise InternalError("generator emitted unsorted timestamps")
     return events
 
 

@@ -136,6 +136,20 @@ def test_tracker_grows_past_initial_table_sizes():
     assert [f.file_size for f in window_features(tr, keys[::37], t_now)] == [5] * 10
 
 
+def test_table_growth_fits_a_column_past_its_width():
+    # page_column numbers 1000 pages without growing the table, so the next
+    # column the table must hold lies far past its 320 columns
+    tr = AccessTracker()
+    for i in range(1000):
+        tr.page_column(PageKey(1, 1, i))
+    assert tr.tab.shape == (6, 320) and tr.index.shape == (2, 320)
+    assert tr._column((1, 2)) == 1000
+    width = tr.tab.shape[1]
+    assert width > 1000 and tr.index.shape == (2, width)
+    assert tr.index[0].tolist() == list(range(width))
+    assert len(tr._rows[0]) == len(tr._file_of) == width
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_extraction_matches_history_based_reference(seed):
     rng = random.Random(seed)

@@ -119,22 +119,42 @@ def test_request_above_the_resident_count_records_a_window_of_every_page(policy)
 
 @pytest.mark.parametrize("fill,evict", [("fifo", "learned"), ("learned", "fifo")])
 def test_a_cache_refuses_a_request_under_a_policy_that_tracks_otherwise(fill, evict):
-    # a FIFO cache's page columns hold no features and name column 0 as
-    # their file, so a learned request would score another page's cells
+    # a FIFO cache's page slots hold no features and, past 320 pages, lie
+    # past the tracker's table, so a learned access or request would read
+    # and write cells that are not theirs
     policies = {"fifo": FifoPolicy(), "learned": LearnedPolicy(random_pack(random.Random(5)))}
-    cache = CacheState(4)
-    for i in range(4):
-        access(cache, PageKey(1, 1, i), i, policies[fill])
-    assert cache.tracks is policies[fill].tracks
-    with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
-        _evict(cache, 1, policies[evict], 4)
-    # the miss that overflows the cache issues the same request
-    with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
-        access(cache, PageKey(1, 1, 4), 5, policies[evict])
-    assert cache.report.candidate_counts == [] and cache.report.evictions == 0
-    # the policy the cache was filled under still evicts
-    assert len(_evict(cache, 1, policies[fill], 5)) == 1
-    assert cache.report.candidate_counts == [policies[fill].oversample]
+    # 330 pages lie past the tracker's initial 320 columns
+    for pages in (4, 330):
+        cache = CacheState(pages)
+        for i in range(pages):
+            access(cache, PageKey(1, 1, i), i, policies[fill])
+        assert cache.tracks is policies[fill].tracks
+        tracker = cache.tracker
+        state = (tracker.tab.copy(), tracker.index.copy(), list(tracker.page_keys))
+        with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
+            _evict(cache, 1, policies[evict], pages)
+        # a learned hit on a page the cache holds is refused; a FIFO hit reads
+        # no tracker state and is only counted
+        for i in (0, pages - 1):
+            if evict == "learned":
+                with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
+                    access(cache, PageKey(1, 1, i), pages + 1, policies[evict])
+            else:
+                assert access(cache, PageKey(1, 1, i), pages + 1, policies[evict]) is AccessResult.HIT
+        # the miss that overflows the cache
+        with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
+            access(cache, PageKey(1, 1, pages), pages + 1, policies[evict])
+        assert cache.report.candidate_counts == [] and cache.report.evictions == 0
+        assert cache.report.hits == (2 if evict == "fifo" else 0)
+        assert cache.report.insertions == len(cache) == pages
+        # the refused accesses left the tracker as it was
+        assert tracker.tab.tobytes() == state[0].tobytes()
+        assert tracker.index.tobytes() == state[1].tobytes()
+        assert tracker.page_keys == state[2]
+        # the policy the cache was filled under still serves it
+        assert access(cache, PageKey(1, 1, 0), pages + 2, policies[fill]) is AccessResult.HIT
+        assert len(_evict(cache, 1, policies[fill], pages + 2)) == 1
+        assert cache.report.candidate_counts == [min(policies[fill].oversample, pages)]
 
 
 @settings(deadline=None, max_examples=60)
@@ -284,6 +304,19 @@ def test_only_the_learned_policy_updates_the_tracker(monkeypatch):
     monkeypatch.setattr(AccessTracker, "on_access", counting)
     run_simulation(events, LearnedPolicy(random_pack(rng)), 8)
     assert calls == [(ev.key, ev.t_ns) for ev in events]
+
+
+@pytest.mark.parametrize("policy,width", [(FifoPolicy(), 320), (LearnedPolicy(zero_pack()), 640)],
+                         ids=["fifo", "learned"])
+def test_only_a_tracking_cache_grows_the_tracker_table(policy, width):
+    # 400 distinct pages in 10 files, past the tracker's initial 320 columns:
+    # FIFO only numbers them, while learned gives each page and file a column
+    cache = CacheState(64)
+    for t in range(400):
+        access(cache, PageKey(1, 100 + t // 40, t % 40), t, policy)
+    tracker = cache.tracker
+    assert len(tracker.page_keys) == (410 if policy.tracks else 400)
+    assert tracker.tab.shape == (6, width) and tracker.index.shape == (2, width)
 
 
 @pytest.mark.parametrize("seed", range(10))

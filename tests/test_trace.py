@@ -5,6 +5,7 @@ import os
 import random
 import re
 import tracemalloc
+from itertools import accumulate
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from learnedcache import trace
-from learnedcache.errors import ConfigurationError, TraceFormatError
+from learnedcache.errors import ConfigurationError, InternalError, TraceFormatError
 from learnedcache.trace import (
     FORMAT_VERSION,
     MAGIC,
@@ -83,11 +84,36 @@ GOLDEN_TRACE_SHA256 = {
 }
 
 
+# the same digest of generate_workload(default_spec(kind, seed=11, n_ops=2000,
+# n_files=37)): a shape that reaches what 300 ops over the default files
+# miss, such as varmail files grown past 64 pages and dozens of copyfiles
+# passes
+GOLDEN_TRACE_SHA256_SEED11 = {
+    "webserver": "3132a62b39596cb32d46ec8b4e8f6e173f33835fad7833592e4f66053956e2cc",
+    "webproxy": "9e6f9a500d5bebb2279ae057c87bf12d1d808aa0ad0774bc1c81aace176cbff8",
+    "varmail": "f9457811c5620d91569d78a0a85702881c852900bcfa9473943f2c001d8354b9",
+    "copyfiles": "83ff7519baf6276d5d4bbae94ed23674cdd90611fda535310d7931a66c739575",
+    "openfiles": "053ce1d3e720fd166dc7648db23e3c73cc4b60900b2a2b5b6ce1a10561b2ec29",
+    "mongo": "79629674ebc638781fa3ce2a95d6b969a2f8fd71f0b9f8d38b62bee616b25cb4",
+    "synthetic_sizebias": "678312867725491a7f918534973a95df174b38dacba35b639290163252d0cf6f",
+}
+
+
+def trace_sha256(tmp_path, events) -> str:
+    path = tmp_path / "t.bin"
+    write_trace(events, str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
 def test_generated_traces_match_their_golden_digest(tmp_path, kind):
-    path = tmp_path / "t.bin"
-    write_trace(small_trace(kind, seed=7, ops=300), str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACE_SHA256[kind]
+    assert trace_sha256(tmp_path, small_trace(kind, seed=7, ops=300)) == GOLDEN_TRACE_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+def test_generated_traces_match_their_golden_digest_at_a_second_shape(tmp_path, kind):
+    events = generate_workload(default_spec(kind, seed=11, n_ops=2000, n_files=37))
+    assert trace_sha256(tmp_path, events) == GOLDEN_TRACE_SHA256_SEED11[kind]
 
 
 # widths on both sides of each step in the rejection loop's bit count:
@@ -114,15 +140,58 @@ def test_emitter_draws_equal_randint(seed, lo, width, draws):
     assert rng.getstate() == ref.getstate()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    lo=st.integers(0, 2**70),
+    width=st.one_of(st.sampled_from(EDGE_WIDTHS), st.integers(1, 2**70)),
+    first=st.integers(0, 40),
+    pages=st.integers(0, 40),
+    known=st.integers(0, 90),
+)
+@example(seed=1, lo=1_500, width=2_501, first=8, pages=8, known=0)
+def test_emitter_run_steps_as_draws_do(seed, lo, width, first, pages, known):
+    hi = lo + width - 1
+    rng, ref = random.Random(seed), random.Random(seed)
+    em = _Emitter(rng)
+    # pages [0, known) of the file already have keys, which the events reuse
+    em.keys[7] = [PageKey(1, 7, p) for p in range(known)]
+    held = em.keys[7][:]
+    em.run(7, first, first + pages, lo, hi)
+    ref_em = _Emitter(ref)
+    steps = [ref_em.draw(lo, hi) for _ in range(pages)]
+    assert [ev.t_ns for ev in em.events] == list(accumulate(steps, initial=1_000_000))[1:]
+    assert [ev.key for ev in em.events] == [PageKey(1, 7, p) for p in range(first, first + pages)]
+    assert all(ev.key is held[ev.key.offset] for ev in em.events if ev.key.offset < known)
+    assert em.t == 1_000_000 + sum(steps)
+    # the same getrandbits calls were made, so the generators stay in step
+    assert rng.getstate() == ref.getstate()
+
+
 def test_traces_share_one_page_key_per_page(tmp_path):
     mongo = small_trace("mongo", seed=3, ops=400)
     path = tmp_path / "t.bin"
     write_trace(mongo, str(path))
-    for events in (mongo, small_trace("synthetic_sizebias", seed=3, ops=200), read_trace(str(path))):
+    # varmail reads whole files in runs and touches single pages of the same files
+    for events in (mongo, small_trace("varmail", seed=3, ops=400),
+                   small_trace("synthetic_sizebias", seed=3, ops=200), read_trace(str(path))):
         pages = {ev.key for ev in events}
         assert len(pages) < len(events)  # pages repeat, so sharing is observable
         assert len({id(ev.key) for ev in events}) == len(pages)
         assert all(type(ev) is TraceEvent and type(ev.key) is PageKey for ev in events)
+
+
+@pytest.mark.parametrize("times,ok", [([5, 5, 6], True), ([5, 7, 6], False), ([9, 1], False)])
+def test_generate_workload_refuses_a_generator_that_emits_unsorted_times(monkeypatch, times, ok):
+    events = [TraceEvent(EventKind.ACCESS, t, PageKey(1, 100, 0)) for t in times]
+    entry = trace._CATALOG["mongo"]
+    monkeypatch.setitem(trace._CATALOG, "mongo", (*entry[:3], lambda spec, rng: events))
+    spec = default_spec("mongo", n_ops=1)
+    if ok:
+        assert generate_workload(spec) is events
+    else:
+        with pytest.raises(InternalError, match="unsorted timestamps"):
+            generate_workload(spec)
 
 
 def test_different_seeds_give_different_traces():
