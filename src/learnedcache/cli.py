@@ -31,6 +31,8 @@ from .simcache import FifoPolicy, LearnedPolicy, run_simulation
 from .trace import default_spec, generate_workload, iter_trace, read_trace, write_trace
 
 log = logging.getLogger("learnedcache")
+# main's own handler writes each line once, whatever handlers the root logger has
+log.propagate = False
 
 
 def _resolve_seed(arg_seed: int | None) -> int:
@@ -280,11 +282,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(name)s: %(message)s",
-        stream=sys.stderr,
-    )
+    # -v holds for this call only, on the stderr current at this call; the
+    # root logger and its handlers are left alone
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    log.addHandler(handler)
     try:
         return args.func(args)
     except ConfigurationError as exc:
@@ -299,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # InternalError and anything unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -123,6 +123,8 @@ class WorkloadSpec:
 
 
 _DEV = 1
+# the trace clock's origin, where every generator's clock starts
+_T0_NS = 1_000_000
 
 
 def _catalog_entry(kind: str) -> tuple:
@@ -157,9 +159,9 @@ class _Emitter:
     draws without its randrange layers.
     """
 
-    def __init__(self, rng: random.Random, t0: int = 1_000_000):
+    def __init__(self, rng: random.Random):
         self.getrandbits = rng.getrandbits
-        self.t = t0
+        self.t = _T0_NS
         self.events: list[TraceEvent] = []
         # inode -> its pages' keys, by offset
         self.keys: dict[int, list[PageKey]] = {}
@@ -383,7 +385,7 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     ops = 0
     r = 0
     while ops < spec.n_ops:
-        base = 1_000_000 + r * round_ns
+        base = _T0_NS + r * round_ns
         for i in range(spec.n_files):
             if ops >= spec.n_ops:
                 break

@@ -598,3 +598,26 @@ def test_stdout_progress_lines(pipeline, tmp_path, capsys):
     assert "gen-trace: synthetic_sizebias seed=4" in printed
     assert "simulate: policy=fifo capacity=4" in printed
     assert "insertion_rate=" in printed
+
+
+def test_verbose_holds_for_its_own_call_only(pipeline, tmp_path, capsys):
+    # -v sets the learnedcache logger for the call that gets it, on the stderr
+    # of that call, whatever handlers the root logger already has
+    def train_stderr(*flags):
+        assert main([*flags, "train", "--traces", pipeline["train1"], "--test", pipeline["test"],
+                     "--out", str(tmp_path / "m.json"), "--capacity", str(CAPACITY),
+                     "--pairs", "200", "--epochs", "1", "--seed", "1"]) == 0
+        return capsys.readouterr().err
+
+    assert train_stderr("-v").startswith("learnedcache: dataset: ")
+    assert train_stderr() == ""
+    assert "learnedcache: dataset: " in train_stderr("--verbose")
+
+
+def test_the_package_binds_no_public_name_but_its_submodules():
+    # each public name has one home, its module; the package re-exports nothing
+    public = {name: obj for name, obj in vars(learnedcache).items() if not name.startswith("_")}
+    assert public
+    assert {name: getattr(obj, "__name__", None) for name, obj in public.items()} == {
+        name: f"learnedcache.{name}" for name in public
+    }
