@@ -13,10 +13,10 @@ evictions, so scoring dominates) and mongo-hits (mongo, 8000 ops, capacity
 1024; mostly hits, so the tracker and the hit path dominate). Their
 extra_info holds the median in µs per event. An eviction request timed
 inside a simulation costs about twice an isolated score_window call, so the
-isolated cases alone understate the learned policy's cost. A whole FIFO
-simulation of mongo-hits' shape, which updates no features (only the learned
-policy tracks them), and generate_workload on the same spec also report µs
-per event; so does generate_workload on sizebias-evict's spec
+isolated cases alone understate the learned policy's cost. Whole FIFO
+simulations of both shapes, which update no features (only the learned
+policy tracks them), and generate_workload on mongo-hits' spec also report
+µs per event; so does generate_workload on sizebias-evict's spec
 (synthetic_sizebias, 1000 ops), whose generator builds its events without
 the _Emitter the other kinds share, and on webserver (1000 ops) and varmail
 (2000 ops), whose ops mix runs of many pages with single-page touches.
@@ -170,10 +170,14 @@ def test_learned_simulation(benchmark, model, kind, ops, capacity):
     per_event(benchmark, len(events))
 
 
-def test_fifo_simulation(benchmark):
-    spec = default_spec("mongo", seed=7, n_ops=8000)
+@pytest.mark.parametrize("kind,ops,capacity", [
+    ("synthetic_sizebias", 1000, 96),
+    ("mongo", 8000, 1024),
+], ids=["sizebias-evict", "mongo-hits"])
+def test_fifo_simulation(benchmark, kind, ops, capacity):
+    spec = default_spec(kind, seed=7, n_ops=ops)
     events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
-    benchmark.pedantic(run_simulation, args=(events, FifoPolicy(), 1024), rounds=5)
+    benchmark.pedantic(run_simulation, args=(events, FifoPolicy(), capacity), rounds=5)
     per_event(benchmark, len(events))
 
 

@@ -12,8 +12,9 @@ slice of the tracker's window block (features.AccessTracker.window, which
 owns the table layout and the feature derivation), the block rows from the
 lowest to the highest binned feature's, and looks every row's weight up in
 one merged rank table, where the rows in that slice that hold no binned
-feature weigh 0. The tests check it against int_score in
-tests/reference_impls.py, the plain reference for one feature vector.
+feature weigh 0; an int64 dot with a vector of ones sums each page's
+column. The tests check it against int_score in tests/reference_impls.py,
+the plain reference for one feature vector.
 """
 
 from __future__ import annotations
@@ -221,13 +222,19 @@ class PreparedScorer:
     into the first table row). The search covers the block rows lo..hi-1
     from the lowest to the highest binned feature's row, one contiguous
     slice; a row in between that holds no binned feature has an all-zero
-    table. The tables are int64, which score_bound fits.
+    table. Each row's table starts at its own offset in one flat array; the
+    offsets for a window of width w are kept as a (rows, w) array, made the
+    first time that width is scored, so the add that shifts the ranks is
+    one of two arrays of the same shape. The tables are int64, which
+    score_bound fits, and each page's weights are summed with an int64 dot
+    with a vector of ones, exact because every partial sum lies within
+    score_bound.
 
     Pack feature i is scored on the block row of FEATURE_NAMES[i], so a
     pack whose names are not the first n of FEATURE_NAMES is refused.
     """
 
-    __slots__ = ("base", "_offset", "_slice", "_u_edges", "_wflat", "_row_off")
+    __slots__ = ("base", "_offset", "_slice", "_u_edges", "_wflat", "_row_off", "_ones", "_offsets")
 
     def __init__(self, pack: ModelPack):
         n = pack.n_features
@@ -269,6 +276,9 @@ class PreparedScorer:
         wtab[0] += self.base
         self._wflat = wtab.reshape(-1)
         self._row_off = (np.arange(hi - lo) * (len(union) + 1)).reshape(-1, 1)
+        self._ones = np.ones(hi - lo, dtype=np.int64)
+        # window width -> _row_off broadcast to (hi - lo, width), made on first use
+        self._offsets: dict[int, np.ndarray] = {}
 
     def score_window(self, tracker, slots: np.ndarray, t_now_ns: int) -> np.ndarray:
         """Score resident pages given their tracker column slots.
@@ -279,7 +289,12 @@ class PreparedScorer:
         """
         block = tracker.window(slots, t_now_ns, self._offset)
         ranks = self._u_edges.searchsorted(block[self._slice], side="right")
-        ranks += self._row_off
+        # an add of two arrays of one shape costs about half a broadcast add
+        offsets = self._offsets.get(ranks.shape[1])
+        if offsets is None:
+            offsets = self._offsets[ranks.shape[1]] = self._row_off + np.zeros_like(ranks)
+        ranks += offsets
         # ranks are in range by construction; clip mode skips the bounds
-        # check, and the ufunc's reduce skips ndarray.sum's Python wrapper
-        return np.add.reduce(self._wflat.take(ranks, mode="clip"), 0)
+        # check. The int64 dot sums each column exactly, as every partial
+        # sum lies within score_bound, and costs about half np.add.reduce
+        return self._ones.dot(self._wflat.take(ranks, mode="clip"))

@@ -15,6 +15,12 @@ latency_sink list, as the benchmark does, so it times exactly the path
 simulations take. Only a policy that reads features (learned) has the cache
 update the feature tracker on every access; FIFO, like a kernel running no
 feature hooks, pays for none.
+
+run_simulation serves a hit in its own loop: it counts the hit and, for a
+tracking policy, calls the tracker's on_access, with no call into access.
+Only misses go through access, which inserts the page, writes its slot
+into the order buffer through CacheState.order_view, and evicts on
+overflow.
 """
 
 from __future__ import annotations
@@ -109,7 +115,8 @@ class CacheState:
     near the tail, so the live span never contains dead entries. The buffer
     holds at least twice the capacity and never grows: every miss evicts
     back to capacity, so when an append reaches the end of the buffer the
-    live span fits in its first half and is compacted there.
+    live span fits in its first half and is compacted there. access
+    appends through order_view, a memoryview of order.
 
     A cache serves one policy for its lifetime. Only a tracking (learned)
     policy updates the tracker's features; a FIFO cache's tracker holds
@@ -133,6 +140,8 @@ class CacheState:
             raise ConfigurationError(
                 f"capacity {capacity} is too large: its order buffer cannot be allocated"
             ) from None
+        # a memoryview item store skips numpy's scalar conversion
+        self.order_view = memoryview(self.order)
         self.tail = 0
         self.head = 0
         self.tracker = AccessTracker()
@@ -148,15 +157,6 @@ class CacheState:
         """Resident pages in FIFO order, oldest first."""
         keys = self.tracker.page_keys
         return [keys[s] for s in self.order[self.tail:self.head].tolist()]
-
-    def _append(self, slot: int) -> None:
-        if self.head == len(self.order):
-            live = self.head - self.tail
-            self.order[:live] = self.order[self.tail:self.head]
-            self.tail = 0
-            self.head = live
-        self.order[self.head] = slot
-        self.head += 1
 
 
 def _serve(cache: CacheState, tracks: bool) -> None:
@@ -250,7 +250,15 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
     else:
         slot = cache.tracker.page_column(key)
     cache.residency[key] = None
-    cache._append(slot)
+    head = cache.head
+    view = cache.order_view
+    if head == len(view):  # the buffer's end: compact the live span to its start
+        order, tail = cache.order, cache.tail
+        head -= tail
+        order[:head] = order[tail:tail + head]
+        cache.tail = 0
+    view[head] = slot
+    cache.head = head + 1
     cache.report.insertions += 1
 
     overflow = len(cache.residency) - cache.capacity
@@ -277,6 +285,10 @@ def run_simulation(
     cache = CacheState(capacity)
     cache.event_sink = event_sink
     cache.latency_sink = latency_sink
+    # bound here, not at import, so a method patched on the class is the one called
+    residency = cache.residency
+    on_access = cache.tracker.on_access if policy.tracks else None
+    hits = 0
     prev_t = 0
     for kind, t_ns, key in events:
         if t_ns < prev_t:
@@ -284,7 +296,16 @@ def run_simulation(
         prev_t = t_ns
         if kind != _ACCESS:
             continue
-        access(cache, key, t_ns, policy)
+        if key in residency:
+            # a hit, counted here as access counts it. access's policy check
+            # (_serve) is not needed: the fresh cache's first access, a miss,
+            # bound it to this policy
+            if on_access is not None:
+                on_access(key, t_ns)
+            hits += 1
+        else:
+            access(cache, key, t_ns, policy)
+    cache.report.hits += hits
     return cache.report
 
 

@@ -449,6 +449,33 @@ def test_window_scores_equal_the_integer_reference(rng, window, wide):
     assert got.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    rng=st.randoms(use_true_random=False),
+    widths=st.lists(st.integers(1, 200), min_size=1, max_size=8),
+)
+@example(rng=random.Random(2), widths=[5, 160, 1, 200])
+def test_one_scorer_scores_windows_of_any_width_in_any_order(rng, widths):
+    # the scorer keeps row offsets per window width, made on first use: each
+    # width comes back later, in another order, at a later t_now, and every
+    # window must still score as the reference does
+    pack = random_pack(rng)
+    accs = make_accesses(rng, rng.randint(1, 300), n_inodes=rng.randint(1, 6),
+                         pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
+    tracker = _track(accs)
+    keys = tracker.page_keys
+    pages = _page_slots(tracker)
+    scorer = PreparedScorer(pack)
+    t_now = tracker.last_t
+    for width in widths + rng.sample(widths, len(widths)):
+        t_now += rng.choice([0, 1, rng.randrange(5_000_000_000)])
+        slots = pages[[rng.randrange(len(pages)) for _ in range(width)]]
+        # one reference score per distinct page
+        want = {s: int_score(pack, ref_features(accs, keys[s], t_now)) for s in set(slots.tolist())}
+        got = scorer.score_window(tracker, slots, t_now)
+        assert got.tolist() == [want[s] for s in slots.tolist()]
+
+
 def test_golden_pack_round_trips_byte_for_byte(tmp_path):
     pack = load_json(str(GOLDEN))
     out = tmp_path / "reexport.json"

@@ -4,10 +4,12 @@ import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from learnedcache import simcache
 from learnedcache.errors import ConfigurationError
 from learnedcache.features import FEATURE_NAMES, AccessTracker
 from learnedcache.simcache import (
@@ -279,6 +281,50 @@ def test_fifo_matches_listwise_reference_on_any_stream(pages, capacity):
     assert tracker.inode_slot == {}
     assert tracker.page_keys == list(tracker.page_slot) == list(dict.fromkeys(k for k, _ in pairs))
     assert not tracker.tab.any()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rng=st.randoms(use_true_random=False),
+    learned=st.booleans(),
+    capacity=st.integers(1, 64),
+    oversample=st.integers(1, 8),
+)
+@example(rng=random.Random(0), learned=True, capacity=8, oversample=5)
+@example(rng=random.Random(0), learned=False, capacity=8, oversample=1)
+def test_the_replay_loop_serves_hits_as_access_does(rng, learned, capacity, oversample):
+    # run_simulation counts hits in its own loop and sends only misses
+    # through access: a replay of every event through access must agree
+    policy = LearnedPolicy(random_pack(rng), oversample=oversample) if learned else FifoPolicy()
+    # a universe of 1 to 96 pages, so streams below and above capacity
+    pairs = make_accesses(rng, rng.randint(1, 400), n_inodes=rng.randint(1, 8),
+                          pages_per_inode=rng.randint(1, 12))
+    made = []
+
+    class Recorded(CacheState):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            made.append(self)
+
+    sink = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simcache, "CacheState", Recorded)
+        report = run_simulation(as_events(pairs), policy, capacity, event_sink=sink)
+    (looped,) = made
+
+    stepped = CacheState(capacity)
+    stepped.event_sink = step_sink = []
+    for key, t in pairs:
+        access(stepped, key, t, policy)
+    want = stepped.report
+    assert counts(report) == counts(want)
+    assert report.candidate_counts == want.candidate_counts
+    assert sum(report.latency_hist) == sum(want.latency_hist) == len(want.candidate_counts)
+    assert sink == step_sink
+    assert looped.resident_keys() == stepped.resident_keys()
+    # a learned hit updates its page's and file's features
+    assert looped.tracker.page_keys == stepped.tracker.page_keys
+    assert np.array_equal(looped.tracker.tab, stepped.tracker.tab)
 
 
 def test_only_the_learned_policy_updates_the_tracker(monkeypatch):
