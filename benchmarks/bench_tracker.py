@@ -75,13 +75,12 @@ from learnedcache.trace import (
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODELS = PERFBENCH / "models"
 sys.path.insert(0, str(PERFBENCH))
-from run import REF_NOMINAL_S, reference_work  # noqa: E402
+from run import REF_NOMINAL_S, TRAIN_TRACES, WORKLOADS, reference_work  # noqa: E402
 # keys of the new-key round: 200 pages over 50 files, 250 columns, within the
 # tracker's initial table width (320), so no round pays for growing the table
 NEW_KEYS = [PageKey(1, 100 + i // 4, i % 4) for i in range(200)]
-# the capacity of train-sizebias' label runs, and its pairs per set
-LABEL_CAPACITY = 96
-TRAIN_PAIRS = 5000
+SIMULATE = [name for name, wl in WORKLOADS.items() if wl.model]  # the simulate workloads
+TRAIN = WORKLOADS["train-sizebias"]
 
 
 def reference_s() -> float:
@@ -143,14 +142,13 @@ def test_window(benchmark, mongo_events, mongo_tracker):
 
 
 @pytest.mark.parametrize("window", [5, 160])
-@pytest.mark.parametrize("model", ["sizebias-evict", "mongo-hits"])
+@pytest.mark.parametrize("model", SIMULATE)
 def test_score_window(benchmark, model, window):
     pack = load_json(str(MODELS / f"{model}.json"))
-    kind = "synthetic_sizebias" if model == "sizebias-evict" else "mongo"
     # capacity 256 so that a window of 160 oldest resident pages exists
     cache = CacheState(256)
     policy = LearnedPolicy(pack)
-    for ev in generate_workload(default_spec(kind, seed=7, n_ops=400)):
+    for ev in generate_workload(default_spec(WORKLOADS[model].kind, seed=7, n_ops=400)):
         if ev.kind == EventKind.ACCESS:
             access(cache, ev.key, ev.t_ns, policy)
     assert len(cache) >= window
@@ -158,31 +156,33 @@ def test_score_window(benchmark, model, window):
     benchmark(PreparedScorer(pack).score_window, cache.tracker, slots, cache.tracker.last_t)
 
 
-@pytest.mark.parametrize("model,kind,ops,capacity", [
-    ("sizebias-evict", "synthetic_sizebias", 1000, 96),
-    ("mongo-hits", "mongo", 8000, 1024),
-], ids=["sizebias-evict", "mongo-hits"])
-def test_learned_simulation(benchmark, model, kind, ops, capacity):
-    spec = default_spec(kind, seed=7, n_ops=ops)
-    events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
+def workload_accesses(model: str) -> list:
+    """The Access events of a seed-7 trace of a perfbench simulate workload's shape."""
+    wl = WORKLOADS[model]
+    return [ev for ev in generate_workload(default_spec(wl.kind, seed=7, n_ops=wl.ops))
+            if ev.kind == EventKind.ACCESS]
+
+
+@pytest.mark.parametrize("model", SIMULATE)
+def test_learned_simulation(benchmark, model):
+    events = workload_accesses(model)
     policy = LearnedPolicy(load_json(str(MODELS / f"{model}.json")))
+    capacity = WORKLOADS[model].capacity
     benchmark.pedantic(run_simulation, args=(events, policy, capacity), rounds=5)
     per_event(benchmark, len(events))
 
 
-@pytest.mark.parametrize("kind,ops,capacity", [
-    ("synthetic_sizebias", 1000, 96),
-    ("mongo", 8000, 1024),
-], ids=["sizebias-evict", "mongo-hits"])
-def test_fifo_simulation(benchmark, kind, ops, capacity):
-    spec = default_spec(kind, seed=7, n_ops=ops)
-    events = [ev for ev in generate_workload(spec) if ev.kind == EventKind.ACCESS]
+@pytest.mark.parametrize("model", SIMULATE)
+def test_fifo_simulation(benchmark, model):
+    events = workload_accesses(model)
+    capacity = WORKLOADS[model].capacity
     benchmark.pedantic(run_simulation, args=(events, FifoPolicy(), capacity), rounds=5)
     per_event(benchmark, len(events))
 
 
-@pytest.mark.parametrize("kind,ops", [("mongo", 8000), ("synthetic_sizebias", 1000),
-                                      ("webserver", 1000), ("varmail", 2000)])
+@pytest.mark.parametrize("kind,ops", [(WORKLOADS[m].kind, WORKLOADS[m].ops)
+                                      for m in ("mongo-hits", "sizebias-evict")]
+                         + [("webserver", 1000), ("varmail", 2000)])
 def test_generate_workload(benchmark, kind, ops):
     spec = default_spec(kind, seed=7, n_ops=ops)
     events = benchmark.pedantic(generate_workload, args=(spec,), rounds=5)
@@ -191,9 +191,9 @@ def test_generate_workload(benchmark, kind, ops):
 
 def label_run(seed: int) -> tuple[list, list]:
     """A train-sizebias trace of this seed and its FIFO label run's Evict events."""
-    events = generate_workload(default_spec("synthetic_sizebias", seed=seed, n_ops=250))
+    events = generate_workload(default_spec(TRAIN.kind, seed=seed, n_ops=TRAIN.train_ops))
     sink: list = []
-    run_simulation(events, FifoPolicy(), LABEL_CAPACITY, event_sink=sink)
+    run_simulation(events, FifoPolicy(), TRAIN.capacity, event_sink=sink)
     return events, sink
 
 
@@ -206,7 +206,7 @@ def test_label_run(benchmark, label_trace):
     events, _ = label_trace
     benchmark.pedantic(
         run_simulation,
-        setup=lambda: ((events, FifoPolicy(), LABEL_CAPACITY), {"event_sink": []}),
+        setup=lambda: ((events, FifoPolicy(), TRAIN.capacity), {"event_sink": []}),
         rounds=30,
     )
     per_event(benchmark, len(events))
@@ -223,18 +223,18 @@ def test_build_dataset(benchmark, label_trace):
 def train_shape():
     """Training rows from four train-sizebias traces, validation rows from a
     fifth, the bins fitted on the training rows, and both pair sets."""
-    train_rows = [row for seed in range(1, 5) for row in build_dataset(*label_run(seed))]
-    val_rows = build_dataset(*label_run(5))
+    train_rows = [row for seed in range(1, TRAIN_TRACES + 1) for row in build_dataset(*label_run(seed))]
+    val_rows = build_dataset(*label_run(TRAIN_TRACES + 1))
     bins = fit_all(list(zip(*(row.features for row in train_rows))))
-    pairs = sample_pairs(train_rows, bins, TRAIN_PAIRS, 1)
-    val_pairs = sample_pairs(val_rows, bins, TRAIN_PAIRS, 2)
+    pairs = sample_pairs(train_rows, bins, TRAIN.pairs, 1)
+    val_pairs = sample_pairs(val_rows, bins, TRAIN.pairs, 2)
     return train_rows, bins, pairs, val_pairs
 
 
 def test_sample_pairs(benchmark, train_shape):
     train_rows, bins, _, _ = train_shape
     benchmark.extra_info["rows"] = len(train_rows)
-    benchmark.pedantic(sample_pairs, args=(train_rows, bins, TRAIN_PAIRS, 1), rounds=30)
+    benchmark.pedantic(sample_pairs, args=(train_rows, bins, TRAIN.pairs, 1), rounds=30)
 
 
 def test_auc_score(benchmark, train_shape):

@@ -47,17 +47,21 @@ from learnedcache.modelpack import load_json
 from learnedcache.simcache import FifoPolicy, LearnedPolicy, run_simulation
 from learnedcache.trace import default_spec, generate_workload
 
-MODELS = Path(__file__).resolve().parent.parent / "perfbench" / "models"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODELS = PERFBENCH / "models"
+sys.path.insert(0, str(PERFBENCH))
+from run import WORKLOADS  # noqa: E402
+
 SEED = 1
-# perfbench workload: (trace kind, cache capacity, trace ops)
-SHAPES = {"sizebias-evict": ("synthetic_sizebias", 96, 200), "mongo-hits": ("mongo", 1024, 2000)}
+# trace ops per perfbench simulate workload, whose kind and capacity these
+# runs take from WORKLOADS (the docstring says why mongo-hits needs 2000)
+SIMULATE_OPS = {"sizebias-evict": 200, "mongo-hits": 2000}
 # generate_workload ops per workload kind: webserver and varmail at the
 # ROADMAP's paired-trial shapes, openfiles at one op per file (setting up
 # its 5000 file sizes is a large share of a shorter trace)
 GENERATE_OPS = {"webserver": 1000, "webproxy": 1000, "varmail": 2000, "copyfiles": 300,
                 "openfiles": 5000, "mongo": 2000, "synthetic_sizebias": 200}
-# train-sizebias' label run: (trace kind, cache capacity, trace ops)
-LABEL_SHAPE = ("synthetic_sizebias", 96, 250)
+LABEL = WORKLOADS["train-sizebias"]
 
 
 def traced_counts(run) -> dict[str, int]:
@@ -121,20 +125,21 @@ def count_simulation(events: list, policy, capacity: int) -> dict:
 
 def main() -> None:
     out: dict = {"python": sys.version.split()[0], "seed": SEED}
-    for workload, (kind, capacity, ops) in SHAPES.items():
-        events = generate_workload(default_spec(kind, seed=SEED, n_ops=ops))
+    for workload, ops in SIMULATE_OPS.items():
+        wl = WORKLOADS[workload]
+        events = generate_workload(default_spec(wl.kind, seed=SEED, n_ops=ops))
         pack = load_json(str(MODELS / f"{workload}.json"))
         out[workload] = {
             "ops": ops,
-            "fifo": count_simulation(events, FifoPolicy(), capacity),
-            "learned": count_simulation(events, LearnedPolicy(pack), capacity),
+            "fifo": count_simulation(events, FifoPolicy(), wl.capacity),
+            "learned": count_simulation(events, LearnedPolicy(pack), wl.capacity),
         }
     out["generate"] = {}
     for kind, ops in GENERATE_OPS.items():
         spec = default_spec(kind, seed=SEED, n_ops=ops)
         out["generate"][kind] = {"ops": ops, **count(lambda: generate_workload(spec),
                                                      len(generate_workload(spec)))}
-    kind, capacity, ops = LABEL_SHAPE
+    kind, capacity, ops = LABEL.kind, LABEL.capacity, LABEL.train_ops
     events = generate_workload(default_spec(kind, seed=SEED, n_ops=ops))
     # a fresh sink per run: count makes the run twice
     out["label"] = {"kind": kind, "ops": ops, "capacity": capacity,

@@ -14,13 +14,13 @@ from bisect import bisect_right
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
 MISSING = 2**64 - 1
-EMA_STEP = 1024
+COUNT_STEP = 1024
 BATCH_MAX = 32
 
 
-def ref_ema(timestamps: list[int]) -> int:
-    """Hotness from the full access history: EMA_STEP per access, never decayed."""
-    return EMA_STEP * len(timestamps)
+def ref_scaled_count(timestamps: list[int]) -> int:
+    """The page_ema and inode_ema features: COUNT_STEP per access in the history."""
+    return COUNT_STEP * len(timestamps)
 
 
 def ref_features(history: list, key, t_now: int) -> tuple[int, ...]:
@@ -57,8 +57,8 @@ def ref_features_of(
     else:
         f4 = 0
         f5 = 0
-    f6 = ref_ema(page_ts)
-    f7 = ref_ema(inode_ts)
+    f6 = ref_scaled_count(page_ts)
+    f7 = ref_scaled_count(inode_ts)
     f8 = t_now - page_ts[-1] if page_ts else MISSING
     return (f0, f1, f2, f3, f4, f5, f6, f7, f8)
 
@@ -189,16 +189,14 @@ def ref_learned_sim(accesses: list, capacity: int, pack, oversample: int = 5):
     resident) pages; the n lowest-scoring are evicted (older position wins
     ties), survivors keep their relative order. Victim lists come out in
     ascending score order. A candidate's features come from per-page and
-    per-file access histories kept here, and its score is the sum over the
-    pack's features of the weight of the bin its value falls in.
+    per-file access histories kept here, and int_score scores them.
     """
     page_ts: dict = {}
     file_accs: dict = {}
 
     def score(key, t_now):
         feats = ref_features_of(key, page_ts[key], file_accs[(key.dev, key.inode)], t_now)
-        return sum(fe.weights_int[bisect_right(fe.bin_edges, feats[j])]
-                   for j, fe in enumerate(pack.features))
+        return int_score(pack, feats)
 
     resident: list = []
     hits: list[bool] = []

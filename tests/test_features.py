@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from learnedcache.features import (
@@ -18,7 +18,7 @@ from learnedcache.features import (
 from learnedcache.modelpack import PreparedScorer
 from learnedcache.trace import EventKind, PageKey, TraceEvent
 
-from packbuild import make_accesses, random_pack, window_features
+from packbuild import random_pack, window_features
 from reference_impls import int_score, ref_dataset, ref_features
 
 SECOND = 1_000_000_000
@@ -150,27 +150,6 @@ def test_table_growth_fits_a_column_past_its_width():
     assert len(tr._rows[0]) == len(tr._file_of) == width
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_extraction_matches_history_based_reference(seed):
-    rng = random.Random(seed)
-    # odd seeds space accesses up to 0.9 s apart, so emas of pages idle for
-    # more than a second check that nothing decays
-    step = 2_000_000 if seed % 2 == 0 else 900_000_000
-    accs = make_accesses(rng, 300, n_inodes=4, pages_per_inode=6, t_step_max=step)
-    tr = AccessTracker()
-    history = []
-    for i, (key, t) in enumerate(accs):
-        tr.on_access(key, t)
-        history.append((key, t))
-        if i % 23 != 0:
-            continue
-        probes = [key] + [rng.choice(history)[0] for _ in range(3)]
-        # probes up to 3 s, 64 s and 2**62 ns after the last access
-        for extra in (0, rng.randrange(3 * SECOND), 64 * SECOND, 2**62):
-            got = window_features(tr, probes, t + extra)
-            assert got == [ref_features(history, p, t + extra) for p in probes], (i, extra)
-
-
 # 70 files of 5 pages: more columns (350 pages plus 70 files) than the
 # tracker's initial table holds (320), so the table grows mid-stream
 _GROW_KEYS = [PageKey(1, 500 + i // 5, i % 5) for i in range(350)]
@@ -183,8 +162,9 @@ _GROW_KEYS = [PageKey(1, 500 + i // 5, i % 5) for i in range(350)]
     gaps=st.lists(st.integers(0, 3 * SECOND), min_size=1, max_size=16),
     probes=st.sets(st.integers(0, 469), max_size=6),
     pack_seed=st.integers(0, 2**32),
+    idle=st.integers(0, 3 * SECOND - 1),
 )
-def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed):
+def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed, idle):
     # revisit (i, j): right after the first access of order[i], access again
     # a key first seen no later, order[j % (i + 1)]; the stream ends with a
     # revisit of the very first key, after the table has grown
@@ -206,9 +186,11 @@ def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed)
         history.append((key, t))
         if n in probes or n == len(stream) - 1:
             pages = [p for p in (key, order[0], order[len(order) // 2]) if p in tr.page_slot]
-            assert window_features(tr, pages, t + SECOND) == [
-                ref_features(history, p, t + SECOND) for p in pages
-            ]
+            # probes at the access, under 3 s, 64 s and 2**62 ns after it
+            for extra in (0, idle, 64 * SECOND, 2**62):
+                assert window_features(tr, pages, t + extra) == [
+                    ref_features(history, p, t + extra) for p in pages
+                ], extra
     assert len(tr.page_slot) == 350 and len(tr.inode_slot) == 70
     # the scorer gathers from the public table, which must hold the same state
     slots = np.array([tr.page_slot[k] for k in order[::7]])
@@ -280,25 +262,6 @@ def test_page_first_lookup_keeps_inode_slots_and_features(steps, gaps, probes):
     assert len(tr.page_slot) == _N_FILES * _FILE_PAGES and len(tr.inode_slot) == _N_FILES
 
 
-def _random_labeled_trace(seed):
-    rng = random.Random(seed)
-    accs = make_accesses(rng, 350, n_inodes=5, pages_per_inode=8)
-    access_events = [TraceEvent(EventKind.ACCESS, t, k) for k, t in accs]
-    universe = sorted({k for k, _ in accs}) + [PageKey(1, 999, 0)]  # one never accessed
-    t_end = accs[-1][1]
-    times = sorted(rng.randrange(t_end + 2 * SECOND) for _ in range(60))
-    evictions = [TraceEvent(EventKind.EVICT, t, rng.choice(universe)) for t in times]
-    return access_events, evictions
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_dataset_labels_match_quadratic_reference(seed):
-    access_events, evictions = _random_labeled_trace(seed)
-    rows = build_dataset(access_events, evictions)
-    got = [(tuple(r.features), r.eviction_t_ns, r.reuse_time_ns, r.key) for r in rows]
-    assert got == ref_dataset(access_events, evictions)
-
-
 # 30 files of 10 pages: with them a trace has more columns (300 pages plus 30
 # files) than the tracker's initial table holds (320), so the table grows
 _LABEL_FILL = [PageKey(1, 700 + i // 10, i % 10) for i in range(300)]
@@ -335,8 +298,18 @@ def _labeled_traces(draw):
     return accesses, evictions
 
 
+# evictions 1 ns, 1 s and 2 s after the last access, of its page, of an
+# earlier page of its file and of a never-accessed page
+_LATE_ACCESSES = [TraceEvent(EventKind.ACCESS, t, PageKey(1, 10, o))
+                  for t, o in ((0, 0), (5, 1), (5, 0), (SECOND, 2))]
+_LATE_EVICTIONS = [TraceEvent(EventKind.EVICT, SECOND + dt, key)
+                   for dt, key in ((1, PageKey(1, 10, 2)), (SECOND, PageKey(1, 10, 1)),
+                                   (SECOND, PageKey(1, 999, 0)), (2 * SECOND, PageKey(1, 10, 0)))]
+
+
 @settings(deadline=None, max_examples=120)
 @given(trace=_labeled_traces())
+@example(trace=(_LATE_ACCESSES, _LATE_EVICTIONS))
 def test_dataset_matches_quadratic_reference_on_any_trace(trace):
     access_events, evictions = trace
     rows = build_dataset(access_events, evictions)

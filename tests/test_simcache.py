@@ -72,36 +72,6 @@ def test_fifo_evicts_oldest_without_promotion():
     assert counts(cache.report) == (5, 4, 2, 1)
 
 
-def test_eviction_request_bounds():
-    cache = CacheState(50)
-    for i, t in enumerate(range(10)):
-        access(cache, PageKey(1, 1, i), t, FifoPolicy())
-    t = 10
-    with pytest.raises(ConfigurationError):
-        _evict(cache, 0, FifoPolicy(), t)
-    with pytest.raises(ConfigurationError):
-        _evict(cache, BATCH_MAX + 1, FifoPolicy(), t)
-    # a request larger than the population empties the cache gracefully
-    victims = _evict(cache, 32, FifoPolicy(), t)
-    assert victims == [PageKey(1, 1, i) for i in range(10)]
-    assert len(cache) == 0
-
-
-def test_learned_eviction_request_bounds():
-    cache = CacheState(50)
-    pack = zero_pack()
-    for i, t in enumerate(range(5)):
-        access(cache, PageKey(1, 1, i), t, LearnedPolicy(pack))
-    t = cache.tracker.last_t
-    with pytest.raises(ConfigurationError):
-        _evict(cache, 0, LearnedPolicy(pack), t)
-    with pytest.raises(ConfigurationError):
-        _evict(cache, BATCH_MAX + 1, LearnedPolicy(pack), t)
-    with pytest.raises(ConfigurationError):
-        LearnedPolicy(pack, oversample=0)
-    assert _evict(cache, 32, LearnedPolicy(pack), t) == [PageKey(1, 1, i) for i in range(5)]
-
-
 @pytest.mark.parametrize("policy", [FifoPolicy(), LearnedPolicy(zero_pack(), oversample=1),
                                     LearnedPolicy(zero_pack(), oversample=5)],
                          ids=["fifo", "learned-1", "learned-5"])
@@ -110,9 +80,12 @@ def test_request_above_the_resident_count_records_a_window_of_every_page(policy)
     for i in range(7):
         access(cache, PageKey(1, 1, i), i, policy)
     assert cache.report.candidate_counts == []
-    with pytest.raises(ConfigurationError):
-        _evict(cache, BATCH_MAX + 1, policy, 7)
-    assert _evict(cache, 9, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
+    for n in (0, BATCH_MAX + 1):
+        with pytest.raises(ConfigurationError):
+            _evict(cache, n, policy, 7)
+    # the largest request empties a cache of fewer pages
+    assert _evict(cache, BATCH_MAX, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
+    assert len(cache) == 0
     # a rejected request records nothing; the accepted one saw all 7 pages
     assert cache.report.candidate_counts == [7]
     assert sum(cache.report.latency_hist) == 1
@@ -229,34 +202,11 @@ def test_stale_page_is_evicted_before_recent_ones():
     assert fifo_cache.resident_keys() == [B, C, D]  # baseline evicts by age
 
 
-def test_conservation_of_pages():
-    rng = random.Random(0)
-    cache = CacheState(8)
-    drive(cache, make_accesses(rng, 300, n_inodes=3, pages_per_inode=12), FifoPolicy())
-    c = cache.report
-    assert c.accesses == 300
-    assert c.insertions == c.evictions + len(cache)
-    assert c.hits == c.accesses - c.insertions
-    assert len(cache) <= 8
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_fifo_matches_listwise_reference(seed):
-    rng = random.Random(seed)
-    pairs = make_accesses(rng, 500, n_inodes=4, pages_per_inode=10)
-    capacity = rng.choice([2, 5, 16])
-    want_hits, want_batches, want_resident, want_ins, want_ev = ref_fifo_sim(pairs, capacity)
-
-    cache = CacheState(capacity)
-    sink = []
-    cache.event_sink = sink
-    hits = drive(cache, pairs, FifoPolicy())
-    assert hits == want_hits
-    assert cache.resident_keys() == want_resident
-    assert cache.report.insertions == want_ins
-    assert cache.report.evictions == want_ev
-    evicted = [ev.key for ev in sink if ev.kind == EventKind.EVICT]
-    assert evicted == [k for batch in want_batches for k in batch]
+def _long_stream(n_inodes, pages_per_inode):
+    """3000 (inode, offset) draws: at capacity 5 to 40, enough insertions to
+    compact the 256-slot order buffer many times."""
+    pairs = make_accesses(random.Random(12), 3000, n_inodes, pages_per_inode)
+    return [(k.inode - 10, k.offset) for k, _ in pairs]
 
 
 @settings(deadline=None)
@@ -264,9 +214,11 @@ def test_fifo_matches_listwise_reference(seed):
     pages=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 15)), max_size=300),
     capacity=st.integers(1, 40),
 )
+@example(pages=_long_stream(8, 40), capacity=5)
+@example(pages=_long_stream(8, 10), capacity=40)
 def test_fifo_matches_listwise_reference_on_any_stream(pages, capacity):
     pairs = [(PageKey(1, 10 + inode, off), t) for t, (inode, off) in enumerate(pages)]
-    want_hits, want_batches, want_resident, _, _ = ref_fifo_sim(pairs, capacity)
+    want_hits, want_batches, want_resident, want_ins, want_ev = ref_fifo_sim(pairs, capacity)
 
     cache = CacheState(capacity)
     sink = []
@@ -276,6 +228,8 @@ def test_fifo_matches_listwise_reference_on_any_stream(pages, capacity):
     assert [(ev.kind, ev.key) for ev in sink] == [
         (EventKind.EVICT, k) for batch in want_batches for k in batch
     ]
+    assert counts(cache.report) == (len(pairs), want_ins, want_ev, len(pairs) - want_ins)
+    assert cache.report.insertions == cache.report.evictions + len(cache)
     # FIFO reads no feature: its tracker only numbers pages, and sets no field
     tracker = cache.tracker
     assert tracker.inode_slot == {}
@@ -365,49 +319,34 @@ def test_only_a_tracking_cache_grows_the_tracker_table(policy, width):
     assert tracker.tab.shape == (6, width) and tracker.index.shape == (2, width)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_all_zero_model_reproduces_fifo_exactly(seed):
-    rng = random.Random(100 + seed)
-    pairs = make_accesses(rng, 500, n_inodes=4, pages_per_inode=10)
-    capacity = rng.choice([2, 5, 16])
-
-    fifo_cache = CacheState(capacity)
-    fifo_sink = []
-    fifo_cache.event_sink = fifo_sink
-    fifo_hits = drive(fifo_cache, pairs, FifoPolicy())
-
-    zero_cache = CacheState(capacity)
-    zero_sink = []
-    zero_cache.event_sink = zero_sink
-    zero_hits = drive(zero_cache, pairs, LearnedPolicy(zero_pack()))
-
-    assert zero_hits == fifo_hits
-    assert zero_cache.resident_keys() == fifo_cache.resident_keys()
-    assert [(e.kind, e.t_ns, e.key) for e in zero_sink] == [
-        (e.kind, e.t_ns, e.key) for e in fifo_sink
-    ]
-
-
 @settings(deadline=None)
 @given(
     rng=st.randoms(use_true_random=False),
     weights=st.lists(st.sampled_from([0.0, 0.25, -1.5, 3.0]), min_size=1, max_size=9),
     capacity=st.integers(1, 32),
     oversample=st.integers(1, 8),
+    ops=st.integers(1, 300),
 )
-@example(rng=random.Random(0), weights=[0.0] * 9, capacity=1, oversample=8)
-def test_constant_pack_is_exactly_fifo(rng, weights, capacity, oversample):
+@example(rng=random.Random(0), weights=[0.0] * 9, capacity=1, oversample=8, ops=300)
+# enough insertions to compact the order buffer many times
+@example(rng=random.Random(3), weights=[0.0] * 9, capacity=5, oversample=5, ops=3000)
+def test_constant_pack_is_exactly_fifo(rng, weights, capacity, oversample, ops):
     # every feature has one bin, so all candidates tie and the stable sort
     # must keep FIFO's victims and FIFO's order of the survivors
     pack = build_pack([([], [w]) for w in weights])
-    pairs = make_accesses(rng, rng.randint(1, 300), n_inodes=rng.randint(1, 6),
+    pairs = make_accesses(rng, ops, n_inodes=rng.randint(1, 6),
                           pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
-    fifo_cache, learned_cache = CacheState(capacity), CacheState(capacity)
-    assert drive(learned_cache, pairs, LearnedPolicy(pack, oversample=oversample)) == drive(
-        fifo_cache, pairs, FifoPolicy()
-    )
-    assert learned_cache.resident_keys() == fifo_cache.resident_keys()
-    assert counts(learned_cache.report) == counts(fifo_cache.report)
+    want_hits, want_batches, want_resident, want_ins, want_ev = ref_fifo_sim(pairs, capacity)
+    sinks = []
+    for policy in (FifoPolicy(), LearnedPolicy(pack, oversample=oversample)):
+        cache = CacheState(capacity)
+        cache.event_sink = sink = []
+        assert drive(cache, pairs, policy) == want_hits
+        assert cache.resident_keys() == want_resident
+        assert counts(cache.report) == (len(pairs), want_ins, want_ev, len(pairs) - want_ins)
+        assert [ev.key for ev in sink] == [k for batch in want_batches for k in batch]
+        sinks.append([(ev.kind, ev.t_ns, ev.key) for ev in sink])
+    assert sinks[0] == sinks[1]
 
 
 @pytest.mark.parametrize("seed,oversample", [(s, o) for s in range(5) for o in (3, 40)])
@@ -438,31 +377,6 @@ def test_learned_policy_matches_listwise_reference(seed, oversample):
     assert evicted == [k for batch in want_batches for k in batch]
 
 
-@pytest.mark.parametrize("n,oversample", [(2, 4), (8, 4), (1, 200), (32, 32)])
-def test_batch_eviction_takes_the_lowest_scores_in_order(n, oversample):
-    rng = random.Random(7)
-    pack = random_pack(rng)
-    cache = CacheState(500)
-    policy = LearnedPolicy(pack, oversample)
-    pairs = make_accesses(rng, 300, n_inodes=5, pages_per_inode=30)
-    drive(cache, pairs, policy)  # 150 pages at most: nothing is evicted
-    resident_before = cache.resident_keys()
-    t_now = cache.tracker.last_t
-
-    window = min(oversample * n, len(resident_before))
-    cands = resident_before[:window]
-    scores = [int_score(pack, ref_features(pairs, k, t_now)) for k in cands]
-    order = sorted(range(window), key=lambda i: (scores[i], i))
-    victim_idx = order[: min(n, window)]
-    expect_victims = [cands[i] for i in victim_idx]
-    gone = set(victim_idx)
-    expect_resident = [c for i, c in enumerate(cands) if i not in gone] + resident_before[window:]
-
-    victims = _evict(cache, n, policy, t_now)
-    assert victims == expect_victims
-    assert cache.resident_keys() == expect_resident
-
-
 def _tie_pack(rng):
     """A pack whose every feature has 2-4 bins weighted from only 2-3
     distinct values, so many candidates tie."""
@@ -485,29 +399,37 @@ def _tie_pack(rng):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    pack_rng=st.randoms(use_true_random=False),
+    ties=st.booleans(),
+    pack_seed=st.integers(0, 2**32),
     stream_seed=st.integers(0, 2**32),
+    fill_oversample=st.integers(1, 8),
     n=st.integers(1, BATCH_MAX),
-    oversample=st.integers(1, 8),
+    oversample=st.integers(1, 200),
     capacity=st.integers(1, 64),
 )
+@example(ties=False, pack_seed=7, stream_seed=7, fill_oversample=5, n=2, oversample=4, capacity=64)
+@example(ties=False, pack_seed=7, stream_seed=7, fill_oversample=5, n=8, oversample=4, capacity=64)
+@example(ties=False, pack_seed=7, stream_seed=7, fill_oversample=5, n=1, oversample=200, capacity=64)
+@example(ties=True, pack_seed=7, stream_seed=7, fill_oversample=5, n=32, oversample=32, capacity=64)
 def test_one_request_evicts_the_lowest_scores_and_keeps_survivors_in_fifo_order(
-    pack_rng, stream_seed, n, oversample, capacity
+    ties, pack_seed, stream_seed, fill_oversample, n, oversample, capacity
 ):
-    # the request comes after the order buffer has wrapped, so the window
-    # sits wherever compaction left the live span
-    pack = _tie_pack(pack_rng)
-    policy = LearnedPolicy(pack, oversample)
+    # the cache fills under fill_oversample, as ref_learned_sim replays it,
+    # and the request comes under oversample after the order buffer has
+    # wrapped, so the window sits wherever compaction left the live span
+    pack = (_tie_pack if ties else random_pack)(random.Random(pack_seed))
+    fill = LearnedPolicy(pack, fill_oversample)
     cache = CacheState(capacity)
     rng = random.Random(stream_seed)
     pairs = []
     while cache.report.insertions <= len(cache.order):
-        more = make_accesses(rng, 200, n_inodes=rng.randint(2, 6), pages_per_inode=40)
+        more = make_accesses(rng, 20, n_inodes=rng.randint(2, 6), pages_per_inode=40)
         t0 = pairs[-1][1] if pairs else 0
         more = [(k, t0 + t) for k, t in more]
-        drive(cache, more, policy)
+        drive(cache, more, fill)
         pairs += more
     resident_before = cache.resident_keys()
+    assert resident_before == ref_learned_sim(pairs, capacity, pack, fill_oversample)[2]
     t_now = cache.tracker.last_t + rng.randint(0, 10**7)
 
     window = min(oversample * n, len(resident_before))
@@ -516,7 +438,7 @@ def test_one_request_evicts_the_lowest_scores_and_keeps_survivors_in_fifo_order(
     # the k lowest by (score, FIFO position), lowest first
     chosen = sorted(range(window), key=lambda i: (scores[i], i))[:min(n, window)]
     gone = set(chosen)
-    victims = _evict(cache, n, policy, t_now)
+    victims = _evict(cache, n, LearnedPolicy(pack, oversample), t_now)
     assert victims == [cands[i] for i in chosen]
     assert cache.resident_keys() == (
         [c for i, c in enumerate(cands) if i not in gone] + resident_before[window:]
@@ -604,17 +526,6 @@ def test_identical_runs_produce_identical_counters():
     r1 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
     r2 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
     assert counts(r1) == counts(r2)
-
-
-def test_ring_buffer_survives_many_wraparounds():
-    # capacity small relative to traffic so the order buffer compacts often
-    rng = random.Random(12)
-    pairs = make_accesses(rng, 3000, n_inodes=8, pages_per_inode=40)
-    want_hits, _, want_resident, _, _ = ref_fifo_sim(pairs, 5)
-    cache = CacheState(5)
-    hits = drive(cache, pairs, FifoPolicy())
-    assert hits == want_hits
-    assert cache.resident_keys() == want_resident
 
 
 @pytest.mark.parametrize("capacity", [5, 96, 200])
