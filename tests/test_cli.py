@@ -163,6 +163,18 @@ def test_paired_eval_artifacts(pipeline):
     assert summary[1].startswith("synthetic_sizebias,")
 
 
+def test_gen_trace_is_deterministic_per_seed(tmp_path):
+    a, b, c = (str(tmp_path / n) for n in ("a.bin", "b.bin", "c.bin"))
+    assert main(["gen-trace", "--workload", "webserver", "--ops", "200",
+                 "--seed", "5", "--out", a]) == 0
+    assert main(["gen-trace", "--workload", "webserver", "--ops", "200",
+                 "--seed", "5", "--out", b]) == 0
+    assert main(["gen-trace", "--workload", "webserver", "--ops", "200",
+                 "--seed", "6", "--out", c]) == 0
+    assert Path(a).read_bytes() == Path(b).read_bytes()
+    assert Path(a).read_bytes() != Path(c).read_bytes()
+
+
 def test_seed_env_fallback_matches_explicit_flag(tmp_path, monkeypatch):
     flagged = str(tmp_path / "flagged.bin")
     from_env = str(tmp_path / "env.bin")
@@ -521,6 +533,22 @@ def test_single_class_validation_pairs_give_a_null_auc(pipeline, tmp_path, capsy
     metrics = json.loads(Path(out.replace(".json", ".metrics.json")).read_text())
     assert metrics["auc"] is None and metrics["n_val_pairs"] == 1
     assert "val auc n/a" in capsys.readouterr().out
+
+
+def test_train_rerun_is_byte_identical(pipeline, tmp_path):
+    outs = []
+    for name in ("r1.json", "r2.json"):
+        out = str(tmp_path / name)
+        rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
+                   "--out", out, "--capacity", str(CAPACITY), "--pairs", "800",
+                   "--epochs", "2", "--seed", "3"])
+        assert rc == 0
+        outs.append(out)
+    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
+    assert (
+        Path(outs[0].replace(".json", ".metrics.json")).read_bytes()
+        == Path(outs[1].replace(".json", ".metrics.json")).read_bytes()
+    )
 
 
 # sha256 of each output of acceptance test 11's pipeline (Python 3.11, numpy

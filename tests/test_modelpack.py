@@ -258,6 +258,30 @@ def _tracker_with_traffic(seed, n=400):
     return _track(accs), accs, rng
 
 
+def test_batch_scoring_handles_small_and_single_windows():
+    tracker, accs, rng = _tracker_with_traffic(99, n=50)
+    pack = random_pack(rng)
+    scorer = PreparedScorer(pack)
+    t_now = tracker.last_t
+    for size in (1, 2, 3, 17):
+        slots = _page_slots(tracker)[:size]
+        got = scorer.score_window(tracker, slots, t_now)
+        assert got.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
+
+
+def test_batch_scoring_agrees_across_changing_window_sizes():
+    tracker, accs, rng = _tracker_with_traffic(3, n=120)
+    pack = random_pack(rng)
+    scorer = PreparedScorer(pack)
+    pages = _page_slots(tracker)
+    for t_extra in (0, 1_000_000_000, 5_000_000_000):
+        t_now = tracker.last_t + t_extra
+        for size in (40, 8, 40, 25):
+            slots = pages[[rng.randrange(len(pages)) for _ in range(size)]]
+            got = scorer.score_window(tracker, slots, t_now)
+            assert got.tolist() == _reference_scores(pack, accs, tracker, slots, t_now)
+
+
 def test_constant_pack_scores_every_candidate_with_the_base():
     pack = build_pack([([], [0.25]) for _ in range(9)])
     scorer = PreparedScorer(pack)

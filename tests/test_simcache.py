@@ -72,6 +72,36 @@ def test_fifo_evicts_oldest_without_promotion():
     assert counts(cache.report) == (5, 4, 2, 1)
 
 
+def test_eviction_request_bounds():
+    cache = CacheState(50)
+    for i, t in enumerate(range(10)):
+        access(cache, PageKey(1, 1, i), t, FifoPolicy())
+    t = 10
+    with pytest.raises(ConfigurationError):
+        _evict(cache, 0, FifoPolicy(), t)
+    with pytest.raises(ConfigurationError):
+        _evict(cache, BATCH_MAX + 1, FifoPolicy(), t)
+    # a request larger than the population empties the cache gracefully
+    victims = _evict(cache, 32, FifoPolicy(), t)
+    assert victims == [PageKey(1, 1, i) for i in range(10)]
+    assert len(cache) == 0
+
+
+def test_learned_eviction_request_bounds():
+    cache = CacheState(50)
+    pack = zero_pack()
+    for i, t in enumerate(range(5)):
+        access(cache, PageKey(1, 1, i), t, LearnedPolicy(pack))
+    t = cache.tracker.last_t
+    with pytest.raises(ConfigurationError):
+        _evict(cache, 0, LearnedPolicy(pack), t)
+    with pytest.raises(ConfigurationError):
+        _evict(cache, BATCH_MAX + 1, LearnedPolicy(pack), t)
+    with pytest.raises(ConfigurationError):
+        LearnedPolicy(pack, oversample=0)
+    assert _evict(cache, 32, LearnedPolicy(pack), t) == [PageKey(1, 1, i) for i in range(5)]
+
+
 @pytest.mark.parametrize("policy", [FifoPolicy(), LearnedPolicy(zero_pack(), oversample=1),
                                     LearnedPolicy(zero_pack(), oversample=5)],
                          ids=["fifo", "learned-1", "learned-5"])
@@ -80,12 +110,9 @@ def test_request_above_the_resident_count_records_a_window_of_every_page(policy)
     for i in range(7):
         access(cache, PageKey(1, 1, i), i, policy)
     assert cache.report.candidate_counts == []
-    for n in (0, BATCH_MAX + 1):
-        with pytest.raises(ConfigurationError):
-            _evict(cache, n, policy, 7)
-    # the largest request empties a cache of fewer pages
-    assert _evict(cache, BATCH_MAX, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
-    assert len(cache) == 0
+    with pytest.raises(ConfigurationError):
+        _evict(cache, BATCH_MAX + 1, policy, 7)
+    assert _evict(cache, 9, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
     # a rejected request records nothing; the accepted one saw all 7 pages
     assert cache.report.candidate_counts == [7]
     assert sum(cache.report.latency_hist) == 1
@@ -200,6 +227,17 @@ def test_stale_page_is_evicted_before_recent_ones():
     fifo_cache = CacheState(3)
     drive(fifo_cache, seq, FifoPolicy())
     assert fifo_cache.resident_keys() == [B, C, D]  # baseline evicts by age
+
+
+def test_conservation_of_pages():
+    rng = random.Random(0)
+    cache = CacheState(8)
+    drive(cache, make_accesses(rng, 300, n_inodes=3, pages_per_inode=12), FifoPolicy())
+    c = cache.report
+    assert c.accesses == 300
+    assert c.insertions == c.evictions + len(cache)
+    assert c.hits == c.accesses - c.insertions
+    assert len(cache) <= 8
 
 
 def _long_stream(n_inodes, pages_per_inode):
@@ -526,6 +564,17 @@ def test_identical_runs_produce_identical_counters():
     r1 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
     r2 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
     assert counts(r1) == counts(r2)
+
+
+def test_ring_buffer_survives_many_wraparounds():
+    # capacity small relative to traffic so the order buffer compacts often
+    rng = random.Random(12)
+    pairs = make_accesses(rng, 3000, n_inodes=8, pages_per_inode=40)
+    want_hits, _, want_resident, _, _ = ref_fifo_sim(pairs, 5)
+    cache = CacheState(5)
+    hits = drive(cache, pairs, FifoPolicy())
+    assert hits == want_hits
+    assert cache.resident_keys() == want_resident
 
 
 @pytest.mark.parametrize("capacity", [5, 96, 200])

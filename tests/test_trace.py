@@ -259,12 +259,29 @@ def test_sizebias_file_sizes_grow_linearly():
         assert top == 4 + 4 * i - 1
 
 
+def test_binary_round_trip_preserves_events(tmp_path):
+    events = small_trace("mongo", seed=5)
+    path = tmp_path / "t.bin"
+    write_trace(events, str(path))
+    assert read_trace(str(path)) == events
+
+
 def test_binary_round_trip_is_byte_stable(tmp_path):
     events = small_trace("copyfiles", seed=9, ops=40)
     p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
     write_trace(events, str(p1))
     write_trace(read_trace(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_binary_format_handles_u64_extremes(tmp_path):
+    events = [
+        TraceEvent(EventKind.ACCESS, 0, PageKey(0, 0, 0)),
+        TraceEvent(EventKind.EVICT, U64_MAX, PageKey(U64_MAX, U64_MAX, U64_MAX)),
+    ]
+    path = tmp_path / "x.bin"
+    write_trace(events, str(path))
+    assert read_trace(str(path)) == events
 
 
 def test_read_rejects_an_access_at_the_last_u64_offset(tmp_path):
