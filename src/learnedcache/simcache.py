@@ -1,8 +1,8 @@
 """Trace-driven cache simulation: FIFO baseline and learned tail reranking.
 
 The cache keeps residency as a membership index plus a FIFO order buffer
-(oldest at the tail, newest at the head). On overflow an eviction request of
-min(32, overflow) pages is issued. FIFO pops the oldest pages; the learned
+(oldest at the tail, newest at the head). An overflowing insert issues an
+eviction request of n = 1 page. FIFO pops the oldest n pages; the learned
 policy rescopes the request to the oldest oversample * n resident pages,
 scores the whole window at once with PreparedScorer.score_window, and
 evicts the lowest-scoring n (predicted to be reused last), ties broken
@@ -16,11 +16,11 @@ simulations take. Only a policy that reads features (learned) has the cache
 update the feature tracker on every access; FIFO, like a kernel running no
 feature hooks, pays for none.
 
-run_simulation serves a hit in its own loop: it counts the hit and, for a
-tracking policy, calls the tracker's on_access, with no call into access.
-Only misses go through access, which inserts the page, writes its slot
-into the order buffer through CacheState.order_view, and evicts on
-overflow.
+run_simulation binds its fresh cache to the policy, then serves a hit in
+its own loop: it counts the hit and, for a tracking policy, calls the
+tracker's on_access, with no call into access or its policy check. Only
+misses go through access, which inserts the page, writes its slot into the
+order buffer through CacheState.order_view, and evicts on overflow.
 """
 
 from __future__ import annotations
@@ -122,8 +122,9 @@ class CacheState:
     policy updates the tracker's features; a FIFO cache's tracker holds
     page slots with no features and no file columns, and is there only to
     number the pages the order buffer holds. tracks records which of the two
-    the tracker holds, from the policy of the first access (None before
-    it); access and _evict refuse a policy that tracks otherwise. The cache
+    the tracker holds, from the first policy the cache serves (None before
+    it); access and _evict refuse every call, a hit as well as a miss or a
+    request, under a policy that tracks otherwise. The cache
     counts every access and eviction request into report, the SimReport
     that run_simulation returns, and appends each request's wall time to
     latency_sink when one is set.
@@ -223,28 +224,25 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
 
 
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:
-    """Count a hit, or insert on miss and evict on overflow.
+    """Count a hit, or insert on miss and evict one page on overflow.
 
-    cache must serve this policy for its whole lifetime: a miss or a
-    learned hit under a policy that tracks otherwise than the cache's first
-    one is refused (ConfigurationError) before it touches the tracker; a
-    FIFO hit reads no tracker state and is not checked. A policy that
-    tracks (learned) updates the page's and its file's features on every
-    access. FIFO reads no feature: a FIFO hit touches no tracker state, and
-    a FIFO miss only numbers the page's slot (page_column), which the order
-    buffer holds.
+    cache must serve this policy for its whole lifetime: an access under a
+    policy that tracks otherwise than the cache's first one, hit or miss,
+    is refused (ConfigurationError) before it touches the report or the
+    tracker. A policy that tracks (learned) updates the page's and its
+    file's features on every access. FIFO reads no feature: a FIFO hit
+    touches no tracker state, and a FIFO miss only numbers the page's slot
+    (page_column), which the order buffer holds.
     """
+    tracks = policy.tracks
+    if tracks is not cache.tracks:  # the first access, or a refused policy
+        _serve(cache, tracks)
     if key in cache.residency:
-        if policy.tracks:
-            if not cache.tracks:  # a FIFO cache, as a hit follows a first access
-                _serve(cache, True)  # raises
+        if tracks:
             cache.tracker.on_access(key, t_ns)
         cache.report.hits += 1
         return _HIT
 
-    tracks = policy.tracks
-    if tracks is not cache.tracks:  # the first access, or a refused policy
-        _serve(cache, tracks)
     if tracks:
         slot = cache.tracker.on_access(key, t_ns)
     else:
@@ -260,10 +258,9 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
     view[head] = slot
     cache.head = head + 1
     cache.report.insertions += 1
-
-    overflow = len(cache.residency) - cache.capacity
-    if overflow > 0:
-        _evict(cache, overflow if overflow < BATCH_MAX else BATCH_MAX, policy, t_ns)
+    # every miss evicts back to capacity, so an insert overflows by one page
+    if len(cache.residency) > cache.capacity:
+        _evict(cache, 1, policy, t_ns)
     return _MISS_INSERTED
 
 
@@ -285,6 +282,8 @@ def run_simulation(
     cache = CacheState(capacity)
     cache.event_sink = event_sink
     cache.latency_sink = latency_sink
+    # the loop's hits skip access's policy check: the cache serves this policy
+    _serve(cache, policy.tracks)
     # bound here, not at import, so a method patched on the class is the one called
     residency = cache.residency
     on_access = cache.tracker.on_access if policy.tracks else None
@@ -296,10 +295,7 @@ def run_simulation(
         prev_t = t_ns
         if kind != _ACCESS:
             continue
-        if key in residency:
-            # a hit, counted here as access counts it. access's policy check
-            # (_serve) is not needed: the fresh cache's first access, a miss,
-            # bound it to this policy
+        if key in residency:  # a hit, counted here as access counts it
             if on_access is not None:
                 on_access(key, t_ns)
             hits += 1

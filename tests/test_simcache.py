@@ -132,27 +132,26 @@ def test_a_cache_refuses_a_request_under_a_policy_that_tracks_otherwise(fill, ev
             access(cache, PageKey(1, 1, i), i, policies[fill])
         assert cache.tracks is policies[fill].tracks
         tracker = cache.tracker
-        state = (tracker.tab.copy(), tracker.index.copy(), list(tracker.page_keys))
+        state = (tracker.tab.copy(), tracker.index.copy(), list(tracker.page_keys),
+                 tracker.last_t)
         with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
             _evict(cache, 1, policies[evict], pages)
-        # a learned hit on a page the cache holds is refused; a FIFO hit reads
-        # no tracker state and is only counted
+        # a hit on a page the cache holds is refused under either policy: a
+        # FIFO hit on a learned cache would go unseen by its tracker
         for i in (0, pages - 1):
-            if evict == "learned":
-                with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
-                    access(cache, PageKey(1, 1, i), pages + 1, policies[evict])
-            else:
-                assert access(cache, PageKey(1, 1, i), pages + 1, policies[evict]) is AccessResult.HIT
+            with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
+                access(cache, PageKey(1, 1, i), pages + 1, policies[evict])
         # the miss that overflows the cache
         with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
             access(cache, PageKey(1, 1, pages), pages + 1, policies[evict])
         assert cache.report.candidate_counts == [] and cache.report.evictions == 0
-        assert cache.report.hits == (2 if evict == "fifo" else 0)
+        assert cache.report.hits == 0
         assert cache.report.insertions == len(cache) == pages
-        # the refused accesses left the tracker as it was
+        # the refused calls left the tracker as it was
         assert tracker.tab.tobytes() == state[0].tobytes()
         assert tracker.index.tobytes() == state[1].tobytes()
         assert tracker.page_keys == state[2]
+        assert tracker.last_t == state[3]
         # the policy the cache was filled under still serves it
         assert access(cache, PageKey(1, 1, 0), pages + 2, policies[fill]) is AccessResult.HIT
         assert len(_evict(cache, 1, policies[fill], pages + 2)) == 1
@@ -161,14 +160,15 @@ def test_a_cache_refuses_a_request_under_a_policy_that_tracks_otherwise(fill, ev
 
 @settings(deadline=None, max_examples=60)
 @given(
-    rng=st.randoms(use_true_random=False),
+    seed=st.integers(0, 2**32),
     learned=st.booleans(),
     capacity=st.integers(1, 24),
     oversample=st.integers(1, 40),
 )
-def test_every_request_records_one_latency_and_its_window(rng, learned, capacity, oversample):
+def test_every_request_records_one_latency_and_its_window(seed, learned, capacity, oversample):
     # a miss overflows the cache by one page, so each request evicts one page
     # from capacity + 1 residents and scores min(oversample, capacity + 1)
+    rng = random.Random(seed)
     policy = LearnedPolicy(random_pack(rng), oversample=oversample) if learned else FifoPolicy()
     pairs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 5),
                           pages_per_inode=rng.randint(1, 12))
@@ -277,16 +277,17 @@ def test_fifo_matches_listwise_reference_on_any_stream(pages, capacity):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    rng=st.randoms(use_true_random=False),
+    seed=st.integers(0, 2**32),
     learned=st.booleans(),
     capacity=st.integers(1, 64),
     oversample=st.integers(1, 8),
 )
-@example(rng=random.Random(0), learned=True, capacity=8, oversample=5)
-@example(rng=random.Random(0), learned=False, capacity=8, oversample=1)
-def test_the_replay_loop_serves_hits_as_access_does(rng, learned, capacity, oversample):
+@example(seed=0, learned=True, capacity=8, oversample=5)
+@example(seed=0, learned=False, capacity=8, oversample=1)
+def test_the_replay_loop_serves_hits_as_access_does(seed, learned, capacity, oversample):
     # run_simulation counts hits in its own loop and sends only misses
     # through access: a replay of every event through access must agree
+    rng = random.Random(seed)
     policy = LearnedPolicy(random_pack(rng), oversample=oversample) if learned else FifoPolicy()
     # a universe of 1 to 96 pages, so streams below and above capacity
     pairs = make_accesses(rng, rng.randint(1, 400), n_inodes=rng.randint(1, 8),
@@ -359,18 +360,19 @@ def test_only_a_tracking_cache_grows_the_tracker_table(policy, width):
 
 @settings(deadline=None)
 @given(
-    rng=st.randoms(use_true_random=False),
+    seed=st.integers(0, 2**32),
     weights=st.lists(st.sampled_from([0.0, 0.25, -1.5, 3.0]), min_size=1, max_size=9),
     capacity=st.integers(1, 32),
     oversample=st.integers(1, 8),
     ops=st.integers(1, 300),
 )
-@example(rng=random.Random(0), weights=[0.0] * 9, capacity=1, oversample=8, ops=300)
+@example(seed=0, weights=[0.0] * 9, capacity=1, oversample=8, ops=300)
 # enough insertions to compact the order buffer many times
-@example(rng=random.Random(3), weights=[0.0] * 9, capacity=5, oversample=5, ops=3000)
-def test_constant_pack_is_exactly_fifo(rng, weights, capacity, oversample, ops):
+@example(seed=3, weights=[0.0] * 9, capacity=5, oversample=5, ops=3000)
+def test_constant_pack_is_exactly_fifo(seed, weights, capacity, oversample, ops):
     # every feature has one bin, so all candidates tie and the stable sort
     # must keep FIFO's victims and FIFO's order of the survivors
+    rng = random.Random(seed)
     pack = build_pack([([], [w]) for w in weights])
     pairs = make_accesses(rng, ops, n_inodes=rng.randint(1, 6),
                           pages_per_inode=rng.randint(1, 12), t_step_max=600_000_000)
