@@ -6,15 +6,18 @@ eviction request of n = 1 page. FIFO pops the oldest n pages; the learned
 policy rescopes the request to the oldest oversample * n resident pages,
 scores the whole window at once with PreparedScorer.score_window, and
 evicts the lowest-scoring n (predicted to be reused last), ties broken
-toward older pages, survivors keeping their relative order. Simulation and
-the latency benchmark issue every eviction request through one dispatch,
-_evict, which picks the victims, pops them and records the request's
-candidate window and its wall time, in a fixed-size log-bucketed histogram,
-in the cache's SimReport; a caller that wants the raw wall times passes a
-latency_sink list, as the benchmark does, so it times exactly the path
-simulations take. Only a policy that reads features (learned) has the cache
-update the feature tracker on every access; FIFO, like a kernel running no
-feature hooks, pays for none.
+toward older pages, survivors keeping their relative order. A request of
+one page, as every simulated one is, takes the window's argmin, whose
+first minimum is the oldest, and shifts the older survivors up one slot;
+a request of n >= 2 ranks the window with one stable argsort and writes
+it back, victims first. Simulation and the latency benchmark issue every
+eviction request through one dispatch, _evict, which picks the victims,
+pops them and records the request's candidate window and its wall time, in
+a fixed-size log-bucketed histogram, in the cache's SimReport; a caller
+that wants the raw wall times passes a latency_sink list, as the benchmark
+does, so it times exactly the path simulations take. Only a policy that
+reads features (learned) has the cache update the feature tracker on every
+access; FIFO, like a kernel running no feature hooks, pays for none.
 
 run_simulation binds its fresh cache to the policy, then serves a hit in
 its own loop: it counts the hit and, for a tracking policy, calls the
@@ -176,7 +179,12 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
 
     Picks the victims among the oldest min(oversample * n, resident) pages,
     pops them, and records that window and the request's wall time in the
-    cache's report. Refuses a policy whose tracking differs from what the
+    cache's report. When the request comes to one page, the learned victim
+    is the window's argmin, moved to the tail by a one-slot shift of the
+    pages older than it, and both policies read it with one item read of
+    order_view; a request of two or more pages ranks the window with a
+    stable argsort, sorts the survivors back into FIFO order and writes the
+    window back. Refuses a policy whose tracking differs from what the
     cache's tracker holds: a learned policy would score a FIFO cache's
     featureless columns.
     """
@@ -194,18 +202,31 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     if window > live:
         window = live
     order = cache.order
-    if tracks:  # the learned policy: score the window
-        wslots = order[tail:tail + window]
-        scores = policy._scorer.score_window(cache.tracker, wslots, t_now_ns)
-        # lowest score first, FIFO position (oldest) breaking ties; the
-        # survivors keep FIFO order: sort the kept positions
-        ranked = scores.argsort(kind="stable")
-        ranked[k:].sort()
-        # victims first, then the survivors, written back over the window
-        order[tail:tail + window] = wslots[ranked]
-    cache.tail = tail + k
     keys = cache.tracker.page_keys
-    victims = [keys[s] for s in order[tail:tail + k].tolist()]
+    if k == 1:  # every simulated request: no ranking, one victim
+        view = cache.order_view
+        if tracks:
+            scores = policy._scorer.score_window(cache.tracker, order[tail:tail + window], t_now_ns)
+            # the first minimum is the oldest lowest score
+            j = int(scores.argmin())
+            if j:  # the j older survivors move up one slot, keeping FIFO order
+                victim = view[tail + j]
+                # an overlapping memoryview slice store copies as memmove does
+                view[tail + 1:tail + j + 1] = view[tail:tail + j]
+                view[tail] = victim
+        victims = [keys[view[tail]]]
+    else:
+        if tracks:  # the learned policy: score the window
+            wslots = order[tail:tail + window]
+            scores = policy._scorer.score_window(cache.tracker, wslots, t_now_ns)
+            # lowest score first, FIFO position (oldest) breaking ties; the
+            # survivors keep FIFO order: sort the kept positions
+            ranked = scores.argsort(kind="stable")
+            ranked[k:].sort()
+            # victims first, then the survivors, written back over the window
+            order[tail:tail + window] = wslots[ranked]
+        victims = [keys[s] for s in order[tail:tail + k].tolist()]
+    cache.tail = tail + k
     residency = cache.residency
     for key in victims:
         del residency[key]

@@ -45,9 +45,15 @@ def test_work_counts_cover_both_policies_on_both_simulate_shapes(work_counts):
     for workload in ("sizebias-evict", "mongo-hits"):
         fifo, learned = work_counts[workload]["fifo"], work_counts[workload]["learned"]
         assert fifo["events"] == learned["events"] > 0
-        # only the learned policy scores, so only it calls argsort
-        assert "ndarray.argsort" in learned["c_calls_by_name_per_event"]
-        assert "ndarray.argsort" not in fifo["c_calls_by_name_per_event"]
+        fifo_calls, learned_calls = fifo["c_calls_by_name_per_event"], learned["c_calls_by_name_per_event"]
+        # only the learned policy scores, so only it bins feature values
+        assert "ndarray.searchsorted" in learned_calls
+        assert "ndarray.searchsorted" not in fifo_calls
+        # every simulated request is one page: neither policy ranks its
+        # window, and FIFO reads its victim with no tolist
+        assert "ndarray.argsort" not in learned_calls
+        assert "ndarray.argsort" not in fifo_calls
+        assert "ndarray.tolist" not in fifo_calls
         assert learned["opcodes_per_event"] > fifo["opcodes_per_event"] > 0
 
 

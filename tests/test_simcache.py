@@ -229,6 +229,21 @@ def test_stale_page_is_evicted_before_recent_ones():
     assert fifo_cache.resident_keys() == [B, C, D]  # baseline evicts by age
 
 
+def test_a_one_page_request_evicts_the_oldest_of_tied_lowest_scores():
+    # the stale pack of the test above: pages 2 and 4 of a 5-page window are
+    # stale and tie at the lowest score, the others were hit just before
+    pack = build_pack([([], [0.0])] * 8 + [([25], [1.0, -1.0])])
+    policy = LearnedPolicy(pack, oversample=5)
+    pages = [PageKey(1, 10, i) for i in range(6)]
+    cache = CacheState(5)
+    drive(cache, [(p, 10 * i) for i, p in enumerate(pages[:5])], policy)
+    drive(cache, [(pages[0], 90), (pages[1], 92), (pages[3], 95)], policy)
+    assert access(cache, pages[5], 100, policy) is AccessResult.MISS_INSERTED
+    assert cache.report.candidate_counts == [5]
+    # the older tie goes; the pages older than it move up one slot
+    assert cache.resident_keys() == [pages[i] for i in (0, 1, 3, 4, 5)]
+
+
 def test_conservation_of_pages():
     rng = random.Random(0)
     cache = CacheState(8)
@@ -451,6 +466,7 @@ def _tie_pack(rng):
 @example(ties=False, pack_seed=7, stream_seed=7, fill_oversample=5, n=8, oversample=4, capacity=64)
 @example(ties=False, pack_seed=7, stream_seed=7, fill_oversample=5, n=1, oversample=200, capacity=64)
 @example(ties=True, pack_seed=7, stream_seed=7, fill_oversample=5, n=32, oversample=32, capacity=64)
+@example(ties=True, pack_seed=7, stream_seed=7, fill_oversample=5, n=1, oversample=5, capacity=64)
 def test_one_request_evicts_the_lowest_scores_and_keeps_survivors_in_fifo_order(
     ties, pack_seed, stream_seed, fill_oversample, n, oversample, capacity
 ):
