@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -30,10 +29,6 @@ from .ranker import TrainConfig, default_pair_budget, sample_pairs, write_histor
 from .simcache import FifoPolicy, LearnedPolicy, run_simulation
 from .trace import default_spec, generate_workload, iter_trace, read_trace, write_trace
 
-log = logging.getLogger("learnedcache")
-# main's own handler writes each line once, whatever handlers the root logger has
-log.propagate = False
-
 
 def _resolve_seed(arg_seed: int | None) -> int:
     if arg_seed is not None:
@@ -45,6 +40,17 @@ def _resolve_seed(arg_seed: int | None) -> int:
         return int(env)
     except ValueError:
         raise ConfigurationError(f"LEARNEDCACHE_SEED must be an integer, got {env!r}") from None
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type of a count flag: an int >= 1, refused before any input is read."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
 
 
 def _write_json(obj: dict, path: str) -> None:
@@ -70,10 +76,6 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    if args.capacity < 1:
-        raise ConfigurationError("--capacity must be >= 1")
-    if args.pairs is not None and args.pairs < 1:
-        raise ConfigurationError("--pairs must be >= 1")
     config = TrainConfig(
         max_epochs=args.epochs,
         batch_size=args.batch,
@@ -100,7 +102,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "test trace produced no evictions; lower --capacity or use a longer trace"
         )
-    log.info("dataset: %d train rows, %d val rows", len(train_rows), len(val_rows))
+    if args.verbose:
+        print(f"learnedcache: dataset: {len(train_rows)} train rows, {len(val_rows)} val rows",
+              file=sys.stderr)
 
     bins = fit_all(list(zip(*(row.features for row in train_rows))))
 
@@ -152,12 +156,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.oversample < 1:
-        raise ConfigurationError("--oversample must be >= 1")
     if args.policy == "learned" and not args.model:
         raise ConfigurationError("--policy learned requires --model")
-    if args.capacity < 1:
-        raise ConfigurationError("--capacity must be >= 1")
     if args.policy == "learned":
         policy = LearnedPolicy(load_json(args.model), oversample=args.oversample)
     else:
@@ -185,10 +185,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_paired_eval(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    if args.capacity < 1:
-        raise ConfigurationError("--capacity must be >= 1")
-    if args.ops < 1:
-        raise ConfigurationError("--ops must be >= 1")
     pack = load_json(args.model)
     base = default_spec(args.workload, seed=0, n_ops=args.ops, n_files=args.files)
     trial_set = evalstats.run_paired_trials(
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="learnedcache",
         description="Synthetic page-cache traces, learned-eviction training, and paired evaluation.",
     )
-    parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
+    parser.add_argument("-v", "--verbose", action="store_true", help="print progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_seed(p):
@@ -236,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", nargs="+", required=True, help="training trace files")
     p.add_argument("--test", required=True, help="held-out trace file")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--capacity", type=int, default=1024,
+    p.add_argument("--capacity", type=_at_least_one, default=1024,
                    help="cache capacity used to generate eviction labels (default 1024)")
-    p.add_argument("--pairs", type=int, default=None,
+    p.add_argument("--pairs", type=_at_least_one, default=None,
                    help="training pair count (default min(500000, 50 * rows))")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--epochs", type=_at_least_one, default=50)
+    p.add_argument("--batch", type=_at_least_one, default=512)
+    p.add_argument("--patience", type=_at_least_one, default=5)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--history", default=None, help="history CSV path (default <out>.history.csv)")
     p.add_argument("--metrics", default=None, help="metrics JSON path (default <out>.metrics.json)")
@@ -253,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--policy", required=True, choices=["fifo", "learned"])
     p.add_argument("--model", default=None, help="model JSON (required for --policy learned)")
-    p.add_argument("--capacity", type=int, required=True)
-    p.add_argument("--oversample", type=int, default=simcache.DEFAULT_OVERSAMPLE)
+    p.add_argument("--capacity", type=_at_least_one, required=True)
+    p.add_argument("--oversample", type=_at_least_one, default=simcache.DEFAULT_OVERSAMPLE)
     p.add_argument("--report", default=None, help="write the run report JSON here")
     p.add_argument("--latency-csv", default=None, help="dump raw eviction latency samples")
     add_seed(p)
@@ -263,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paired-eval", help="paired FIFO vs learned trials with a t-test")
     p.add_argument("--workload", required=True, choices=trace.WORKLOAD_KINDS)
     p.add_argument("--model", required=True)
-    p.add_argument("--capacity", type=int, required=True)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--ops", type=int, default=50_000, help="operations per trial trace")
+    p.add_argument("--capacity", type=_at_least_one, required=True)
+    p.add_argument("--trials", type=_at_least_one, default=50)
+    p.add_argument("--ops", type=_at_least_one, default=50_000, help="operations per trial trace")
     p.add_argument("--files", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="trial processes, >= 1 (capped at trials and CPUs)")
+    p.add_argument("--jobs", type=_at_least_one, default=1, help="trial processes, >= 1 (capped at trials and CPUs)")
     p.add_argument("--out", required=True, help="trial-set JSON path")
     p.add_argument("--summary", default=None, help="summary CSV path (default <out>.summary.csv)")
     add_seed(p)
@@ -282,28 +278,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    # -v holds for this call only, on the stderr current at this call; the
-    # root logger and its handlers are left alone
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
-    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
-    log.addHandler(handler)
     try:
         return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (TraceFormatError, PackValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (TraceFormatError, PackValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # InternalError and anything unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    finally:
-        log.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -92,11 +92,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
 
 def t_cdf(x: float, df: float) -> float:
     """CDF of Student's t with df degrees of freedom."""
-    if not df > 0:
-        raise ConfigurationError("df must be > 0")
-    if x == 0.0:
-        return 0.5
-    tail = 0.5 * reg_inc_beta(df / 2.0, 0.5, df / (df + x * x))
+    tail = 0.5 * t_two_sided_p(x, df)
     return 1.0 - tail if x > 0 else tail
 
 
