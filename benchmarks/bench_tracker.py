@@ -17,9 +17,11 @@ isolated cases alone understate the learned policy's cost. Whole FIFO
 simulations of both shapes, which update no features (only the learned
 policy tracks them), and generate_workload on mongo-hits' spec also report
 µs per event; so does generate_workload on sizebias-evict's spec
-(synthetic_sizebias, 1000 ops), whose generator builds its events without
-the _Emitter the other kinds share, and on webserver (1000 ops) and varmail
-(2000 ops), whose ops mix runs of many pages with single-page touches.
+(synthetic_sizebias, 1000 ops), whose generator appends to the shared
+_Emitter's event list on its own fixed clock with its own keys, and on the
+other five kinds at benchmarks/workcount.py's GENERATE_OPS shapes: webserver
+and webproxy (1000 ops), varmail (2000), copyfiles (300) and openfiles
+(5000), whose ops mix runs of many pages with single-page touches.
 write_trace and read_trace time the binary trace codec, each record checked
 by the trace rule, on a mongo trace; their extra_info also holds µs per
 event. The read case runs twice, for read_trace, which builds the event
@@ -185,7 +187,8 @@ def test_fifo_simulation(benchmark, model):
 
 @pytest.mark.parametrize("kind,ops", [(WORKLOADS[m].kind, WORKLOADS[m].ops)
                                       for m in ("mongo-hits", "sizebias-evict")]
-                         + [("webserver", 1000), ("varmail", 2000)])
+                         + [("webserver", 1000), ("webproxy", 1000), ("varmail", 2000),
+                            ("copyfiles", 300), ("openfiles", 5000)])
 def test_generate_workload(benchmark, kind, ops):
     spec = default_spec(kind, seed=7, n_ops=ops)
     events = benchmark.pedantic(generate_workload, args=(spec,), rounds=5)

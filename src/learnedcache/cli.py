@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", type=_at_least_one, required=True)
     p.add_argument("--trials", type=_at_least_one, default=50)
     p.add_argument("--ops", type=_at_least_one, default=50_000, help="operations per trial trace")
-    p.add_argument("--files", type=int, default=None)
+    p.add_argument("--files", type=_at_least_one, default=None)
     p.add_argument("--jobs", type=_at_least_one, default=1, help="trial processes, >= 1 (capped at trials and CPUs)")
     p.add_argument("--out", required=True, help="trial-set JSON path")
     p.add_argument("--summary", default=None, help="summary CSV path (default <out>.summary.csv)")

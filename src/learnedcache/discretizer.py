@@ -29,8 +29,8 @@ class FeatureBins:
                 raise ConfigurationError("bin edges must be strictly increasing")
         if len(self.edges) + 1 > MAX_BINS:
             raise ConfigurationError(f"more than {MAX_BINS} bins")
-        if self.edges and self.edges[0] < 0:
-            raise ConfigurationError("bin edges must be unsigned")
+        if self.edges and not (0 <= self.edges[0] and self.edges[-1] < 2**64):
+            raise ConfigurationError("bin edges must be u64s")
 
     @property
     def n_bins(self) -> int:

@@ -155,15 +155,12 @@ def paired_t_test(diffs: Sequence[float], baseline_mean: float | None = None) ->
     pct = None
     if baseline_mean is not None and baseline_mean != 0:
         pct = 100.0 * mean / baseline_mean
-    if n < 2:
-        return TestResult(math.nan, n - 1, math.nan, (math.nan, math.nan), math.nan, mean, pct, True)
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
-    sd = math.sqrt(var)
+    df = n - 1
+    sd = math.sqrt(sum((d - mean) ** 2 for d in diffs) / df) if n > 1 else 0.0
     if sd == 0.0:
-        return TestResult(math.nan, n - 1, math.nan, (math.nan, math.nan), math.nan, mean, pct, True)
+        return TestResult(math.nan, df, math.nan, (math.nan, math.nan), math.nan, mean, pct, True)
     se = sd / math.sqrt(n)
     t = mean / se
-    df = n - 1
     p = t_two_sided_p(t, df)
     half = t_critical(0.975, df) * se
     dz = mean / sd
@@ -264,15 +261,7 @@ def trial_set_to_dict(trial_set: PairedTrialSet, test: TestResult) -> dict:
         "workload": trial_set.workload.to_dict(),
         "capacity": trial_set.capacity,
         "n_trials": len(trial_set.trials),
-        "trials": [
-            {
-                "seed": t.seed,
-                "order": t.order,
-                "normal_rate": t.normal_rate,
-                "model_rate": t.model_rate,
-            }
-            for t in trial_set.trials
-        ],
+        "trials": [t._asdict() for t in trial_set.trials],  # the fields are the JSON keys
         "test": {
             "t": _nullable(test.t_stat),
             "df": test.df,

@@ -151,6 +151,9 @@ def _validate_spec(spec: WorkloadSpec) -> None:
 class _Emitter:
     """Accumulates Access events on a monotone virtual clock.
 
+    generate_workload builds one per trace and passes it to the kind's
+    generator as gen(spec, rng, sizes, em); the trace is em.events.
+
     run emits a run of consecutive pages of one file, one event per page,
     each after a clock step of draw's getrandbits calls taken inline; a
     single page is a run of one. Every touch of a page shares one
@@ -238,10 +241,8 @@ def _file_sizes(spec: WorkloadSpec, rng: random.Random) -> list[int]:
 # are cheaper to read than attributes.
 
 
-def _gen_webserver(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
-    sizes = _file_sizes(spec, rng)
+def _gen_webserver(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: _Emitter) -> None:
     pick = _Picker(spec.popularity, spec.n_files).pick
-    em = _Emitter(rng)
     run, gap, rand = em.run, em.gap, rng.random
     log_inode = spec.n_files + 1_000_000
     log_page = 0
@@ -253,14 +254,11 @@ def _gen_webserver(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
         else:
             run(log_inode, log_page, log_page + 1)
             log_page += 1
-    return em.events
 
 
-def _gen_webproxy(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
-    sizes = _file_sizes(spec, rng)
+def _gen_webproxy(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: _Emitter) -> None:
     pick = _Picker(spec.popularity, spec.n_files).pick
     sample = spec.file_sizes.sample
-    em = _Emitter(rng)
     run, gap, rand = em.run, em.gap, rng.random
     next_cold = spec.n_files + 1_000_000
     for _ in range(spec.n_ops):
@@ -274,14 +272,11 @@ def _gen_webproxy(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
             next_cold += 1
             n_pages = sample(0, rng)
         run(inode, 0, min(n_pages, 256))
-    return em.events
 
 
-def _gen_varmail(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
-    sizes = _file_sizes(spec, rng)
+def _gen_varmail(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: _Emitter) -> None:
     pick = _Picker(spec.popularity, spec.n_files).pick
     sample = spec.file_sizes.sample
-    em = _Emitter(rng)
     run, gap, rand = em.run, em.gap, rng.random
     next_new = spec.n_files + 1_000_000
     for _ in range(spec.n_ops):
@@ -301,12 +296,9 @@ def _gen_varmail(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
         else:
             run(next_new, 0, min(sample(0, rng), 64))
             next_new += 1
-    return em.events
 
 
-def _gen_copyfiles(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
-    sizes = _file_sizes(spec, rng)
-    em = _Emitter(rng)
+def _gen_copyfiles(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: _Emitter) -> None:
     run = em.run
     order: list[int] = []
     for _ in range(spec.n_ops):
@@ -318,26 +310,20 @@ def _gen_copyfiles(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
         for page in range(min(sizes[f], 256)):
             run(100 + f, page, page + 1, 2_000, 5_000)
             run(10_000_100 + f, page, page + 1, 2_000, 5_000)
-    return em.events
 
 
-def _gen_openfiles(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
-    sizes = _file_sizes(spec, rng)
+def _gen_openfiles(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: _Emitter) -> None:
     pick = _Picker(spec.popularity, spec.n_files).pick
-    em = _Emitter(rng)
     run, gap, rand = em.run, em.gap, rng.random
     for _ in range(spec.n_ops):
         gap(5_000, 15_000)
         f = pick(rng)
         page = 0 if rand() < 0.8 else rng.randrange(sizes[f])
         run(100 + f, page, page + 1)
-    return em.events
 
 
-def _gen_mongo(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
-    sizes = _file_sizes(spec, rng)
+def _gen_mongo(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: _Emitter) -> None:
     pick = _Picker(spec.popularity, spec.n_files).pick
-    em = _Emitter(rng)
     run, gap = em.run, em.gap
     rand, paretovariate = rng.random, rng.paretovariate
     extent = 8
@@ -356,18 +342,17 @@ def _gen_mongo(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
         else:
             run(journal_inode, journal_page, journal_page + 1)
             journal_page += 1
-    return em.events
 
 
-def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
+def _gen_sizebias(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: _Emitter) -> None:
     """Slotted round-robin where bigger files are swept strictly less often.
 
     File i has size a + b*i pages and is swept in full every (i + 1) rounds at
     a fixed slot inside a fixed-length round, so every page of file i repeats
     with an exact gap of (i + 1) * round_ns: reuse time grows strictly with
     file size. Per-file random phases vary the interleaving across seeds.
+    It appends to em.events on this fixed clock, not em's.
     """
-    sizes = _file_sizes(spec, rng)
     page_dt = 4_000
     slot_gap = 16_000
     slots = []
@@ -381,7 +366,7 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
     # one shared PageKey per page, built on its file's first sweep
     keys: list[list[PageKey] | None] = [None] * spec.n_files
 
-    events: list[TraceEvent] = []
+    events = em.events
     ops = 0
     r = 0
     while ops < spec.n_ops:
@@ -401,14 +386,15 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random) -> list[TraceEvent]:
                 t += page_dt
             ops += 1
         r += 1
-    return events
 
 
-# Per kind: (default n_files, SizeDist, PopularityDist, generator). The kinds
+# Per kind: (default n_files, SizeDist, PopularityDist, generator), where
+# generator(spec, rng, sizes, em) appends the trace's events to em.events,
+# sizes being the file sizes generate_workload drew first from rng. The kinds
 # mimic the qualitative shape of the classic filebench personalities plus two
 # synthetic ones; they are approximations, not replays of the original
 # workloads.
-_CATALOG: dict[str, tuple[int, SizeDist, PopularityDist, Callable[..., list[TraceEvent]]]] = {
+_CATALOG: dict[str, tuple[int, SizeDist, PopularityDist, Callable[..., None]]] = {
     "webserver": (1000, SizeDist("lognormal", 8, 0.7), PopularityDist("zipf", 1.1), _gen_webserver),
     "webproxy": (2000, SizeDist("lognormal", 6, 1.0), PopularityDist("zipf", 0.75), _gen_webproxy),
     "varmail": (500, SizeDist("lognormal", 2, 0.5), PopularityDist("zipf", 1.0), _gen_varmail),
@@ -427,7 +413,11 @@ def generate_workload(spec: WorkloadSpec) -> list[TraceEvent]:
     if spec.n_ops == 0:
         return []
     rng = random.Random(spec.seed)
-    events = _CATALOG[spec.kind][3](spec, rng)
+    # every kind draws its file sizes first, from the fresh rng
+    sizes = _file_sizes(spec, rng)
+    em = _Emitter(rng)
+    _CATALOG[spec.kind][3](spec, rng, sizes, em)
+    events = em.events
     # sorted() checks an already sorted list in one pass of C-level compares
     times = list(map(itemgetter(1), events))  # each event's t_ns
     if sorted(times) != times:

@@ -228,7 +228,7 @@ COUNT_FLAGS = [
     ("train", "--batch"), ("train", "--patience"),
     ("simulate-fifo", "--capacity"), ("simulate-learned", "--capacity"),
     ("paired-eval", "--capacity"), ("paired-eval", "--ops"),
-    ("paired-eval", "--trials"), ("paired-eval", "--jobs"),
+    ("paired-eval", "--trials"), ("paired-eval", "--jobs"), ("paired-eval", "--files"),
 ]
 
 
@@ -601,8 +601,8 @@ def test_stdout_progress_lines(pipeline, tmp_path, capsys):
 
 
 def test_verbose_holds_for_its_own_call_only(pipeline, tmp_path, capsys):
-    # -v sets the learnedcache logger for the call that gets it, on the stderr
-    # of that call, whatever handlers the root logger already has
+    # -v prints train's dataset line to the stderr of the call that gets it;
+    # a later call without -v prints nothing there
     def train_stderr(*flags):
         assert main([*flags, "train", "--traces", pipeline["train1"], "--test", pipeline["test"],
                      "--out", str(tmp_path / "m.json"), "--capacity", str(CAPACITY),

@@ -94,6 +94,13 @@ def test_edges_must_strictly_increase():
         FeatureBins((5, 4))
 
 
+def test_edges_must_be_u64s():
+    for edges in ((-1,), (-1, 5), (2**64,), (5, 2**64)):
+        with pytest.raises(ConfigurationError, match="u64"):
+            FeatureBins(edges)
+    assert FeatureBins((0, 2**64 - 1)).n_bins == 3
+
+
 def test_too_many_edges_rejected():
     with pytest.raises(ConfigurationError):
         FeatureBins(tuple(range(1, MAX_BINS + 1)))

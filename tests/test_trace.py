@@ -184,11 +184,18 @@ def test_traces_share_one_page_key_per_page(tmp_path):
 @pytest.mark.parametrize("times,ok", [([5, 5, 6], True), ([5, 7, 6], False), ([9, 1], False)])
 def test_generate_workload_refuses_a_generator_that_emits_unsorted_times(monkeypatch, times, ok):
     events = [TraceEvent(EventKind.ACCESS, t, PageKey(1, 100, 0)) for t in times]
+    emitters = []
+
+    def gen(spec, rng, sizes, em):
+        emitters.append(em)
+        em.events.extend(events)
+
     entry = trace._CATALOG["mongo"]
-    monkeypatch.setitem(trace._CATALOG, "mongo", (*entry[:3], lambda spec, rng: events))
+    monkeypatch.setitem(trace._CATALOG, "mongo", (*entry[:3], gen))
     spec = default_spec("mongo", n_ops=1)
     if ok:
-        assert generate_workload(spec) is events
+        out = generate_workload(spec)
+        assert out is emitters[0].events and out == events
     else:
         with pytest.raises(InternalError, match="unsorted timestamps"):
             generate_workload(spec)
