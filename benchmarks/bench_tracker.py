@@ -2,6 +2,11 @@
 
     PYTHONPATH=src python -m pytest benchmarks/bench_tracker.py --benchmark-only
 
+pyproject.toml puts this checkout's src/ ahead of PYTHONPATH, so each side
+of a comparison runs from its own tree: run the command in each checkout,
+not once with PYTHONPATH pointing at the other. Every case's extra_info
+records the learnedcache package file it imported (learnedcache_file).
+
 Covers AccessTracker.on_access on a hit and on new keys, AccessTracker.window
 at window 5 (the tracker's feature derivation without score_window's rank
 lookup), PreparedScorer.score_window at windows 5 (what simulations score:
@@ -58,6 +63,7 @@ import pytest
 
 import numpy as np
 
+import learnedcache
 from learnedcache import ranker
 from learnedcache.discretizer import fit_all
 from learnedcache.features import AccessTracker, build_dataset
@@ -95,6 +101,7 @@ def reference_s() -> float:
 @pytest.fixture(autouse=True)
 def reference_scaled(benchmark):
     """Time the reference loop around the case and add its scaled median."""
+    benchmark.extra_info["learnedcache_file"] = learnedcache.__file__
     if benchmark.disabled:  # --benchmark-disable: no median to scale
         yield
         return

@@ -535,22 +535,6 @@ def test_single_class_validation_pairs_give_a_null_auc(pipeline, tmp_path, capsy
     assert "val auc n/a" in capsys.readouterr().out
 
 
-def test_train_rerun_is_byte_identical(pipeline, tmp_path):
-    outs = []
-    for name in ("r1.json", "r2.json"):
-        out = str(tmp_path / name)
-        rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
-                   "--out", out, "--capacity", str(CAPACITY), "--pairs", "800",
-                   "--epochs", "2", "--seed", "3"])
-        assert rc == 0
-        outs.append(out)
-    assert Path(outs[0]).read_bytes() == Path(outs[1]).read_bytes()
-    assert (
-        Path(outs[0].replace(".json", ".metrics.json")).read_bytes()
-        == Path(outs[1].replace(".json", ".metrics.json")).read_bytes()
-    )
-
-
 # sha256 of each output of acceptance test 11's pipeline (Python 3.11, numpy
 # 2.4); "report" is the simulate report without its wall-clock latency_ns,
 # dumped with sorted keys. Test 11 compares two runs of one build; these pin

@@ -72,32 +72,20 @@ def test_delta_chain_follows_last_three_timestamps():
     assert f.access_to_eviction == 3
 
 
-SMALL_SPANS = (0, 10**9 - 1, 10**9)  # on both sides of one second
-LARGE_SPANS = (64 * 10**9, 2**62)  # far past 64 seconds and near the top of uint64
-
-
-def check_emas_count_accesses(gap, extra):
-    # K is accessed twice and another page of its file once, gap apart
-    other = PageKey(K.dev, K.inode, K.offset + 1)
-    tr = AccessTracker()
-    for i, key in enumerate((K, other, K)):
-        tr.on_access(key, i * gap)
-    fk, fo = window_features(tr, [K, other], 2 * gap + extra)
-    assert (fk.page_ema, fk.inode_ema) == (2 * EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
-    assert (fo.page_ema, fo.inode_ema) == (EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
-
-
 def test_emas_are_scaled_access_counts():
-    for gap in SMALL_SPANS:
-        for extra in SMALL_SPANS:
-            check_emas_count_accesses(gap, extra)
-
-
-def test_emas_do_not_decay_at_large_gaps():
-    # every pairing of gap and probe time in which at least one is large
-    for gap in SMALL_SPANS + LARGE_SPANS:
-        for extra in LARGE_SPANS if gap in SMALL_SPANS else SMALL_SPANS + LARGE_SPANS:
-            check_emas_count_accesses(gap, extra)
+    # K is accessed twice and another page of its file once, gap apart; the
+    # counts do not decay at any pairing of gap and probe time
+    other = PageKey(K.dev, K.inode, K.offset + 1)
+    # on both sides of one second, far past 64 seconds and near the top of uint64
+    spans = (0, 10**9 - 1, 10**9, 64 * 10**9, 2**62)
+    for gap in spans:
+        for extra in spans:
+            tr = AccessTracker()
+            for i, key in enumerate((K, other, K)):
+                tr.on_access(key, i * gap)
+            fk, fo = window_features(tr, [K, other], 2 * gap + extra)
+            assert (fk.page_ema, fk.inode_ema) == (2 * EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
+            assert (fo.page_ema, fo.inode_ema) == (EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
 
 
 def test_inode_state_is_shared_across_pages():
@@ -125,15 +113,6 @@ def test_time_regression_is_rejected():
     with pytest.raises(ValueError):
         tr.on_access(K, 99)
     tr.on_access(K, 100)  # equal timestamps are fine
-
-
-def test_tracker_grows_past_initial_table_sizes():
-    tr = AccessTracker()
-    keys = [PageKey(1, 1000 + i, j) for i in range(70) for j in range(5)]
-    for t, k in enumerate(keys):
-        tr.on_access(k, t * 10)
-    t_now = (len(keys) - 1) * 10
-    assert [f.file_size for f in window_features(tr, keys[::37], t_now)] == [5] * 10
 
 
 def test_table_growth_fits_a_column_past_its_width():
@@ -164,6 +143,8 @@ _GROW_KEYS = [PageKey(1, 500 + i // 5, i % 5) for i in range(350)]
     pack_seed=st.integers(0, 2**32),
     idle=st.integers(0, 3 * SECOND - 1),
 )
+# every key once in order, 10 ns apart
+@example(order=_GROW_KEYS, revisits=[], gaps=[10], probes=set(), pack_seed=0, idle=0)
 def test_features_survive_table_growth(order, revisits, gaps, probes, pack_seed, idle):
     # revisit (i, j): right after the first access of order[i], access again
     # a key first seen no later, order[j % (i + 1)]; the stream ends with a

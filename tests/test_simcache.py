@@ -72,36 +72,6 @@ def test_fifo_evicts_oldest_without_promotion():
     assert counts(cache.report) == (5, 4, 2, 1)
 
 
-def test_eviction_request_bounds():
-    cache = CacheState(50)
-    for i, t in enumerate(range(10)):
-        access(cache, PageKey(1, 1, i), t, FifoPolicy())
-    t = 10
-    with pytest.raises(ConfigurationError):
-        _evict(cache, 0, FifoPolicy(), t)
-    with pytest.raises(ConfigurationError):
-        _evict(cache, BATCH_MAX + 1, FifoPolicy(), t)
-    # a request larger than the population empties the cache gracefully
-    victims = _evict(cache, 32, FifoPolicy(), t)
-    assert victims == [PageKey(1, 1, i) for i in range(10)]
-    assert len(cache) == 0
-
-
-def test_learned_eviction_request_bounds():
-    cache = CacheState(50)
-    pack = zero_pack()
-    for i, t in enumerate(range(5)):
-        access(cache, PageKey(1, 1, i), t, LearnedPolicy(pack))
-    t = cache.tracker.last_t
-    with pytest.raises(ConfigurationError):
-        _evict(cache, 0, LearnedPolicy(pack), t)
-    with pytest.raises(ConfigurationError):
-        _evict(cache, BATCH_MAX + 1, LearnedPolicy(pack), t)
-    with pytest.raises(ConfigurationError):
-        LearnedPolicy(pack, oversample=0)
-    assert _evict(cache, 32, LearnedPolicy(pack), t) == [PageKey(1, 1, i) for i in range(5)]
-
-
 @pytest.mark.parametrize("policy", [FifoPolicy(), LearnedPolicy(zero_pack(), oversample=1),
                                     LearnedPolicy(zero_pack(), oversample=5)],
                          ids=["fifo", "learned-1", "learned-5"])
@@ -110,8 +80,9 @@ def test_request_above_the_resident_count_records_a_window_of_every_page(policy)
     for i in range(7):
         access(cache, PageKey(1, 1, i), i, policy)
     assert cache.report.candidate_counts == []
-    with pytest.raises(ConfigurationError):
-        _evict(cache, BATCH_MAX + 1, policy, 7)
+    for n in (0, BATCH_MAX + 1):
+        with pytest.raises(ConfigurationError):
+            _evict(cache, n, policy, 7)
     assert _evict(cache, 9, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
     # a rejected request records nothing; the accepted one saw all 7 pages
     assert cache.report.candidate_counts == [7]
@@ -244,21 +215,9 @@ def test_a_one_page_request_evicts_the_oldest_of_tied_lowest_scores():
     assert cache.resident_keys() == [pages[i] for i in (0, 1, 3, 4, 5)]
 
 
-def test_conservation_of_pages():
-    rng = random.Random(0)
-    cache = CacheState(8)
-    drive(cache, make_accesses(rng, 300, n_inodes=3, pages_per_inode=12), FifoPolicy())
-    c = cache.report
-    assert c.accesses == 300
-    assert c.insertions == c.evictions + len(cache)
-    assert c.hits == c.accesses - c.insertions
-    assert len(cache) <= 8
-
-
-def _long_stream(n_inodes, pages_per_inode):
-    """3000 (inode, offset) draws: at capacity 5 to 40, enough insertions to
-    compact the 256-slot order buffer many times."""
-    pairs = make_accesses(random.Random(12), 3000, n_inodes, pages_per_inode)
+def _stream(seed, n, n_inodes, pages_per_inode):
+    """n (inode, offset) draws of make_accesses(Random(seed), ...)."""
+    pairs = make_accesses(random.Random(seed), n, n_inodes, pages_per_inode)
     return [(k.inode - 10, k.offset) for k, _ in pairs]
 
 
@@ -267,8 +226,11 @@ def _long_stream(n_inodes, pages_per_inode):
     pages=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 15)), max_size=300),
     capacity=st.integers(1, 40),
 )
-@example(pages=_long_stream(8, 40), capacity=5)
-@example(pages=_long_stream(8, 10), capacity=40)
+# 3000 draws: at capacity 5 to 40, enough insertions to compact the 256-slot
+# order buffer many times
+@example(pages=_stream(12, 3000, 8, 40), capacity=5)
+@example(pages=_stream(12, 3000, 8, 10), capacity=40)
+@example(pages=_stream(0, 300, 3, 12), capacity=8)
 def test_fifo_matches_listwise_reference_on_any_stream(pages, capacity):
     pairs = [(PageKey(1, 10 + inode, off), t) for t, (inode, off) in enumerate(pages)]
     want_hits, want_batches, want_resident, want_ins, want_ev = ref_fifo_sim(pairs, capacity)
@@ -404,19 +366,29 @@ def test_constant_pack_is_exactly_fifo(seed, weights, capacity, oversample, ops)
     assert sinks[0] == sinks[1]
 
 
-@pytest.mark.parametrize("seed,oversample", [(s, o) for s in range(5) for o in (3, 40)])
-def test_learned_policy_matches_listwise_reference(seed, oversample):
-    # oversample 3 keeps candidate windows small (3 for a one-page request),
-    # oversample 40 makes them wider than the cache. Even seeds draw from 120
-    # pages for a 48-page cache, odd seeds from 40 pages for a 4-page cache;
-    # steps of up to 2 s leave candidates idle for seconds, where their emas
-    # must still count every access
-    rng = random.Random(200 + seed)
-    even = seed % 2 == 0
-    pairs = make_accesses(rng, 400, n_inodes=4, pages_per_inode=30 if even else 10,
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32), oversample=st.integers(1, 48), wide=st.booleans())
+@example(seed=200, oversample=3, wide=True)
+@example(seed=200, oversample=40, wide=True)
+@example(seed=201, oversample=3, wide=False)
+@example(seed=201, oversample=40, wide=False)
+@example(seed=202, oversample=3, wide=True)
+@example(seed=202, oversample=40, wide=True)
+@example(seed=203, oversample=3, wide=False)
+@example(seed=203, oversample=40, wide=False)
+@example(seed=204, oversample=3, wide=True)
+@example(seed=204, oversample=40, wide=True)
+def test_learned_policy_matches_listwise_reference(seed, oversample, wide):
+    # a one-page request scores min(oversample, capacity + 1) candidates, so
+    # windows run from one page to wider than the cache. A wide run draws
+    # from 120 pages for a 48-page cache, a narrow one from 40 pages for a
+    # 4-page cache; steps of up to 2 s leave candidates idle for seconds,
+    # where their emas must still count every access
+    rng = random.Random(seed)
+    pairs = make_accesses(rng, 400, n_inodes=4, pages_per_inode=30 if wide else 10,
                           t_step_max=2_000_000_000)
     pack = random_pack(rng)
-    capacity = 48 if even else 4
+    capacity = 48 if wide else 4
     want_hits, want_batches, want_resident = ref_learned_sim(
         pairs, capacity, pack, oversample=oversample
     )
@@ -575,26 +547,6 @@ def test_report_dict_shape():
         assert lat["buckets"][-1] > 0
 
 
-def test_identical_runs_produce_identical_counters():
-    rng = random.Random(4)
-    pairs = make_accesses(rng, 300, n_inodes=4, pages_per_inode=10)
-    pack = random_pack(rng)
-    r1 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
-    r2 = run_simulation(as_events(pairs), LearnedPolicy(pack), 8)
-    assert counts(r1) == counts(r2)
-
-
-def test_ring_buffer_survives_many_wraparounds():
-    # capacity small relative to traffic so the order buffer compacts often
-    rng = random.Random(12)
-    pairs = make_accesses(rng, 3000, n_inodes=8, pages_per_inode=40)
-    want_hits, _, want_resident, _, _ = ref_fifo_sim(pairs, 5)
-    cache = CacheState(5)
-    hits = drive(cache, pairs, FifoPolicy())
-    assert hits == want_hits
-    assert cache.resident_keys() == want_resident
-
-
 @pytest.mark.parametrize("capacity", [5, 96, 200])
 def test_order_buffer_never_grows(capacity):
     # every miss evicts back to capacity, so the live span always fits in the
@@ -623,29 +575,20 @@ def test_order_buffer_never_grows(capacity):
     assert cache.resident_keys() == list(cache.residency)
 
 
-def test_latency_benchmark_reports_both_distributions():
-    rng = random.Random(3)
-    pack = random_pack(rng)
-    bench = benchmark_eviction_latency(pack, capacity=64, batch=8, oversample=2, rounds=5)
-    assert bench["window"] == 16
-    assert bench["rounds"] == 5
+# (capacity, batch, oversample, rounds); a run refuses no rounds and a
+# capacity below its batch
+@pytest.mark.parametrize("capacity,batch,oversample,rounds", [
+    (40, 4, 3, 1), (40, 4, 3, 2), (40, 4, 3, 9), (64, 8, 2, 5), (40, 4, 3, 0), (4, 8, 5, 1),
+], ids=["1", "2", "9", "5", "0", "capacity-below-batch"])
+def test_latency_benchmark_returns_one_sample_per_round(capacity, batch, oversample, rounds):
+    pack = random_pack(random.Random(3))
+    if rounds == 0 or capacity < batch:
+        with pytest.raises(ConfigurationError):
+            benchmark_eviction_latency(pack, capacity, batch, oversample, rounds)
+        return
+    bench = benchmark_eviction_latency(pack, capacity, batch, oversample, rounds)
+    assert (bench["window"], bench["rounds"]) == (batch * oversample, rounds)
     for side in ("fifo", "learned"):
         dist = bench[side]
-        assert len(dist["samples"]) == 5
-        assert dist["p50"] > 0
-        assert dist["mean"] > 0
-        assert dist["p50"] <= dist["p99"]
-
-
-@pytest.mark.parametrize("rounds", [1, 2, 9])
-def test_latency_benchmark_returns_one_sample_per_round(rounds):
-    bench = benchmark_eviction_latency(zero_pack(), capacity=40, batch=4, oversample=3, rounds=rounds)
-    assert bench["window"] == 12
-    assert len(bench["fifo"]["samples"]) == len(bench["learned"]["samples"]) == rounds
-    with pytest.raises(ConfigurationError):
-        benchmark_eviction_latency(zero_pack(), capacity=40, batch=4, rounds=0)
-
-
-def test_latency_benchmark_rejects_capacity_below_batch():
-    with pytest.raises(ConfigurationError):
-        benchmark_eviction_latency(zero_pack(), capacity=4, batch=8)
+        assert len(dist["samples"]) == rounds
+        assert 0 < dist["p50"] <= dist["p99"] and dist["mean"] > 0
