@@ -72,20 +72,32 @@ def test_delta_chain_follows_last_three_timestamps():
     assert f.access_to_eviction == 3
 
 
-def test_emas_are_scaled_access_counts():
-    # K is accessed twice and another page of its file once, gap apart; the
-    # counts do not decay at any pairing of gap and probe time
+SMALL_SPANS = (0, 10**9 - 1, 10**9)  # on both sides of one second
+LARGE_SPANS = (64 * 10**9, 2**62)  # far past 64 seconds and near the top of uint64
+
+
+def check_emas_count_accesses(gap, extra):
+    # K is accessed twice and another page of its file once, gap apart
     other = PageKey(K.dev, K.inode, K.offset + 1)
-    # on both sides of one second, far past 64 seconds and near the top of uint64
-    spans = (0, 10**9 - 1, 10**9, 64 * 10**9, 2**62)
-    for gap in spans:
-        for extra in spans:
-            tr = AccessTracker()
-            for i, key in enumerate((K, other, K)):
-                tr.on_access(key, i * gap)
-            fk, fo = window_features(tr, [K, other], 2 * gap + extra)
-            assert (fk.page_ema, fk.inode_ema) == (2 * EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
-            assert (fo.page_ema, fo.inode_ema) == (EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
+    tr = AccessTracker()
+    for i, key in enumerate((K, other, K)):
+        tr.on_access(key, i * gap)
+    fk, fo = window_features(tr, [K, other], 2 * gap + extra)
+    assert (fk.page_ema, fk.inode_ema) == (2 * EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
+    assert (fo.page_ema, fo.inode_ema) == (EMA_SCALE, 3 * EMA_SCALE), (gap, extra)
+
+
+def test_emas_are_scaled_access_counts():
+    for gap in SMALL_SPANS:
+        for extra in SMALL_SPANS:
+            check_emas_count_accesses(gap, extra)
+
+
+def test_emas_do_not_decay_at_large_gaps():
+    # every pairing of gap and probe time in which at least one is large
+    for gap in SMALL_SPANS + LARGE_SPANS:
+        for extra in LARGE_SPANS if gap in SMALL_SPANS else SMALL_SPANS + LARGE_SPANS:
+            check_emas_count_accesses(gap, extra)
 
 
 def test_inode_state_is_shared_across_pages():

@@ -366,19 +366,7 @@ def test_constant_pack_is_exactly_fifo(seed, weights, capacity, oversample, ops)
     assert sinks[0] == sinks[1]
 
 
-@settings(deadline=None, max_examples=10)
-@given(seed=st.integers(0, 2**32), oversample=st.integers(1, 48), wide=st.booleans())
-@example(seed=200, oversample=3, wide=True)
-@example(seed=200, oversample=40, wide=True)
-@example(seed=201, oversample=3, wide=False)
-@example(seed=201, oversample=40, wide=False)
-@example(seed=202, oversample=3, wide=True)
-@example(seed=202, oversample=40, wide=True)
-@example(seed=203, oversample=3, wide=False)
-@example(seed=203, oversample=40, wide=False)
-@example(seed=204, oversample=3, wide=True)
-@example(seed=204, oversample=40, wide=True)
-def test_learned_policy_matches_listwise_reference(seed, oversample, wide):
+def check_learned_run(seed, oversample, wide):
     # a one-page request scores min(oversample, capacity + 1) candidates, so
     # windows run from one page to wider than the cache. A wide run draws
     # from 120 pages for a 48-page cache, a narrow one from 40 pages for a
@@ -402,6 +390,19 @@ def test_learned_policy_matches_listwise_reference(seed, oversample, wide):
     assert cache.resident_keys() == want_resident
     evicted = [ev.key for ev in sink if ev.kind == EventKind.EVICT]
     assert evicted == [k for batch in want_batches for k in batch]
+
+
+@pytest.mark.parametrize("seed,oversample", [(s, o) for s in range(5) for o in (3, 40)])
+def test_learned_policy_matches_listwise_reference(seed, oversample):
+    # oversample 3 keeps candidate windows small, oversample 40 makes them
+    # wider than the cache; even seeds run wide, odd seeds narrow
+    check_learned_run(200 + seed, oversample, seed % 2 == 0)
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32), oversample=st.integers(1, 48), wide=st.booleans())
+def test_learned_policy_matches_listwise_reference_on_any_run(seed, oversample, wide):
+    check_learned_run(seed, oversample, wide)
 
 
 def _tie_pack(rng):
