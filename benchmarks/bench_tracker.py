@@ -39,7 +39,9 @@ shape (synthetic_sizebias, 250 ops, capacity 96), in µs per trace event.
 The training stages are timed at train-sizebias' shape too (rows from four
 such traces, validation rows from a fifth, bins fitted on the training
 rows, 5000 pairs each): sample_pairs on the training rows, auc_score on
-5000 validation scores, and one ranker.train epoch.
+5000 validation scores, ranker.evaluate on the validation pairs (the
+validation pass that each epoch also runs) and a one-epoch ranker.train
+(set-up, one epoch and its validation pass).
 The file name does not match test_*.py, so the test run does not collect it.
 
 Raw wall times on a shared host move by tens of percent between runs of
@@ -47,7 +49,12 @@ one tree, so every case is also reported scaled as perfbench scales its
 end-to-end times: perfbench's reference loop is timed just before and just
 after the case, and extra_info holds the median times REF_NOMINAL_S over
 the mean of those two reference times (scaled_median_s, and
-scaled_us_per_event where the case counts events).
+scaled_us_per_event where the case counts events). A case that counts
+events also records its unscaled median and fastest round per event
+(us_per_event_median and us_per_event_min). The fastest round moves least
+between runs on a noisy host: generate_workload's rounds differ by how much
+garbage collection falls in them, so it runs 30 rounds, as the label run
+and build_dataset do.
 """
 
 from __future__ import annotations
@@ -198,7 +205,7 @@ def test_fifo_simulation(benchmark, model):
                             ("copyfiles", 300), ("openfiles", 5000)])
 def test_generate_workload(benchmark, kind, ops):
     spec = default_spec(kind, seed=7, n_ops=ops)
-    events = benchmark.pedantic(generate_workload, args=(spec,), rounds=5)
+    events = benchmark.pedantic(generate_workload, args=(spec,), rounds=30)
     per_event(benchmark, len(events))
 
 
@@ -256,6 +263,12 @@ def test_auc_score(benchmark, train_shape):
     benchmark(auc_score, scores, val_pairs.y)
 
 
+def test_evaluate(benchmark, train_shape):
+    _, bins, _, val_pairs = train_shape
+    weights = np.random.default_rng(0).normal(size=sum(b.n_bins for b in bins))
+    benchmark(ranker.evaluate, ranker.LinearRanker(bins, weights), val_pairs)
+
+
 def test_train_epoch(benchmark, train_shape):
     _, bins, pairs, val_pairs = train_shape
     config = TrainConfig(max_epochs=1)
@@ -287,3 +300,4 @@ def per_event(benchmark, events: int) -> None:
     benchmark.extra_info["events"] = events
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_event_median"] = benchmark.stats.stats.median / events * 1e6
+        benchmark.extra_info["us_per_event_min"] = benchmark.stats.stats.min / events * 1e6

@@ -3,9 +3,10 @@
 A page's score is beta(x) = w . onehot(x); the probability that page A beats
 page B (A is reused sooner) is sigmoid(beta_A - beta_B), the Bradley-Terry
 model. High score means reused soon (worth keeping), so the eviction policy
-drops the lowest-scoring candidates. Pairs are sampled straight into arrays
-(PairSet); training minimizes their binary cross-entropy with Adam,
-early-stopping on validation loss.
+drops the lowest-scoring candidates. A PairSet is the encoded table of a
+dataset's rows and two arrays of row numbers into it, one pair per position;
+training minimizes the pairs' binary cross-entropy with Adam, early-stopping
+on validation loss.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ def bt_probability(beta_a: float, beta_b: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PairSet:
-    """Encoded row pairs; row i of xa and xb is one pair."""
+    """Row pairs as row numbers into one encoded table: pair i is rows[a[i]]
+    against rows[b[i]]."""
 
-    xa: np.ndarray  # (n, k) int64, one active flattened bin index per feature
-    xb: np.ndarray
+    rows: np.ndarray  # (m, k) int64, one active flattened bin index per feature
+    a: np.ndarray  # (n,) int64 row numbers
+    b: np.ndarray
     y: np.ndarray  # float64, 1.0 where row a is reused strictly sooner than row b
 
     def __len__(self) -> int:
@@ -86,6 +89,9 @@ def default_pair_budget(n_rows: int) -> int:
 def _encode_matrix(rows: Sequence[DatasetRow], bins: Sequence[FeatureBins]) -> np.ndarray:
     """Flattened one-hot indices, one row per entry: feature j activates
     offset_j + its bin."""
+    if rows and len(rows[0].features) != len(bins):
+        raise ConfigurationError(
+            f"{len(bins)} bin sets for rows of {len(rows[0].features)} features")
     offs = bin_offsets(bins)
     out = np.empty((len(rows), len(bins)), dtype=np.int64)
     # one column at a time: far cheaper than numpy reading a list of row tuples
@@ -103,7 +109,8 @@ def sample_pairs(
     n_pairs: int,
     seed: int,
 ) -> PairSet:
-    """Uniformly sample encoded row pairs with distinct reuse times.
+    """Uniformly sample row pairs with distinct reuse times from the rows'
+    encoded table.
 
     The sooner-reused row of a pair is the winner (label 1 when row a wins).
     MISSING (2**64 - 1) compares greater than any finite reuse time, so a
@@ -134,7 +141,7 @@ def sample_pairs(
         got += a.size
     ia = np.concatenate(picked_a)[:n_pairs]
     ib = np.concatenate(picked_b)[:n_pairs]
-    return PairSet(enc[ia], enc[ib], (reuse[ia] < reuse[ib]).astype(np.float64))
+    return PairSet(enc, ia, ib, (reuse[ia] < reuse[ib]).astype(np.float64))
 
 
 @dataclass(frozen=True)
@@ -175,32 +182,11 @@ def _logits(w: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return w[xa].sum(axis=1) - w[xb].sum(axis=1)
 
 
-def _pair_logits(xa: np.ndarray, xb: np.ndarray, bins: Sequence[FeatureBins]):
-    """_logits(w, xa, xb) as a function of w, bit for bit, summing each
-    distinct row of xa and xb once.
-
-    A row's key is its joint bin number: the mixed-radix number whose digit
-    j is feature j's bin, in base n_bins. One 1-D unique over the keys finds
-    the distinct rows; np.unique(axis=0) would cost many times more.
-    """
-    radix = []
-    place = 1
-    for fb in reversed(bins):
-        radix.append(place)
-        place *= fb.n_bins
-    if place >= 2**63:
-        raise InternalError(f"{place} joint bins do not fit an int64 key")
-    x = np.concatenate((xa, xb))
-    keys = (x - np.array(bin_offsets(bins))) @ np.array(radix[::-1], dtype=np.int64)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    rows, a, b = x[first], inverse[:len(xa)], inverse[len(xa):]
-
-    def logits(w: np.ndarray) -> np.ndarray:
-        # per row the same sum as _logits, so the same logits bit for bit
-        s = w[rows].sum(axis=1)
-        return s.take(a) - s.take(b)
-
-    return logits
+def _set_logits(w: np.ndarray, pairs: PairSet) -> np.ndarray:
+    """_logits on the pairs' rows, bit for bit: each table row is the same
+    sum of the same gathered weights, taken once."""
+    s = w.take(pairs.rows).sum(axis=1)
+    return s.take(pairs.a) - s.take(pairs.b)
 
 
 def _bce(logits: np.ndarray, y: np.ndarray) -> float:
@@ -250,18 +236,14 @@ def train(
         raise ConfigurationError("need non-empty train and validation pair sets")
     bins = tuple(bins)
     dim = sum(b.n_bins for b in bins)
-    xa, xb, y = train_pairs.xa, train_pairs.xb, train_pairs.y
-    xa_v, xb_v, y_v = val_pairs.xa, val_pairs.xb, val_pairs.y
-    # column j must hold feature j's bins, which also keeps the validation
-    # rows' joint bin numbers distinct
+    rows, a, b, y = train_pairs.rows, train_pairs.a, train_pairs.b, train_pairs.y
+    # column j must hold feature j's bins
     starts = np.array(bin_offsets(bins))
-    ends = starts + [b.n_bins for b in bins]
-    for arr in (xa, xb, xa_v, xb_v):
-        if arr.size and (arr.shape[1] != len(bins) or (arr.min(axis=0) < starts).any()
-                         or (arr.max(axis=0) >= ends).any()):
+    ends = starts + [fb.n_bins for fb in bins]
+    for table in (rows, val_pairs.rows):
+        if table.size and (table.shape[1] != len(bins) or (table.min(axis=0) < starts).any()
+                           or (table.max(axis=0) >= ends).any()):
             raise InternalError("pair encoding outside the bin index space")
-
-    val_logits = _pair_logits(xa_v, xb_v, bins)
 
     w = np.zeros(dim)
     m = np.zeros(dim)
@@ -281,7 +263,9 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
-            ba, bb, by = xa[idx], xb[idx], y[idx]
+            ba = rows.take(a.take(idx), axis=0)
+            bb = rows.take(b.take(idx), axis=0)
+            by = y[idx]
             s = _logits(w, ba, bb)
             loss_sum += float(np.sum(np.logaddexp(0.0, s) - by * s))
             g = _bce_grad_at(s, ba, bb, by, dim)
@@ -293,9 +277,9 @@ def train(
             v_hat = v / (1.0 - ADAM_BETA2**step)
             w -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-        s_val = val_logits(w)
-        val_loss = _bce(s_val, y_v)
-        val_auc, val_f1 = _metrics(s_val, y_v)
+        s_val = _set_logits(w, val_pairs)
+        val_loss = _bce(s_val, val_pairs.y)
+        val_auc, val_f1 = _metrics(s_val, val_pairs.y)
         history.append(EpochStats(epoch, loss_sum / n, val_loss,
                                   math.nan if val_auc is None else val_auc, val_f1))
 
@@ -369,7 +353,7 @@ def _metrics(logits: np.ndarray, y: np.ndarray) -> EvalMetrics:
 def evaluate(ranker: LinearRanker, pairs: PairSet) -> EvalMetrics:
     if not pairs:
         raise ConfigurationError("cannot evaluate on an empty pair set")
-    return _metrics(_logits(ranker.weights, pairs.xa, pairs.xb), pairs.y)
+    return _metrics(_set_logits(ranker.weights, pairs), pairs.y)
 
 
 def write_history_csv(history: Sequence[EpochStats], path: str) -> None:

@@ -23,7 +23,7 @@ from learnedcache.ranker import (
     default_pair_budget,
     _encode_matrix,
     _logits,
-    _pair_logits,
+    _set_logits,
     evaluate,
     f1_score,
     sample_pairs,
@@ -39,6 +39,11 @@ from reference_impls import ref_auc, ref_encode
 
 def make_row(features, reuse, i=0):
     return DatasetRow(FeatureVector(*features), 1000 + i, reuse, PageKey(1, 1, i))
+
+
+def sides(pairs):
+    """The pairs' a and b rows, gathered from their table."""
+    return pairs.rows.take(pairs.a, axis=0), pairs.rows.take(pairs.b, axis=0)
 
 
 def test_sigmoid_midpoint_and_known_value():
@@ -118,11 +123,15 @@ def test_sampled_pairs_label_the_sooner_reused_row():
     assert len(enc_to_reuse) == 3  # encodings must identify the rows
     pairs = sample_pairs(rows, bins, 200, seed=3)
     assert len(pairs) == 200
-    assert pairs.xa.shape == pairs.xb.shape == (200, 9)
-    assert pairs.xa.dtype == pairs.xb.dtype == np.int64
+    # one table row per dataset row, and pairs are row numbers into it
+    assert np.array_equal(pairs.rows, _encode_matrix(rows, bins))
+    assert pairs.a.shape == pairs.b.shape == (200,)
+    assert pairs.a.dtype == pairs.b.dtype == np.int64
+    assert 0 <= min(pairs.a.min(), pairs.b.min()) <= max(pairs.a.max(), pairs.b.max()) < len(rows)
     assert pairs.y.dtype == np.float64
-    for xa, xb, y in zip(pairs.xa, pairs.xb, pairs.y):
-        ra, rb = enc_to_reuse[tuple(xa.tolist())], enc_to_reuse[tuple(xb.tolist())]
+    for a, b, y in zip(pairs.a, pairs.b, pairs.y):
+        ra = enc_to_reuse[tuple(pairs.rows[a].tolist())]
+        rb = enc_to_reuse[tuple(pairs.rows[b].tolist())]
         assert ra != rb
         assert y == (1.0 if ra < rb else 0.0)
 
@@ -133,7 +142,7 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_pairs(rows, bins, 100, seed=5)
     b = sample_pairs(rows, bins, 100, seed=5)
     c = sample_pairs(rows, bins, 100, seed=6)
-    same = lambda p, q: all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("xa", "xb", "y"))
+    same = lambda p, q: all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("rows", "a", "b", "y"))
     assert same(a, b)
     assert not same(a, c)
 
@@ -147,6 +156,16 @@ def test_sampling_rejects_degenerate_inputs():
         sample_pairs([], bins, 10, seed=1)
     with pytest.raises(SamplingError):
         sample_pairs(rows, bins, 10, seed=1)  # every reuse time equal
+
+
+def test_sampling_refuses_bins_that_do_not_match_the_feature_count():
+    # more bins than features would encode a column of unset memory, fewer
+    # would drop features
+    rows = [make_row((i, 0, 0, 0, 0, 0, 0, 0, 0), reuse=i + 1, i=i) for i in range(10)]
+    bins = fit_all([[r.features[j] for r in rows] for j in range(9)])
+    for wrong in (bins + bins[:1], bins[:8]):
+        with pytest.raises(ConfigurationError, match=f"^{len(wrong)} bin sets for rows of 9 features$"):
+            sample_pairs(rows, wrong, 10, seed=1)
 
 
 def _toy_pairs():
@@ -271,7 +290,7 @@ def test_training_is_deterministic():
 
 def test_flipping_every_label_negates_the_learned_weights():
     _, bins, tr, va = _separable_setup(n_pairs=600)
-    flip = lambda ps: PairSet(ps.xa, ps.xb, 1 - ps.y)
+    flip = lambda ps: PairSet(ps.rows, ps.a, ps.b, 1 - ps.y)
     cfg = TrainConfig(max_epochs=5, batch_size=128, seed=2)
     w_pos = train(tr, va, bins, cfg).ranker.weights
     w_neg = train(flip(tr), flip(va), bins, cfg).ranker.weights
@@ -293,35 +312,26 @@ def test_returned_weights_are_the_best_validation_epoch():
     result = train(tr, va, bins, cfg)
     best = min(h.val_loss for h in result.history)
     assert result.history[result.best_epoch - 1].val_loss == best
-    assert abs(bce_loss(result.ranker.weights, va.xa, va.xb, va.y) - best) < 1e-12
+    assert abs(bce_loss(result.ranker.weights, *sides(va), va.y) - best) < 1e-12
 
 
-def test_pair_logits_sum_each_distinct_row_as_logits_do():
-    # rows of 9 features in 6 values each: 1800 pair sides, at most 300
-    # distinct rows, and normal weights, so a sum in another order rounds
-    # differently
+def test_set_logits_equal_logits_on_gathered_rows():
+    # 300 rows over 100 distinct feature rows of 9 features in 6 values, 900
+    # pairs, and normal weights, so a sum in another order rounds differently
     rng = np.random.default_rng(5)
-    rows = [make_row(tuple(int(v) for v in rng.integers(0, 6, 9)), int(rng.integers(1, 50)), i)
-            for i in range(300)]
+    distinct = [tuple(int(v) for v in rng.integers(0, 6, 9)) for _ in range(100)]
+    rows = [make_row(distinct[i % 100], int(rng.integers(1, 50)), i) for i in range(300)]
     bins = fit_all([[r.features[j] for r in rows] for j in range(9)])
     va = sample_pairs(rows, bins, 900, seed=2)
-    logits = _pair_logits(va.xa, va.xb, bins)
     for seed in range(3):
         w = np.random.default_rng(seed).normal(size=sum(b.n_bins for b in bins))
-        assert np.array_equal(logits(w), _logits(w, va.xa, va.xb))
-
-
-def test_pair_logits_refuse_joint_bin_numbers_past_int64():
-    x = np.arange(0, 126, 2).reshape(1, 63)  # bin 0 of each of 63 two-bin features
-    _pair_logits(x[:, :62], x[:, :62], (FeatureBins((1,)),) * 62)  # 2**62 joint bins
-    with pytest.raises(InternalError):
-        _pair_logits(x, x, (FeatureBins((1,)),) * 63)
+        assert np.array_equal(_set_logits(w, va), _logits(w, *sides(va)))
 
 
 def test_validation_history_is_what_scoring_every_pair_gives():
-    # the epoch loop scores each distinct validation row once and
-    # differences the pairs; its history must hold, bit for bit, what
-    # scoring every pair side with bce_loss and evaluate gives
+    # the epoch loop scores each validation table row once and differences
+    # the pairs; its history must hold, bit for bit, what scoring every
+    # gathered pair side with bce_loss gives, and what evaluate gives
     rng = np.random.default_rng(5)
     rows = [make_row(tuple(int(v) for v in rng.integers(0, 6, 9)), int(rng.integers(1, 50)), i)
             for i in range(300)]
@@ -332,7 +342,7 @@ def test_validation_history_is_what_scoring_every_pair_gives():
         result = train(tr, va, bins, TrainConfig(max_epochs=epochs, learning_rate=0.01, seed=epochs))
         best = result.history[result.best_epoch - 1]
         metrics = evaluate(result.ranker, va)
-        assert best.val_loss == bce_loss(result.ranker.weights, va.xa, va.xb, va.y)
+        assert best.val_loss == bce_loss(result.ranker.weights, *sides(va), va.y)
         assert (best.val_auc, best.val_f1) == (metrics.auc, metrics.f1)
 
 
@@ -356,8 +366,10 @@ def test_training_that_never_reaches_a_finite_validation_loss_is_rejected():
 
 
 def _pairs(xa, xb, y):
-    return PairSet(np.array(xa, dtype=np.int64), np.array(xb, dtype=np.int64),
-                   np.array(y, dtype=np.float64))
+    """Pair i of xa and xb: the table holds xa's rows, then xb's."""
+    n = len(y)
+    return PairSet(np.concatenate((np.array(xa, dtype=np.int64), np.array(xb, dtype=np.int64))),
+                   np.arange(n), np.arange(n, 2 * n), np.array(y, dtype=np.float64))
 
 
 def _no_pairs():
