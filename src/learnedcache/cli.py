@@ -69,7 +69,7 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
     events = generate_workload(spec)
     write_trace(events, args.out)
     if args.csv:
-        trace.export_csv(events, args.csv)
+        trace.export_csv(args.out, args.csv)
     print(f"gen-trace: {args.workload} seed={seed} ops={args.ops} events={len(events)} -> {args.out}")
     return 0
 

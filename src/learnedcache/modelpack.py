@@ -116,8 +116,6 @@ def _expect(obj: dict, field: str, kind, where: str):
     val = obj[field]
     if kind is int:
         ok = isinstance(val, int) and not isinstance(val, bool)
-    elif kind is float:
-        ok = isinstance(val, (int, float)) and not isinstance(val, bool)
     else:
         ok = isinstance(val, kind)
     if not ok:

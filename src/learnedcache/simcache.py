@@ -327,9 +327,7 @@ def run_simulation(
 
 
 def _latency_summary(samples: Sequence[int]) -> dict:
-    """p50, p90, p99 and mean of exact latency samples in ns; None when there are none."""
-    if not samples:
-        return {"p50": None, "p90": None, "p99": None, "mean": None}
+    """p50, p90, p99 and mean of one or more exact latency samples in ns."""
     arr = np.asarray(samples, dtype=np.float64)
     p50, p90, p99 = np.percentile(arr, [50, 90, 99]).tolist()
     return {"p50": p50, "p90": p90, "p99": p99, "mean": float(arr.mean())}
@@ -382,6 +380,8 @@ def benchmark_eviction_latency(
     distributions in ns, from the exact samples _evict appended to each
     cache's latency_sink, and the learned policy's candidate window.
     """
+    if not 1 <= batch <= BATCH_MAX:
+        raise ConfigurationError(f"batch must be in [1, {BATCH_MAX}]")
     if capacity < batch:
         raise ConfigurationError("capacity must be >= batch")
     if rounds < 1:

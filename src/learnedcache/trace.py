@@ -6,8 +6,8 @@ binary format is little-endian: a 14-byte header (magic ``LCTR``, version u16,
 record count u64) followed by 33-byte records (kind u8, t_ns u64, dev u64,
 inode u64, offset u64). iter_trace streams a file's events one chunk of
 records at a time; read_trace collects them into a list. export_csv writes
-the same records as a CSV view for other tools; nothing in the package
-reads CSV back.
+a trace file's records as a CSV view for other tools; nothing in the
+package reads CSV back.
 """
 
 from __future__ import annotations
@@ -430,8 +430,8 @@ def generate_workload(spec: WorkloadSpec) -> list[TraceEvent]:
 
 def _record_error(kind: int, t_ns: int, dev: int, inode: int, offset: int, prev_t: int) -> str | None:
     """Why a record breaks the trace rule, or None: a known kind, every field
-    a u64, times nondecreasing, and no Access at the last u64 offset. Every
-    trace writer and reader applies this rule."""
+    a u64, times nondecreasing, and no Access at the last u64 offset.
+    write_trace and iter_trace apply this rule."""
     if kind not in _KIND_NAMES:
         return f"invalid event kind {kind}"
     if (t_ns | dev | inode | offset) >> 64:  # some field is negative or above 2**64 - 1
@@ -513,17 +513,12 @@ def read_trace(path: str) -> list[TraceEvent]:
 _CSV_HEADER = ["kind", "t_ns", "dev", "inode", "offset"]
 
 
-def export_csv(events: Iterable[TraceEvent], path: str) -> None:
-    """Write events as CSV under a header row. Raises ValueError, before it
-    opens the file, on the first event that breaks the trace rule."""
-    rows = []
-    prev_t = 0
-    for kind, t_ns, (dev, inode, offset) in events:
-        err = _record_error(kind, t_ns, dev, inode, offset, prev_t)
-        if err is not None:
-            raise ValueError(f"event {len(rows)}: {err}")
-        prev_t = t_ns
-        rows.append((_KIND_NAMES[kind], t_ns, dev, inode, offset))
+def export_csv(trace_path: str, path: str) -> None:
+    """Write the records of the binary trace at trace_path as CSV under a
+    header row, each kind by its name. iter_trace reads and checks the whole
+    trace before the CSV is opened, so a bad trace raises TraceFormatError
+    and writes no CSV."""
+    rows = [(_KIND_NAMES[kind], t_ns, *key) for kind, t_ns, key in iter_trace(trace_path)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(_CSV_HEADER)

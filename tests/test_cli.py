@@ -163,6 +163,17 @@ def test_paired_eval_artifacts(pipeline):
     assert summary[1].startswith("synthetic_sizebias,")
 
 
+def test_paired_eval_of_one_trial_reports_a_degenerate_sample(pipeline, tmp_path, capsys):
+    # one difference has no variance to test against
+    out = tmp_path / "e.json"
+    rc = main(["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
+               "--capacity", "16", "--trials", "1", "--ops", "30", "--files", "3",
+               "--out", str(out), "--seed", "42"])
+    assert rc == 0
+    assert "paired-eval: synthetic_sizebias degenerate sample" in capsys.readouterr().out
+    assert json.loads(out.read_text())["test"]["degenerate"] is True
+
+
 def test_gen_trace_is_deterministic_per_seed(tmp_path):
     a, b, c = (str(tmp_path / n) for n in ("a.bin", "b.bin", "c.bin"))
     assert main(["gen-trace", "--workload", "webserver", "--ops", "200",
@@ -210,6 +221,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["gen-trace", "--workload", "nonsense", "--out", out]) == 2
     assert main(["gen-trace", "--workload", "webserver"]) == 2  # --out missing
     assert main(["gen-trace", "--workload", "webserver", "--ops", "-1", "--out", out]) == 2
+    assert main(["gen-trace", "--workload", "webserver", "--files", "0", "--ops", "5", "--out", out]) == 2
+    assert "n_files must be >= 1 for a non-empty workload" in capsys.readouterr().err
     assert main(["simulate", "--trace", out, "--policy", "lru", "--capacity", "4"]) == 2
     assert main(["simulate", "--trace", out, "--policy", "fifo", "--capacity", "x"]) == 2
     assert "argument --capacity: invalid int value: 'x'" in capsys.readouterr().err
@@ -227,14 +240,14 @@ COUNT_FLAGS = [
     ("train", "--capacity"), ("train", "--pairs"), ("train", "--epochs"),
     ("train", "--batch"), ("train", "--patience"),
     ("simulate-fifo", "--capacity"), ("simulate-learned", "--capacity"),
+    ("simulate-fifo", "--oversample"), ("simulate-learned", "--oversample"),
     ("paired-eval", "--capacity"), ("paired-eval", "--ops"),
     ("paired-eval", "--trials"), ("paired-eval", "--jobs"), ("paired-eval", "--files"),
 ]
 
 
 # every count flag is an argparse check: it names the flag and exits 2 before
-# any input is opened, whether the inputs exist or not (--oversample has its
-# own test below)
+# any input is opened, whether the inputs exist or not
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("command, flag", COUNT_FLAGS, ids=[c + f for c, f in COUNT_FLAGS])
 def test_count_flag_below_one_exits_2_before_reading_input(pipeline, tmp_path, capsys, command, flag, value):
@@ -252,17 +265,6 @@ def test_count_flag_below_one_exits_2_before_reading_input(pipeline, tmp_path, c
         }[command]
         assert main(argv + [flag, value]) == 2
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("policy", ["fifo", "learned"])
-@pytest.mark.parametrize("oversample", ["0", "-3"])
-def test_oversample_below_one_exits_2_before_reading_the_trace(pipeline, tmp_path, capsys, policy, oversample):
-    for trace_path in (pipeline["test"], str(tmp_path / "missing.bin")):
-        rc = main(["simulate", "--trace", trace_path, "--policy", policy, "--model", pipeline["model"],
-                   "--capacity", "8", "--oversample", oversample])
-        assert rc == 2
-        assert "argument --oversample: must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -472,6 +474,19 @@ def test_train_with_oversized_capacity_exits_2(pipeline, tmp_path):
     rc = main(["train", "--traces", pipeline["train1"], "--test", pipeline["test"],
                "--out", str(tmp_path / "m.json"), "--capacity", "100000"])
     assert rc == 2
+
+
+def test_train_whose_test_trace_yields_no_evictions_exits_2(pipeline, tmp_path, capsys):
+    # three pages never fill the cache, so the test trace labels no rows
+    path = tmp_path / "short.bin"
+    write_trace([TraceEvent(EventKind.ACCESS, 1000 * i, PageKey(1, 100, i)) for i in range(3)],
+                str(path))
+    out = tmp_path / "m.json"
+    rc = main(["train", "--traces", pipeline["train1"], "--test", str(path), "--out", str(out),
+               "--capacity", str(CAPACITY)])
+    assert rc == 2
+    assert "test trace produced no evictions" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_on_traces_without_reuse_exits_2(tmp_path, capsys):

@@ -62,6 +62,11 @@ def test_preference_probability_depends_only_on_score_difference():
     assert abs(bt_probability(5.5, 3.5) - bt_probability(2.0, 0.0)) < 1e-15
 
 
+def test_preference_probability_saturates_without_overflow():
+    # exp(1000) overflows a float
+    assert bt_probability(1000.0, 0.0) == 1.0
+
+
 def test_bin_offsets_accumulate_bin_counts():
     bins = (FeatureBins((1, 2)), FeatureBins(()), FeatureBins((5, 6, 7)))
     assert bin_offsets(bins) == (0, 3, 4)

@@ -576,16 +576,25 @@ def test_order_buffer_never_grows(capacity):
     assert cache.resident_keys() == list(cache.residency)
 
 
-# (capacity, batch, oversample, rounds); a run refuses no rounds and a
-# capacity below its batch
+# (capacity, batch, oversample, rounds); a run refuses no rounds, a capacity
+# below its batch and a batch outside [1, BATCH_MAX] before it fills a cache
 @pytest.mark.parametrize("capacity,batch,oversample,rounds", [
     (40, 4, 3, 1), (40, 4, 3, 2), (40, 4, 3, 9), (64, 8, 2, 5), (40, 4, 3, 0), (4, 8, 5, 1),
-], ids=["1", "2", "9", "5", "0", "capacity-below-batch"])
-def test_latency_benchmark_returns_one_sample_per_round(capacity, batch, oversample, rounds):
+    (40, 0, 3, 1), (40, BATCH_MAX + 1, 3, 1),
+], ids=["1", "2", "9", "5", "0", "capacity-below-batch", "batch-0", "batch-33"])
+def test_latency_benchmark_returns_one_sample_per_round(monkeypatch, capacity, batch, oversample, rounds):
     pack = random_pack(random.Random(3))
-    if rounds == 0 or capacity < batch:
+    if rounds == 0 or not 1 <= batch <= min(capacity, BATCH_MAX):
+        calls = []
+
+        def counted_access(*args):
+            calls.append(args)
+            return access(*args)
+
+        monkeypatch.setattr(simcache, "access", counted_access)
         with pytest.raises(ConfigurationError):
             benchmark_eviction_latency(pack, capacity, batch, oversample, rounds)
+        assert calls == []
         return
     bench = benchmark_eviction_latency(pack, capacity, batch, oversample, rounds)
     assert (bench["window"], bench["rounds"]) == (batch * oversample, rounds)

@@ -265,11 +265,7 @@ def test_sizebias_file_sizes_grow_linearly():
         assert top == 4 + 4 * i - 1
 
 
-# the CSV export has no reader in the package; a naive parser reads it back
-WRITERS = [(write_trace, read_trace, "t.bin"), (export_csv, ref_csv_rows, "t.csv")]
-
-
-@pytest.mark.parametrize("write,read,name", WRITERS[:1], ids=["binary"])
+@pytest.mark.parametrize("write,read,name", [(write_trace, read_trace, "t.bin")], ids=["binary"])
 def test_readers_return_event_kind_members(tmp_path, write, read, name):
     # EventKind is an IntEnum, so an int kind would still compare equal to
     # its member; the round trips cannot tell the two apart
@@ -280,7 +276,7 @@ def test_readers_return_event_kind_members(tmp_path, write, read, name):
     assert [type(ev.kind) for ev in got] == [EventKind] * 3
 
 
-@pytest.mark.parametrize("write,name", [(w, name) for w, _, name in WRITERS], ids=["binary", "csv"])
+@pytest.mark.parametrize("write,name", [(write_trace, "t.bin")], ids=["binary"])
 @pytest.mark.parametrize("events,match", [
     ([TraceEvent(3, 0, PageKey(0, 0, 0))], "invalid event kind 3"),
     ([TraceEvent(EventKind.EVICT, 0, PageKey(-1, 0, 0))], "u64 range"),
@@ -311,19 +307,21 @@ _EVENT = st.builds(lambda kind, t, dev, inode, offset: TraceEvent(kind, t, PageK
 @example(events=[TraceEvent(EventKind.ACCESS, 0, PageKey(0, 0, 0)),
                  TraceEvent(EventKind.EVICT, U64_MAX, PageKey(U64_MAX, U64_MAX, U64_MAX))], sort=False)
 def test_each_writer_refuses_what_its_reader_refuses(io_dir, events, sort):
-    # a writer either raises ValueError and writes nothing, or its reader
-    # returns exactly the events written
+    # write_trace either raises ValueError and writes nothing, or read_trace
+    # returns exactly the events written; export_csv renders that file, and
+    # its CSV, which has no reader in the package, parses back to them too
     if sort:
         events.sort(key=lambda ev: ev.t_ns)
-    for write, read, name in WRITERS:
-        path = io_dir / name
-        path.unlink(missing_ok=True)
-        try:
-            write(events, str(path))
-        except ValueError:
-            assert not path.exists()
-            continue
-        assert read(str(path)) == events
+    path = io_dir / "t.bin"
+    path.unlink(missing_ok=True)
+    try:
+        write_trace(events, str(path))
+    except ValueError:
+        assert not path.exists()
+        return
+    assert read_trace(str(path)) == events
+    export_csv(str(path), str(io_dir / "t.csv"))
+    assert ref_csv_rows(str(io_dir / "t.csv")) == events
 
 
 def test_empty_trace_round_trips(tmp_path):
@@ -449,6 +447,25 @@ def test_a_bad_record_fails_at_its_byte_offset_in_any_chunk(io_dir, events, data
         with pytest.raises(TraceFormatError) as again:
             next(stream)
         assert str(again.value) == str(err.value)
+
+
+@pytest.mark.parametrize("how", sorted(_BREAKS))
+def test_csv_export_of_a_bad_trace_fails_at_the_record_and_writes_nothing(tmp_path, monkeypatch, how):
+    # the last record is bad; at two records a chunk, the reader has read the
+    # records before it in earlier chunks
+    events = small_trace(ops=10)
+    path, csv_path = tmp_path / "t.bin", tmp_path / "t.csv"
+    write_trace(events, str(path))
+    raw = bytearray(path.read_bytes())
+    at = 14 + 33 * (len(events) - 1)
+    brk, message = _BREAKS[how]
+    raw[at:] = brk(raw[at:], events[-2].t_ns)
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(trace, "_CHUNK_RECORDS", 2)
+    with pytest.raises(TraceFormatError) as err:
+        export_csv(str(path), str(csv_path))
+    assert (str(err.value), err.value.offset) == (f"{message} (byte offset {at})", at)
+    assert not csv_path.exists()
 
 
 def test_a_trace_that_shrinks_while_it_streams_is_rejected(tmp_path, monkeypatch):
