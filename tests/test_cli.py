@@ -240,14 +240,14 @@ COUNT_FLAGS = [
     ("train", "--capacity"), ("train", "--pairs"), ("train", "--epochs"),
     ("train", "--batch"), ("train", "--patience"),
     ("simulate-fifo", "--capacity"), ("simulate-learned", "--capacity"),
-    ("simulate-fifo", "--oversample"), ("simulate-learned", "--oversample"),
     ("paired-eval", "--capacity"), ("paired-eval", "--ops"),
     ("paired-eval", "--trials"), ("paired-eval", "--jobs"), ("paired-eval", "--files"),
 ]
 
 
 # every count flag is an argparse check: it names the flag and exits 2 before
-# any input is opened, whether the inputs exist or not
+# any input is opened, whether the inputs exist or not (--oversample has its
+# own test below)
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("command, flag", COUNT_FLAGS, ids=[c + f for c, f in COUNT_FLAGS])
 def test_count_flag_below_one_exits_2_before_reading_input(pipeline, tmp_path, capsys, command, flag, value):
@@ -265,6 +265,17 @@ def test_count_flag_below_one_exits_2_before_reading_input(pipeline, tmp_path, c
         }[command]
         assert main(argv + [flag, value]) == 2
         assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("policy", ["fifo", "learned"])
+@pytest.mark.parametrize("oversample", ["0", "-3"])
+def test_oversample_below_one_exits_2_before_reading_the_trace(pipeline, tmp_path, capsys, policy, oversample):
+    for trace_path in (pipeline["test"], str(tmp_path / "missing.bin")):
+        rc = main(["simulate", "--trace", trace_path, "--policy", policy, "--model", pipeline["model"],
+                   "--capacity", "8", "--oversample", oversample])
+        assert rc == 2
+        assert "argument --oversample: must be >= 1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

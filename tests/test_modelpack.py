@@ -225,17 +225,7 @@ def test_integer_and_float_scores_stay_within_quantization_slack():
             assert abs(fs * pack.weight_scale - isc) < pack.n_features
 
 
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**32))
-@example(seed=0)
-@example(seed=1)
-@example(seed=2)
-@example(seed=3)
-@example(seed=4)
-@example(seed=5)
-@example(seed=6)
-@example(seed=7)
-def test_integer_score_matches_serialized_form_reference(seed):
+def _check_integer_score_matches_reference(seed):
     rng = random.Random(seed)
     pack = random_pack(rng)
     obj = pack_to_dict(pack)
@@ -246,6 +236,17 @@ def test_integer_score_matches_serialized_form_reference(seed):
         probes.append([rng.choice(edges + [0, 1, MISSING]) for _ in range(9)])
     for raw in probes:
         assert int_score(pack, raw) == ref_pack_score(obj, raw)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_integer_score_matches_serialized_form_reference(seed):
+    _check_integer_score_matches_reference(seed)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(8, 2**32))
+def test_integer_score_matches_serialized_form_reference_for_any_seed(seed):
+    _check_integer_score_matches_reference(seed)
 
 
 def _reference_scores(pack, accs, tracker, slots, t_now):
@@ -323,20 +324,25 @@ def test_scorer_refuses_a_pack_that_is_not_a_prefix_of_the_features():
     assert PreparedScorer(zero_pack(3)).base == 0
 
 
-def test_a_pack_at_the_int64_score_bound_scores_exactly_and_one_past_is_refused():
-    # scale 1 and weights 2**63 - 1024 and 1023 put the score bound at exactly
-    # int64's maximum; one more passes it, and that pack is refused
-    with pytest.raises(PackValidationError) as err:
-        build_pack([([1], [2**63 - 1024, 0]), ([1], [1024, 0])], scale=1)
-    assert err.value.field == "features"
-    pack = build_pack([([1], [2**63 - 1024, 0]), ([1], [1023, 0])], scale=1)
+@pytest.mark.parametrize("small, dtype", [(1023, np.int64), (1024, object)])
+def test_table_dtype_follows_the_score_bound(small, dtype):
+    # scale 1 and weights 2**63 - 1024 and `small` put the score bound at
+    # exactly int64's maximum (int64 tables) or one past it, where exact
+    # scores would need Python-int (object) tables: that pack is rejected
+    per_feature = [([1], [2**63 - 1024, 0]), ([1], [small, 0])]
+    if dtype is object:
+        with pytest.raises(PackValidationError) as err:
+            build_pack(per_feature, scale=1)
+        assert err.value.field == "features"
+        return
+    pack = build_pack(per_feature, scale=1)
     # equal timestamps: zero deltas, else MISSING
     accs = [(PageKey(1, 1, off), 0) for off, n in ((0, 3), (1, 2), (2, 1)) for _ in range(n)]
     tracker = _track(accs)
     slots = _page_slots(tracker)
     window = PreparedScorer(pack).score_window(tracker, slots, 0)
-    assert window.dtype == np.int64
-    assert window.tolist() == [2**63 - 1, 2**63 - 1024, 0]
+    assert window.dtype == dtype
+    assert window.tolist() == [2**63 - 1024 + small, 2**63 - 1024, 0]
     assert window.tolist() == _reference_scores(pack, accs, tracker, slots, 0)
 
 
