@@ -23,7 +23,7 @@ simulations of both shapes, which update no features (only the learned
 policy tracks them), and generate_workload on mongo-hits' spec also report
 µs per event; so does generate_workload on sizebias-evict's spec
 (synthetic_sizebias, 1000 ops), whose generator appends to the shared
-_Emitter's event list on its own fixed clock with its own keys, and on the
+_Emitter's event list and keys on its own fixed clock, and on the
 other five kinds at benchmarks/workcount.py's GENERATE_OPS shapes: webserver
 and webproxy (1000 ops), varmail (2000), copyfiles (300) and openfiles
 (5000), whose ops mix runs of many pages with single-page touches.

@@ -19,11 +19,12 @@ does, so it times exactly the path simulations take. Only a policy that
 reads features (learned) has the cache update the feature tracker on every
 access; FIFO, like a kernel running no feature hooks, pays for none.
 
-run_simulation binds its fresh cache to the policy, then serves a hit in
-its own loop: it counts the hit and, for a tracking policy, calls the
-tracker's on_access, with no call into access or its policy check. Only
-misses go through access, which inserts the page, writes its slot into the
-order buffer through CacheState.order_view, and evicts on overflow.
+A cache holds the one policy it serves: access binds it at the first
+access and refuses any other, and _evict reads it. run_simulation binds
+its fresh cache to the policy, then serves a hit in its own loop: it
+counts the hit and, for a tracking policy, calls the tracker's on_access,
+with no call into access. Only misses go through access, which inserts
+the page, writes its slot into the order buffer and evicts on overflow.
 """
 
 from __future__ import annotations
@@ -121,13 +122,12 @@ class CacheState:
     live span fits in its first half and is compacted there. access
     appends through order_view, a memoryview of order.
 
-    A cache serves one policy for its lifetime. Only a tracking (learned)
-    policy updates the tracker's features; a FIFO cache's tracker holds
-    page slots with no features and no file columns, and is there only to
-    number the pages the order buffer holds. tracks records which of the two
-    the tracker holds, from the first policy the cache serves (None before
-    it); access and _evict refuse every call, a hit as well as a miss or a
-    request, under a policy that tracks otherwise. The cache
+    A cache serves one policy for its lifetime: policy holds it, from the
+    first access (None before it), and _evict reads it. access refuses
+    every call, a hit as well as a miss, under a policy not equal to it.
+    Only a tracking (learned) policy updates the tracker's features; a FIFO
+    cache's tracker holds page slots with no features and no file columns,
+    and is there only to number the pages the order buffer holds. The cache
     counts every access and eviction request into report, the SimReport
     that run_simulation returns, and appends each request's wall time to
     latency_sink when one is set.
@@ -149,7 +149,7 @@ class CacheState:
         self.tail = 0
         self.head = 0
         self.tracker = AccessTracker()
-        self.tracks: bool | None = None
+        self.policy: Policy | None = None
         self.report = SimReport()
         self.event_sink: list[TraceEvent] | None = None
         self.latency_sink: list[int] | None = None
@@ -163,19 +163,19 @@ class CacheState:
         return [keys[s] for s in self.order[self.tail:self.head].tolist()]
 
 
-def _serve(cache: CacheState, tracks: bool) -> None:
-    """Bind a cache that has served no policy yet to one that tracks as
-    tracks says; refuse a policy that tracks otherwise than the cache's."""
-    if cache.tracks is not None:
+def _serve(cache: CacheState, policy: Policy) -> None:
+    """Bind a cache that serves no policy yet to policy; refuse one not equal
+    to the cache's, so an equal copy serves it but no other scorer does."""
+    if cache.policy is None:
+        cache.policy = policy
+    elif policy != cache.policy:
         raise ConfigurationError(
-            f"the cache was filled under a policy that {'tracks' if cache.tracks else 'tracks no'} "
-            "features; a cache serves one policy for its lifetime"
+            "the cache was filled under another policy; a cache serves one policy for its lifetime"
         )
-    cache.tracks = tracks
 
 
-def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[PageKey]:
-    """One eviction request of n pages, as both simulation and benchmark issue it.
+def _evict(cache: CacheState, n: int, t_now_ns: int) -> list[PageKey]:
+    """One eviction request of n pages, under the policy the cache holds.
 
     Picks the victims among the oldest min(oversample * n, resident) pages,
     pops them, and records that window and the request's wall time in the
@@ -184,15 +184,10 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     pages older than it, and both policies read it with one item read of
     order_view; a request of two or more pages ranks the window with a
     stable argsort, sorts the survivors back into FIFO order and writes the
-    window back. Refuses a policy whose tracking differs from what the
-    cache's tracker holds: a learned policy would score a FIFO cache's
-    featureless columns.
+    window back. Its callers bound n to [1, BATCH_MAX] and have bound the
+    cache's policy through access, so it checks neither.
     """
-    if not 1 <= n <= BATCH_MAX:
-        raise ConfigurationError(f"eviction request must be in [1, {BATCH_MAX}]")
-    tracks = policy.tracks
-    if tracks is not cache.tracks:
-        _serve(cache, tracks)
+    policy = cache.policy
     t0 = time.perf_counter_ns()
     tail = cache.tail
     live = cache.head - tail
@@ -205,7 +200,7 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
     keys = cache.tracker.page_keys
     if k == 1:  # every simulated request: no ranking, one victim
         view = cache.order_view
-        if tracks:
+        if policy.tracks:
             scores = policy._scorer.score_window(cache.tracker, order[tail:tail + window], t_now_ns)
             # the first minimum is the oldest lowest score
             j = int(scores.argmin())
@@ -216,7 +211,7 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
                 view[tail] = victim
         victims = [keys[view[tail]]]
     else:
-        if tracks:  # the learned policy: score the window
+        if policy.tracks:  # the learned policy: score the window
             wslots = order[tail:tail + window]
             scores = policy._scorer.score_window(cache.tracker, wslots, t_now_ns)
             # lowest score first, FIFO position (oldest) breaking ties; the
@@ -247,17 +242,17 @@ def _evict(cache: CacheState, n: int, policy: Policy, t_now_ns: int) -> list[Pag
 def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> AccessResult:
     """Count a hit, or insert on miss and evict one page on overflow.
 
-    cache must serve this policy for its whole lifetime: an access under a
-    policy that tracks otherwise than the cache's first one, hit or miss,
-    is refused (ConfigurationError) before it touches the report or the
+    The cache's first access binds it to policy for its whole lifetime; a
+    later access under a policy not equal to that one, hit or miss, is
+    refused (ConfigurationError) before it touches the report or the
     tracker. A policy that tracks (learned) updates the page's and its
     file's features on every access. FIFO reads no feature: a FIFO hit
     touches no tracker state, and a FIFO miss only numbers the page's slot
     (page_column), which the order buffer holds.
     """
+    if policy is not cache.policy:  # the first access, a copy or a refused policy
+        _serve(cache, policy)
     tracks = policy.tracks
-    if tracks is not cache.tracks:  # the first access, or a refused policy
-        _serve(cache, tracks)
     if key in cache.residency:
         if tracks:
             cache.tracker.on_access(key, t_ns)
@@ -281,7 +276,7 @@ def access(cache: CacheState, key: PageKey, t_ns: int, policy: Policy) -> Access
     cache.report.insertions += 1
     # every miss evicts back to capacity, so an insert overflows by one page
     if len(cache.residency) > cache.capacity:
-        _evict(cache, 1, policy, t_ns)
+        _evict(cache, 1, t_ns)
     return _MISS_INSERTED
 
 
@@ -298,13 +293,13 @@ def run_simulation(
     read once. Insert/Evict events in the input are ignored. When event_sink
     is given, the simulator appends one Evict event to it per evicted page,
     in eviction order; when latency_sink is given, the wall time in ns of
-    each eviction request. Both policies are deterministic.
+    each eviction request. The fresh cache holds policy from the start, so
+    its hits need no policy check. Both policies are deterministic.
     """
     cache = CacheState(capacity)
     cache.event_sink = event_sink
     cache.latency_sink = latency_sink
-    # the loop's hits skip access's policy check: the cache serves this policy
-    _serve(cache, policy.tracks)
+    _serve(cache, policy)
     # bound here, not at import, so a method patched on the class is the one called
     residency = cache.residency
     on_access = cache.tracker.on_access if policy.tracks else None
@@ -398,7 +393,7 @@ def benchmark_eviction_latency(
                 t += 1_000
                 access(cache, PageKey(1, 100 + i // 64, i % 64), t, policy)
             t += 1_000
-            _evict(cache, batch, policy, t)
+            _evict(cache, batch, t)
 
     def summary(cache: CacheState) -> dict:
         samples = cache.latency_sink

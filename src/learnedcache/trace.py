@@ -351,7 +351,7 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: 
     a fixed slot inside a fixed-length round, so every page of file i repeats
     with an exact gap of (i + 1) * round_ns: reuse time grows strictly with
     file size. Per-file random phases vary the interleaving across seeds.
-    It appends to em.events on this fixed clock, not em's.
+    It appends to em.events on this fixed clock, not em's, with em's page keys.
     """
     page_dt = 4_000
     slot_gap = 16_000
@@ -363,9 +363,7 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: 
     round_ns = t
     phases = [rng.randrange(i + 1) for i in range(spec.n_files)]
 
-    # one shared PageKey per page, built on its file's first sweep
-    keys: list[list[PageKey] | None] = [None] * spec.n_files
-
+    keys = em.keys
     events = em.events
     ops = 0
     r = 0
@@ -376,10 +374,9 @@ def _gen_sizebias(spec: WorkloadSpec, rng: random.Random, sizes: list[int], em: 
                 break
             if (r + phases[i]) % (i + 1) != 0:
                 continue
-            file_keys = keys[i]
-            if file_keys is None:
-                file_keys = keys[i] = [_new_tuple(PageKey, (_DEV, 100 + i, page))
-                                       for page in range(sizes[i])]
+            file_keys = keys.get(100 + i)
+            if file_keys is None:  # its first sweep: em's one PageKey per page
+                file_keys = em._grow(100 + i, None, sizes[i])
             t = base + slots[i]
             for key in file_keys:
                 events.append(_new_tuple(TraceEvent, (_ACCESS, t, key)))

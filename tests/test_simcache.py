@@ -80,11 +80,8 @@ def test_request_above_the_resident_count_records_a_window_of_every_page(policy)
     for i in range(7):
         access(cache, PageKey(1, 1, i), i, policy)
     assert cache.report.candidate_counts == []
-    for n in (0, BATCH_MAX + 1):
-        with pytest.raises(ConfigurationError):
-            _evict(cache, n, policy, 7)
-    assert _evict(cache, 9, policy, 7) == [PageKey(1, 1, i) for i in range(7)]
-    # a rejected request records nothing; the accepted one saw all 7 pages
+    assert _evict(cache, 9, 7) == [PageKey(1, 1, i) for i in range(7)]
+    # the request saw all 7 pages
     assert cache.report.candidate_counts == [7]
     assert sum(cache.report.latency_hist) == 1
     assert cache.report.evictions == 7
@@ -101,12 +98,10 @@ def test_a_cache_refuses_a_request_under_a_policy_that_tracks_otherwise(fill, ev
         cache = CacheState(pages)
         for i in range(pages):
             access(cache, PageKey(1, 1, i), i, policies[fill])
-        assert cache.tracks is policies[fill].tracks
+        assert cache.policy is policies[fill]
         tracker = cache.tracker
         state = (tracker.tab.copy(), tracker.index.copy(), list(tracker.page_keys),
                  tracker.last_t)
-        with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
-            _evict(cache, 1, policies[evict], pages)
         # a hit on a page the cache holds is refused under either policy: a
         # FIFO hit on a learned cache would go unseen by its tracker
         for i in (0, pages - 1):
@@ -125,8 +120,43 @@ def test_a_cache_refuses_a_request_under_a_policy_that_tracks_otherwise(fill, ev
         assert tracker.last_t == state[3]
         # the policy the cache was filled under still serves it
         assert access(cache, PageKey(1, 1, 0), pages + 2, policies[fill]) is AccessResult.HIT
-        assert len(_evict(cache, 1, policies[fill], pages + 2)) == 1
+        assert len(_evict(cache, 1, pages + 2)) == 1
         assert cache.report.candidate_counts == [min(policies[fill].oversample, pages)]
+
+
+@pytest.mark.parametrize("differs", ["pack", "oversample"])
+def test_a_cache_refuses_another_policy_of_its_own_kind(differs):
+    # a learned cache with another pack or oversample would switch scorers
+    # partway through its run; an equal copy scores exactly as its policy does
+    rng = random.Random(11)
+    pack, other_pack = random_pack(rng), random_pack(rng)
+    assert pack != other_pack
+    other = LearnedPolicy(other_pack, 5) if differs == "pack" else LearnedPolicy(pack, 7)
+    cache = CacheState(8)
+    for i in range(8):
+        access(cache, PageKey(1, 1, i), i, LearnedPolicy(pack, 5))
+    tracker, report = cache.tracker, cache.report
+
+    def snapshot():
+        return (tracker.tab.tobytes(), tracker.index.tobytes(), list(tracker.page_keys),
+                tracker.last_t, counts(report), list(report.candidate_counts))
+
+    before = snapshot()
+    for i in (0, 8):  # a hit and the miss that overflows the cache
+        with pytest.raises(ConfigurationError, match="one policy for its lifetime"):
+            access(cache, PageKey(1, 1, i), 9, other)
+    # the refused calls left the report and the tracker as they were
+    assert snapshot() == before
+    # an equal copy serves it, at a hit and at a miss that evicts
+    assert access(cache, PageKey(1, 1, 0), 10, LearnedPolicy(pack, 5)) is AccessResult.HIT
+    assert access(cache, PageKey(1, 1, 8), 11, LearnedPolicy(pack, 5)) is AccessResult.MISS_INSERTED
+    assert report.candidate_counts == [5]
+
+    # a FIFO cache is served by a fresh FifoPolicy() on every call
+    fifo = CacheState(2)
+    hits = [access(fifo, k, t, FifoPolicy()) for k, t in [(A, 1), (B, 2), (A, 3), (C, 4)]]
+    assert hits == [AccessResult.MISS_INSERTED] * 2 + [AccessResult.HIT, AccessResult.MISS_INSERTED]
+    assert fifo.resident_keys() == [B, C]
 
 
 @settings(deadline=None, max_examples=60)
@@ -467,7 +497,9 @@ def test_one_request_evicts_the_lowest_scores_and_keeps_survivors_in_fifo_order(
     # the k lowest by (score, FIFO position), lowest first
     chosen = sorted(range(window), key=lambda i: (scores[i], i))[:min(n, window)]
     gone = set(chosen)
-    victims = _evict(cache, n, LearnedPolicy(pack, oversample), t_now)
+    # both policies track, so the tracker filled under one serves the other
+    cache.policy = LearnedPolicy(pack, oversample)
+    victims = _evict(cache, n, t_now)
     assert victims == [cands[i] for i in chosen]
     assert cache.resident_keys() == (
         [c for i, c in enumerate(cands) if i not in gone] + resident_before[window:]
@@ -571,7 +603,7 @@ def test_order_buffer_never_grows(capacity):
         t += 1_000
         access(cache, PageKey(2, i // 16, i % 16), t, policy)
         if len(cache) == capacity:
-            _evict(cache, BATCH_MAX, policy, t)
+            _evict(cache, BATCH_MAX, t)
     assert len(cache.order) == size
     assert cache.resident_keys() == list(cache.residency)
 
