@@ -162,9 +162,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy = LearnedPolicy(load_json(args.model), oversample=args.oversample)
     else:
         policy = FifoPolicy()
-    # the trace streams through the simulation; only --latency-csv keeps raw samples
+    # the trace streams through the simulation, timed for the report's
+    # latency_ns; only --latency-csv keeps raw samples
     samples = [] if args.latency_csv else None
-    report = run_simulation(iter_trace(args.trace), policy, args.capacity, latency_sink=samples)
+    report = run_simulation(
+        iter_trace(args.trace), policy, args.capacity, latency_sink=samples, timed=True
+    )
 
     samples_path = None
     if args.latency_csv:

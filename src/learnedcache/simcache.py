@@ -12,12 +12,17 @@ first minimum is the oldest, and shifts the older survivors up one slot;
 a request of n >= 2 ranks the window with one stable argsort and writes
 it back, victims first. Simulation and the latency benchmark issue every
 eviction request through one dispatch, _evict, which picks the victims,
-pops them and records the request's candidate window and its wall time, in
-a fixed-size log-bucketed histogram, in the cache's SimReport; a caller
-that wants the raw wall times passes a latency_sink list, as the benchmark
-does, so it times exactly the path simulations take. Only a policy that
-reads features (learned) has the cache update the feature tracker on every
-access; FIFO, like a kernel running no feature hooks, pays for none.
+pops them and records the request's candidate window in the cache's
+SimReport. Only a timed cache (CacheState.timed) also reads the clock
+around each request and counts its wall time in a fixed-size log-bucketed
+histogram of that report: simulate's report and the latency benchmark ask
+for times, while paired-eval, train's label run and every other
+run_simulation call leave the clock unread. A caller that wants the raw
+wall times passes a latency_sink list, which turns timing on; the
+benchmark sets one on each timed cache, so it times exactly the path
+simulations take. Only a policy that reads features (learned) has the
+cache update the feature tracker on every access; FIFO, like a kernel
+running no feature hooks, pays for none.
 
 A cache holds the one policy it serves: access binds it at the first
 access and refuses any other, and _evict reads it. run_simulation binds
@@ -90,10 +95,11 @@ class SimReport:
     """One run's record, which the cache counts into as it runs.
 
     Every access is either a hit or an insertion. Each eviction request
-    appends its candidate window size to candidate_counts and counts its wall
-    time in latency_hist, LATENCY_BUCKETS log2 buckets whose size does not
-    grow with the run. The wall times differ between runs, so compare two
-    runs by their counts.
+    appends its candidate window size to candidate_counts. A timed run also
+    counts each request's wall time in latency_hist, LATENCY_BUCKETS log2
+    buckets whose size does not grow with the run; an untimed run leaves
+    them all zero. The wall times differ between runs, so compare two runs
+    by their counts.
     """
 
     insertions: int = 0
@@ -129,8 +135,10 @@ class CacheState:
     cache's tracker holds page slots with no features and no file columns,
     and is there only to number the pages the order buffer holds. The cache
     counts every access and eviction request into report, the SimReport
-    that run_simulation returns, and appends each request's wall time to
-    latency_sink when one is set.
+    that run_simulation returns. When timed is set, _evict also counts each
+    request's wall time into report.latency_hist and appends it to
+    latency_sink when one is set; a cache is untimed unless its caller sets
+    timed, and an untimed cache reads no clock.
     """
 
     def __init__(self, capacity: int):
@@ -153,6 +161,7 @@ class CacheState:
         self.report = SimReport()
         self.event_sink: list[TraceEvent] | None = None
         self.latency_sink: list[int] | None = None
+        self.timed = False
 
     def __len__(self) -> int:
         return len(self.residency)
@@ -178,17 +187,22 @@ def _evict(cache: CacheState, n: int, t_now_ns: int) -> list[PageKey]:
     """One eviction request of n pages, under the policy the cache holds.
 
     Picks the victims among the oldest min(oversample * n, resident) pages,
-    pops them, and records that window and the request's wall time in the
-    cache's report. When the request comes to one page, the learned victim
-    is the window's argmin, moved to the tail by a one-slot shift of the
-    pages older than it, and both policies read it with one item read of
-    order_view; a request of two or more pages ranks the window with a
-    stable argsort, sorts the survivors back into FIFO order and writes the
-    window back. Its callers bound n to [1, BATCH_MAX] and have bound the
-    cache's policy through access, so it checks neither.
+    pops them, and records that window in the cache's report. When the
+    cache is timed (cache.timed, read once per request), it also times the
+    request from after the policy read to after the residency deletes and
+    records that wall time in the report and the latency_sink. When the
+    request comes to one page, the learned victim is the window's argmin,
+    moved to the tail by a one-slot shift of the pages older than it, and
+    both policies read it with one item read of order_view; a request of
+    two or more pages ranks the window with a stable argsort, sorts the
+    survivors back into FIFO order and writes the window back. Its callers
+    bound n to [1, BATCH_MAX] and have bound the cache's policy through
+    access, so it checks neither.
     """
     policy = cache.policy
-    t0 = time.perf_counter_ns()
+    timed = cache.timed
+    if timed:
+        t0 = time.perf_counter_ns()
     tail = cache.tail
     live = cache.head - tail
     # comparisons, not min(): one builtin min call costs about 0.2 µs (CPython 3.11)
@@ -225,11 +239,12 @@ def _evict(cache: CacheState, n: int, t_now_ns: int) -> list[PageKey]:
     residency = cache.residency
     for key in victims:
         del residency[key]
-    wall_ns = time.perf_counter_ns() - t0
+    if timed:  # the span ends here, after the residency deletes
+        wall_ns = time.perf_counter_ns() - t0
+        cache.report.latency_hist[wall_ns.bit_length()] += 1
+        if cache.latency_sink is not None:
+            cache.latency_sink.append(wall_ns)
     report = cache.report
-    report.latency_hist[wall_ns.bit_length()] += 1
-    if cache.latency_sink is not None:
-        cache.latency_sink.append(wall_ns)
     report.candidate_counts.append(window)
     report.evictions += k
     if cache.event_sink is not None:
@@ -286,19 +301,24 @@ def run_simulation(
     capacity: int,
     event_sink: list[TraceEvent] | None = None,
     latency_sink: list[int] | None = None,
+    timed: bool = False,
 ) -> SimReport:
     """Replay the Access events of a sorted trace through the cache.
 
     events may be any iterable, such as trace.iter_trace's stream, and is
     read once. Insert/Evict events in the input are ignored. When event_sink
     is given, the simulator appends one Evict event to it per evicted page,
-    in eviction order; when latency_sink is given, the wall time in ns of
-    each eviction request. The fresh cache holds policy from the start, so
-    its hits need no policy check. Both policies are deterministic.
+    in eviction order. A run is untimed and reads no clock, leaving the
+    report's latency_hist all zero, unless timed is set or latency_sink is
+    given; a timed run counts each eviction request's wall time in ns in
+    latency_hist and appends it to latency_sink when given. The fresh cache
+    holds policy from the start, so its hits need no policy check. Both
+    policies are deterministic.
     """
     cache = CacheState(capacity)
     cache.event_sink = event_sink
     cache.latency_sink = latency_sink
+    cache.timed = timed or latency_sink is not None
     _serve(cache, policy)
     # bound here, not at import, so a method patched on the class is the one called
     residency = cache.residency
@@ -373,7 +393,7 @@ def benchmark_eviction_latency(
     Both caches are driven through identical rounds: a refill to capacity,
     then one eviction request of `batch` pages. Returns both latency
     distributions in ns, from the exact samples _evict appended to each
-    cache's latency_sink, and the learned policy's candidate window.
+    timed cache's latency_sink, and the learned policy's candidate window.
     """
     if not 1 <= batch <= BATCH_MAX:
         raise ConfigurationError(f"batch must be in [1, {BATCH_MAX}]")
@@ -385,6 +405,7 @@ def benchmark_eviction_latency(
     for name, policy in (("fifo", FifoPolicy()), ("learned", LearnedPolicy(pack, oversample))):
         cache = caches[name] = CacheState(capacity)
         cache.latency_sink = []
+        cache.timed = True
         keys = cycle(range(2 * capacity))
         t = 1_000_000
         for _ in range(rounds):

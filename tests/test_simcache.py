@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -77,6 +78,7 @@ def test_fifo_evicts_oldest_without_promotion():
                          ids=["fifo", "learned-1", "learned-5"])
 def test_request_above_the_resident_count_records_a_window_of_every_page(policy):
     cache = CacheState(50)
+    cache.timed = True
     for i in range(7):
         access(cache, PageKey(1, 1, i), i, policy)
     assert cache.report.candidate_counts == []
@@ -174,6 +176,7 @@ def test_every_request_records_one_latency_and_its_window(seed, learned, capacit
     pairs = make_accesses(rng, rng.randint(1, 200), n_inodes=rng.randint(1, 5),
                           pages_per_inode=rng.randint(1, 12))
     samples = []
+    # a latency_sink turns timing on
     report = run_simulation(as_events(pairs), policy, capacity, latency_sink=samples)
     window = min(oversample, capacity + 1) if learned else 1
     assert report.candidate_counts == [window] * report.evictions
@@ -194,6 +197,50 @@ def test_every_request_records_one_latency_and_its_window(seed, learned, capacit
         assert lat["buckets"] == hist[:max(samples).bit_length() + 1]
     else:
         assert lat == {"p50": None, "p90": None, "p99": None, "buckets": [], "samples_path": None}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32),
+    learned=st.booleans(),
+    capacity=st.integers(1, 64),
+    oversample=st.integers(1, 8),
+)
+@example(seed=0, learned=True, capacity=8, oversample=5)
+@example(seed=0, learned=False, capacity=8, oversample=1)
+def test_an_untimed_run_reads_no_clock_and_evicts_as_a_timed_run(seed, learned, capacity, oversample):
+    # only the wall times differ between a timed and an untimed run, and
+    # an untimed run never reads the clock
+    rng = random.Random(seed)
+    policy = LearnedPolicy(random_pack(rng), oversample=oversample) if learned else FifoPolicy()
+    pairs = make_accesses(rng, rng.randint(1, 400), n_inodes=rng.randint(1, 8),
+                          pages_per_inode=rng.randint(1, 12))
+    made = []
+
+    class Recorded(CacheState):
+        def __init__(self, capacity):
+            super().__init__(capacity)
+            made.append(self)
+
+    def clock_read():
+        raise AssertionError("an untimed run read the clock")
+
+    runs = {}
+    for timed in (True, False):
+        sink = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simcache, "CacheState", Recorded)
+            if not timed:
+                mp.setattr(simcache, "time", SimpleNamespace(perf_counter_ns=clock_read))
+            report = run_simulation(as_events(pairs), policy, capacity, event_sink=sink, timed=timed)
+        runs[timed] = (report, sink, made.pop().resident_keys())
+    (timed_report, timed_sink, timed_keys), (report, sink, keys) = runs[True], runs[False]
+    assert report.latency_hist == [0] * LATENCY_BUCKETS
+    assert sum(timed_report.latency_hist) == len(timed_report.candidate_counts)
+    assert counts(report) == counts(timed_report)
+    assert report.candidate_counts == timed_report.candidate_counts
+    assert sink == timed_sink
+    assert keys == timed_keys
 
 
 def test_policy_validation():
@@ -309,11 +356,12 @@ def test_the_replay_loop_serves_hits_as_access_does(seed, learned, capacity, ove
     sink = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simcache, "CacheState", Recorded)
-        report = run_simulation(as_events(pairs), policy, capacity, event_sink=sink)
+        report = run_simulation(as_events(pairs), policy, capacity, event_sink=sink, timed=True)
     (looped,) = made
 
     stepped = CacheState(capacity)
     stepped.event_sink = step_sink = []
+    stepped.timed = True
     for key, t in pairs:
         access(stepped, key, t, policy)
     want = stepped.report
@@ -508,7 +556,7 @@ def test_one_request_evicts_the_lowest_scores_and_keeps_survivors_in_fifo_order(
 
 def test_run_simulation_counts_and_rate():
     pairs = [(A, 1), (B, 2), (A, 3), (C, 4), (D, 5)]
-    report = run_simulation(as_events(pairs), FifoPolicy(), 2)
+    report = run_simulation(as_events(pairs), FifoPolicy(), 2, timed=True)
     assert counts(report) == (5, 4, 2, 1)
     assert report.insertion_rate == 0.8
     assert sum(report.latency_hist) == 2
@@ -552,7 +600,7 @@ def test_report_dict_shape():
     rng = random.Random(1)
     pairs = make_accesses(rng, 200, n_inodes=3, pages_per_inode=10)
     for name, policy in (("fifo", FifoPolicy()), ("learned", LearnedPolicy(random_pack(rng), 3))):
-        report = run_simulation(as_events(pairs), policy, 4)
+        report = run_simulation(as_events(pairs), policy, 4, timed=True)
         obj = report_to_dict(report, name, 4, samples_path="lat.csv")
         assert list(obj) == [
             "policy",
