@@ -9,16 +9,21 @@ committed model: sizebias-evict (synthetic_sizebias, capacity 96, 200 ops:
 3100 events, 80% of them eviction requests) and mongo-hits (mongo,
 capacity 1024, 2000 ops: 13060 events, mostly hits). A 200-op mongo trace
 touches only 420 pages, so it would never fill the cache and would count no
-eviction request. Two more sections count other stages:
+eviction request. Three more sections count other stages:
 
 - generate: generate_workload for every workload kind, at GENERATE_OPS ops
   (mongo and synthetic_sizebias at the simulate shapes above, the other
   kinds at 5,000 to 14,000 events);
 - label: the FIFO label run of train (run_simulation with an event_sink) on
   a trace of train-sizebias' shape (synthetic_sizebias, 250 ops, capacity
-  96).
+  96);
+- collector: the cyclic garbage collector's passes per generation, seen by
+  a gc.callbacks hook after a gc.collect() (as perfbench's ops start), in
+  one in-process `learnedcache train` run at train-sizebias' shape (4 + 1
+  traces of 250 ops, capacity 96, --pairs 5000) and in one mongo
+  generate_workload at 2000 ops. Each is run once, with no tracing.
 
-Each counted call is made twice, and only that call is counted:
+The other sections make each counted call twice, and count only that call:
 
 - under sys.settrace with f_trace_opcodes set on every frame: Python
   opcodes and Python calls ("call" events, which also count each resumed
@@ -38,11 +43,16 @@ test_*.py, so the test run does not collect it.
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
+from learnedcache import cli
 from learnedcache.modelpack import load_json
 from learnedcache.simcache import FifoPolicy, LearnedPolicy, run_simulation
 from learnedcache.trace import default_spec, generate_workload
@@ -50,7 +60,7 @@ from learnedcache.trace import default_spec, generate_workload
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODELS = PERFBENCH / "models"
 sys.path.insert(0, str(PERFBENCH))
-from run import WORKLOADS  # noqa: E402
+from run import TRAIN_TRACES, WORKLOADS, train_argv, write_train_traces  # noqa: E402
 
 SEED = 1
 # trace ops per perfbench simulate workload, whose kind and capacity these
@@ -119,6 +129,37 @@ def count(run, events: int) -> dict:
     }
 
 
+def collector_passes(run) -> dict[str, int]:
+    """The cyclic collector's passes per generation while run() runs."""
+    passes: Counter = Counter()
+
+    def callback(phase, info):
+        if phase == "start":
+            passes[f"gen{info['generation']}"] += 1
+
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        run()
+    finally:
+        gc.callbacks.remove(callback)
+    return {f"gen{g}": passes[f"gen{g}"] for g in range(3)}
+
+
+def train_passes(work: Path) -> dict[str, int]:
+    """collector_passes of one train run on traces of train-sizebias' shape."""
+    paths = write_train_traces(LABEL, SEED, work)
+    argv = train_argv(LABEL, paths, SEED, work / "model.json")
+
+    def train() -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        if rc:
+            raise SystemExit(f"train exited {rc}")
+
+    return collector_passes(train)
+
+
 def count_simulation(events: list, policy, capacity: int) -> dict:
     return count(lambda: run_simulation(events, policy, capacity), len(events))
 
@@ -145,6 +186,15 @@ def main() -> None:
     out["label"] = {"kind": kind, "ops": ops, "capacity": capacity,
                     **count(lambda: run_simulation(events, FifoPolicy(), capacity, event_sink=[]),
                             len(events))}
+    with tempfile.TemporaryDirectory() as work:
+        train = train_passes(Path(work))
+    mongo = default_spec("mongo", seed=SEED, n_ops=GENERATE_OPS["mongo"])
+    out["collector"] = {
+        "train": {"kind": kind, "traces": TRAIN_TRACES + 1, "ops": ops, "capacity": capacity,
+                  "pairs": LABEL.pairs, "passes": train},
+        "generate": {"kind": "mongo", "ops": mongo.n_ops,
+                     "passes": collector_passes(lambda: generate_workload(mongo))},
+    }
     json.dump(out, sys.stdout, indent=2)
     sys.stdout.write("\n")
 

@@ -4,11 +4,19 @@ Exit codes: 0 success, 2 configuration/usage error, 3 unreadable or malformed
 input file, 4 internal invariant violation or any other unexpected error. The
 seed defaults to the LEARNEDCACHE_SEED environment variable, then 0; all
 outputs are deterministic for a fixed seed (wall-clock latency fields aside).
+
+main pauses the cyclic garbage collector while a subcommand runs and gives it
+back the caller's setting on every exit. The records a subcommand builds
+(trace events, page keys, feature vectors, dataset rows) are tuple subclasses
+that the collector tracks while they live, so each of its passes would walk
+them all; reference counting still frees every object outside a reference
+cycle at once. The library modules leave the collector to their callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -281,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # paused while the subcommand runs: see the module docstring
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigurationError as exc:
@@ -292,6 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # InternalError and anything unexpected
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -61,3 +61,14 @@ def test_work_counts_cover_generation_of_every_kind_and_the_label_run(work_count
     assert set(work_counts["generate"]) == set(WORKLOAD_KINDS)
     assert all(positive_counts(counts) for counts in work_counts["generate"].values())
     assert positive_counts(work_counts["label"])
+
+
+def test_work_counts_cover_the_collector_in_train_and_generation(work_counts):
+    # the pass counts depend on the interpreter's collector thresholds, so
+    # only the section's shape is checked
+    collector = work_counts["collector"]
+    assert set(collector) == {"train", "generate"}
+    assert set(collector["train"]) == {"kind", "traces", "ops", "capacity", "pairs", "passes"}
+    assert set(collector["generate"]) == {"kind", "ops", "passes"}
+    for section in collector.values():
+        assert set(section["passes"]) == {"gen0", "gen1", "gen2"}

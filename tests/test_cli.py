@@ -1,8 +1,14 @@
 """End-to-end command-line pipeline and exit-code contract."""
 
+import contextlib
+import copy
 import csv
+import functools
+import gc
 import hashlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -10,12 +16,15 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import learnedcache
 from learnedcache import cli, trace
 from learnedcache.cli import main
 from learnedcache.errors import TraceFormatError
 from learnedcache.modelpack import load_json
+from learnedcache.simcache import run_simulation
 from learnedcache.trace import EventKind, PageKey, TraceEvent, iter_trace, read_trace, write_trace
 
 from reference_impls import ref_csv_rows
@@ -343,6 +352,155 @@ def test_unexpected_exception_exits_4_without_traceback(pipeline, monkeypatch, c
     assert rc == 4
     assert "internal error: simulated fault" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def collector_restored():
+    """Give the collector back its setting, whatever the test leaves it at."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_main_pauses_the_collector_and_restores_it_on_every_exit(pipeline, tmp_path, monkeypatch, capsys,
+                                                                   collector_restored):
+    bad_trace, bad_model = tmp_path / "bad.bin", tmp_path / "bad.json"
+    bad_trace.write_bytes(b"NOPE" + b"\x00" * 40)
+    bad_model.write_text("{]")
+    paused = []
+
+    def spy(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        if fault:
+            raise RuntimeError("simulated fault")
+        return run_simulation(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", spy)
+    fifo = ["simulate", "--policy", "fifo", "--capacity", "8", "--trace"]
+    learned = ["simulate", "--policy", "learned", "--capacity", "8", "--trace", pipeline["test"]]
+    calls = [  # (exit code, what stderr names, run_simulation raises, argv)
+        (0, "", False, fifo + [pipeline["test"]]),
+        (2, "invalid int value", False, fifo + [pipeline["test"], "--capacity", "x"]),  # argparse
+        (2, "requires --model", False, learned),  # ConfigurationError
+        (3, "bad magic", False, fifo + [str(bad_trace)]),  # TraceFormatError
+        (3, "invalid JSON", False, learned + ["--model", str(bad_model)]),  # PackValidationError
+        (3, "No such file", False, fifo + [str(tmp_path / "absent.bin")]),  # OSError
+        (4, "simulated fault", True, fifo + [pipeline["test"]]),
+    ]
+    for enabled in (True, False):
+        for rc, named, fault, argv in calls:
+            (gc.enable if enabled else gc.disable)()
+            assert main(argv) == rc, argv
+            assert named in capsys.readouterr().err
+            assert gc.isenabled() is enabled, argv
+    # the exits 0 and 4 reach the simulation, and so do the bad and the
+    # missing trace, which fail as it streams them: each once per setting
+    assert paused == [True] * 8
+
+
+def unreachable_after(argv: list[str]) -> int:
+    """The cyclic garbage that one main call leaves: what its collector pause held back.
+
+    The collector stays off until the count, and main keeps the caller's
+    setting, so no automatic pass frees any of it first.
+    """
+    gc.collect()
+    gc.disable()
+    assert main(argv) == 0, argv
+    return gc.collect()
+
+
+def test_the_collector_pause_holds_back_no_more_garbage_on_longer_traces(pipeline, tmp_path, collector_restored):
+    # reference counting frees every acyclic object during the pause, so only
+    # reference cycles wait for the collector; a cycle per record or per
+    # eviction would grow with the trace, and the pause would keep it all
+    def calls(ops: int) -> list[list[str]]:
+        path, out = str(tmp_path / f"{ops}.bin"), str(tmp_path / f"{ops}-out")
+        return [
+            ["gen-trace", "--workload", "synthetic_sizebias", "--ops", str(ops), "--files", "4",
+             "--seed", "5", "--out", path, "--csv", out + ".csv"],
+            ["train", "--traces", path, "--test", path, "--out", out + ".json",
+             "--capacity", str(CAPACITY), "--pairs", "500", "--epochs", "1", "--seed", "1"],
+            ["simulate", "--trace", path, "--policy", "learned", "--model", pipeline["model"],
+             "--capacity", str(CAPACITY)],
+            ["paired-eval", "--workload", "synthetic_sizebias", "--model", pipeline["model"],
+             "--capacity", "16", "--trials", "2", "--ops", str(ops), "--files", "3", "--jobs", "1",
+             "--seed", "1", "--out", out + ".eval.json"],
+        ]
+
+    short, long = calls(OPS), calls(8 * OPS)
+    for argv in short:  # warm-up: a first call also fills import-time and lazy caches
+        unreachable_after(argv)
+    counts = {s[0]: (unreachable_after(s), unreachable_after(l)) for s, l in zip(short, long)}
+    assert all(on_long <= on_short for on_short, on_long in counts.values()), counts
+
+
+def json_positions(obj, path=()):
+    """The path of every member and element of a JSON tree."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from json_positions(value, path + (key,))
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+                        st.lists(st.integers(-3, 3), max_size=3))
+
+
+@st.composite
+def mutated_pack(draw, obj) -> str:
+    """obj with one member or element replaced by another JSON value, or deleted."""
+    obj = copy.deepcopy(obj)
+    *parent, key = draw(st.sampled_from(list(json_positions(obj))))
+    container = functools.reduce(operator.getitem, parent, obj)
+    if draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(JSON_VALUES)
+    return json.dumps(obj)  # a float value may be NaN or Infinity, which load_json reads
+
+
+@st.composite
+def mutated_bytes(draw, data: bytes) -> bytes:
+    """data with one byte flipped, a run cut or inserted, or two offsets spliced."""
+    at = draw(st.integers(0, len(data) - 1))
+    how = draw(st.sampled_from(["flip", "cut", "insert", "splice"]))
+    if how == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if how == "cut":
+        return data[:at] + data[at + draw(st.integers(1, 64)):]
+    if how == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=64)) + data[at:]
+    return data[:at] + data[draw(st.integers(0, len(data) - 1)):]
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_mutated_inputs_exit_0_2_or_3_without_traceback(pipeline, tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("mutated")
+    trace_path, pack_path = d / "trace.bin", d / "model.json"
+    trace_path.write_bytes(data.draw(mutated_bytes(Path(pipeline["test"]).read_bytes()), "trace"))
+    pack_path.write_text(data.draw(mutated_pack(json.loads(Path(pipeline["model"]).read_text())), "pack"))
+    for argv in (
+        ["simulate", "--trace", str(trace_path), "--policy", "fifo", "--capacity", str(CAPACITY)],
+        ["train", "--traces", str(trace_path), "--test", str(trace_path), "--out", str(d / "m.json"),
+         "--capacity", str(CAPACITY), "--pairs", "200", "--epochs", "1"],
+        ["simulate", "--trace", pipeline["test"], "--policy", "learned", "--model", str(pack_path),
+         "--capacity", str(CAPACITY)],
+        ["paired-eval", "--workload", "synthetic_sizebias", "--model", str(pack_path),
+         "--capacity", "16", "--trials", "2", "--ops", "60", "--files", "3", "--out", str(d / "e.json")],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3), (argv[0], rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert gc.isenabled()
 
 
 def test_missing_input_file_exits_3(tmp_path):
